@@ -58,6 +58,7 @@ from .normalform import (
     dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,
+    normal_form_terms,
 )
 from .strichartz import (
     AdmissiblePair,

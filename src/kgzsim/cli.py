@@ -154,16 +154,19 @@ def resolve_config(subcommand: str, config_path: str | None, overrides: list[str
 
 
 def _sim_config(cfg: dict, model_override: str | None = None, dealias_override: bool | None = None) -> SimConfig:
-    return SimConfig(
-        alpha=cfg["sim.alpha"],
-        R=cfg["grid.R"],
-        M=cfg["grid.M"],
-        dt=cfg["sim.dt"],
-        T=cfg["sim.T"],
-        model=model_override if model_override is not None else cfg.get("sim.model", "full"),
-        dealias=dealias_override if dealias_override is not None else cfg.get("sim.dealias", True),
-        snapshot_stride=cfg["sim.snapshot_stride"],
-    )
+    try:
+        return SimConfig(
+            alpha=cfg["sim.alpha"],
+            R=cfg["grid.R"],
+            M=cfg["grid.M"],
+            dt=cfg["sim.dt"],
+            T=cfg["sim.T"],
+            model=model_override if model_override is not None else cfg.get("sim.model", "full"),
+            dealias=dealias_override if dealias_override is not None else cfg.get("sim.dealias", True),
+            snapshot_stride=cfg["sim.snapshot_stride"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _initial_data(cfg: dict, grid: RadialGrid):

@@ -126,6 +126,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.T < 0:
             raise ValueError("T must be nonnegative")
+        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            raise ValueError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.snapshot_stride < 1:

@@ -13,7 +13,12 @@ evaluated by Gauss-Legendre quadrature in the angle and trapezoid over the
 grid frequencies, with linear interpolation of fhat at off-grid radii.  The
 (2 pi)^{-3} is the convolution-theorem constant for the transform
 normalization used here, so the weight-one symbol reproduces the pointwise
-product f * g.
+product f * g.  Each operator stores the whole quadrature as one float64
+sparse kernel, at every grid size and angular order.
+
+The boundary and cubic terms of the normal form come from one batched
+assembly, :func:`normal_form_terms`, which forms the interior products N U
+and |U|^2 without dealiasing.
 
 The division by the resonance phase is only applied on a support that stays
 away from the phase's zero set: the dyadic high-low blocks outside the
@@ -31,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy import sparse
 from scipy.integrate import simpson
 
 from .radial import (
@@ -43,7 +49,6 @@ from .radial import (
     chi_le,
     eta0,
     lebesgue_norm,
-    pointwise_product,
     sobolev_norm,
     spectral_l2,
     to_physical,
@@ -144,30 +149,25 @@ def _symbol_weight(
 # quadrature operator
 # ---------------------------------------------------------------------------
 
-_CACHE_LIMIT = 2**24          # entries; larger kernels are re-evaluated per apply
-_F64_LIMIT = 2**22            # entries; larger cached kernels drop to float32
-_MATRIX_LIMIT = 4 * 10**7     # M^2 (M+2) above this skips the dense-matrix fast path
-_geometry_cache: dict = {}
+_ROWS = 8     # output frequencies per kernel-build chunk
+_STACK = 4    # coefficient pairs per apply chunk
 _operator_cache: dict = {}
 
 
 def clear_bilinear_cache() -> None:
-    _geometry_cache.clear()
     _operator_cache.clear()
 
 
-def _interp_tables(grid: RadialGrid, u: NDArray, dtype) -> tuple[NDArray, NDArray]:
+def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
     """Index/fraction tables for linear interpolation at radii u.
 
     Index M points at the zero pad (outside [xi_1, xi_M]).
     """
     xi1, xiM, dxi = grid.xi[0], grid.xi[-1], grid.dxi
     pos = (u - xi1) / dxi
-    idx = np.floor(pos).astype(np.int32)
-    frc = (pos - idx).astype(dtype)
+    idx = np.floor(pos).astype(np.intp)
+    frc = pos - idx
     inside = (u >= xi1) & (u <= xiM)
-    idx = np.clip(idx, 0, grid.M - 1)
-    np.minimum(frc, 1.0, out=frc)
     idx[~inside] = grid.M
     frc[~inside] = 0.0
     return idx, frc
@@ -176,137 +176,70 @@ def _interp_tables(grid: RadialGrid, u: NDArray, dtype) -> tuple[NDArray, NDArra
 class BilinearOperator:
     """Bilinear quadrature bound to (grid, symbol, angular order).
 
-    Output coefficients at every grid frequency cost O(M^2 Q); the static
-    weight kernel is cached when it fits, so repeated applies (Duhamel
-    residuals, estimate sweeps) are cheap.  Summation order is fixed, so
-    results are bit-identical between runs.
+    The quadrature is contracted once into a float64 CSR kernel K of shape
+    (M, M*M): K[m, i*M + j] weighs fhat_i * ghat_j in output frequency m.
+    Entries that only touch the zero pad beyond xi_M are dropped, and the
+    high-low symbols leave well under one percent of M^3 entries.  An apply is
+    K @ (f outer g), chunked over the stack; every output row is summed in the
+    same order whatever the stack, so results are bit-identical between runs
+    and between batched and single applies.
     """
 
-    def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64, m_chunk: int = 64):
+    def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64):
         self.grid = grid
         self.symbol = symbol
         self.n_angular = int(n_angular)
-        self.m_chunk = int(m_chunk)
-        nodes, weights = np.polynomial.legendre.leggauss(self.n_angular)
-        self._cos = nodes
-        self._glw = weights
-        size = grid.M * grid.M * self.n_angular
-        self._dtype = np.float64 if size <= _F64_LIMIT else np.float32
-        self._cache_kernel = size <= _CACHE_LIMIT
-        rho = grid.xi
-        trap = np.ones(grid.M)
+        self._cos, self._glw = np.polynomial.legendre.leggauss(self.n_angular)
+        M = grid.M
+        trap = np.ones(M)
         trap[0] = trap[-1] = 0.5
         # (2 pi)^{-3} * 2 pi = 1/(4 pi^2), folded with the radial measure
-        self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * rho**2
+        self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * grid.xi**2
         self.max_abs_weight = 0.0
-        self._W0: NDArray | None = None  # kernel * (1 - frac), kernel * frac
-        self._W1: NDArray | None = None
-        self._IDX: NDArray | None = None
-        self._T: NDArray | None = None   # angular axis contracted: (M, M+2, M) float32
-        if self._cache_kernel:
-            self._build()
-
-    # -- kernel construction -------------------------------------------------
-
-    def _chunk_geometry(self, m_slice: slice) -> tuple[NDArray, NDArray, NDArray]:
-        xi_out = self.grid.xi[m_slice][:, None, None]
-        rho = self.grid.xi[None, :, None]
-        cos = self._cos[None, None, :]
-        u = np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * cos, 0.0))
-        return xi_out, rho, u
+        blocks = []
+        for lo in range(0, M, _ROWS):
+            sl = slice(lo, min(lo + _ROWS, M))
+            G, idx, frc = self._chunk_kernel(sl)
+            m, j, q = np.nonzero(G)
+            g, i, f = G[m, j, q], idx[m, j, q], frc[m, j, q]
+            # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1}; index M is the zero pad
+            w = np.concatenate([g * (1.0 - f), g * f])
+            i = np.concatenate([i, i + 1])
+            m, j = np.tile(m, 2), np.tile(j, 2)
+            keep = (i < M) & (w != 0.0)
+            shape = (sl.stop - lo, M * M)
+            blocks.append(sparse.coo_array((w[keep], (m[keep], i[keep] * M + j[keep])), shape=shape).tocsr())
+        self._K = sparse.vstack(blocks, format="csr")
 
     def _chunk_kernel(self, m_slice: slice) -> tuple[NDArray, NDArray, NDArray]:
-        xi_out, rho, u = self._chunk_geometry(m_slice)
+        """Quadrature weights and interpolation tables, axes (m, rho node, angle)."""
+        xi_out = self.grid.xi[m_slice][:, None, None]
+        rho = self.grid.xi[None, :, None]
+        u = np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * self._cos, 0.0))
         w = _symbol_weight(self.symbol, self.grid, xi_out, u, rho)
         if not np.all(np.isfinite(w)):
             raise RuntimeError(
                 f"bilinear symbol {self.symbol.kind!r} is not finite on its support"
             )
         self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
-        G = (w * (self._base[None, :, None] * self._glw[None, None, :])).astype(self._dtype)
-        idx, frc = _interp_tables(self.grid, u, self._dtype)
+        G = w * (self._base[None, :, None] * self._glw)
+        idx, frc = _interp_tables(self.grid, u)
         return G, idx, frc
-
-    def _build(self) -> None:
-        M, Q = self.grid.M, self.n_angular
-        self._W0 = np.empty((M, M, Q), dtype=self._dtype)
-        self._W1 = np.empty((M, M, Q), dtype=self._dtype)
-        key = (self.grid.key(), Q)
-        idx_full = _geometry_cache.get(key)
-        own_idx = idx_full is None
-        if own_idx:
-            idx_full = np.empty((M, M, Q), dtype=np.int32)
-        for lo in range(0, M, self.m_chunk):
-            sl = slice(lo, min(lo + self.m_chunk, M))
-            G, idx, frc = self._chunk_kernel(sl)
-            self._W0[sl] = G * (1.0 - frc)
-            self._W1[sl] = G * frc
-            if own_idx:
-                idx_full[sl] = idx
-        self._IDX = idx_full
-        if own_idx:
-            _geometry_cache[key] = idx_full  # shared across symbols on this grid
-
-    # -- application ---------------------------------------------------------
-
-    def _build_matrix(self) -> None:
-        """Contract the angular axis into per-output-frequency matrices.
-
-        T[m, i, j] collects the interpolation weight of input-f node i against
-        input-g node j for output m; batched applies then reduce to two real
-        matrix products, amortizing one kernel read over many snapshots.
-        """
-        M = self.grid.M
-        self._T = np.zeros((M, M + 2, M), dtype=np.float32)
-        jj = np.broadcast_to(np.arange(M)[:, None], (M, self.n_angular))
-        size = (M + 2) * M
-        for lo in range(0, M, self.m_chunk):
-            sl = slice(lo, min(lo + self.m_chunk, M))
-            if self._W0 is not None:
-                W0, W1, idx = self._W0[sl], self._W1[sl], self._IDX[sl]
-            else:
-                G, idx, frc = self._chunk_kernel(sl)
-                W0, W1 = G * (1.0 - frc), G * frc
-            for local in range(idx.shape[0]):
-                lin = idx[local].astype(np.intp) * M + jj
-                acc = np.bincount(lin.ravel(), weights=W0[local].ravel(), minlength=size)
-                acc += np.bincount(lin.ravel() + M, weights=W1[local].ravel(), minlength=size)
-                self._T[lo + local] = acc.reshape(M + 2, M).astype(np.float32)
 
     def apply_batch(self, fhats: NDArray, ghats: NDArray) -> NDArray:
         """Apply to a stack of coefficient pairs; shapes (S, M) -> (S, M)."""
-        fhats = np.atleast_2d(fhats)
-        ghats = np.atleast_2d(ghats)
+        fhats = np.atleast_2d(np.asarray(fhats, dtype=np.complex128))
+        ghats = np.atleast_2d(np.asarray(ghats, dtype=np.complex128))
+        if self.symbol.conjugates_second:
+            ghats = np.conj(ghats)
         S, M = fhats.shape
-        g_arr = np.conj(ghats) if self.symbol.conjugates_second else ghats
-        if self._T is None and M * M * (M + 2) <= _MATRIX_LIMIT and self._cache_kernel:
-            self._build_matrix()
         out = np.empty((S, M), dtype=np.complex128)
-        fpad = np.zeros((S, M + 2), dtype=np.complex128)
-        fpad[:, :M] = fhats
-        if self._T is not None:
-            T2 = self._T.reshape(-1, M)
-            for lo in range(0, S, 128):
-                sel = slice(lo, min(lo + 128, S))
-                Zr = (T2 @ g_arr[sel].real.astype(np.float32).T).reshape(M, M + 2, -1)
-                Zi = (T2 @ g_arr[sel].imag.astype(np.float32).T).reshape(M, M + 2, -1)
-                fr = fpad[sel].real.astype(np.float32)
-                fi = fpad[sel].imag.astype(np.float32)
-                re = np.einsum("mis,si->sm", Zr, fr) - np.einsum("mis,si->sm", Zi, fi)
-                im = np.einsum("mis,si->sm", Zr, fi) + np.einsum("mis,si->sm", Zi, fr)
-                out[sel] = re + 1j * im
-            return out
-        # chunk-outer loop so each kernel slab is read once per batch
-        for lo in range(0, M, self.m_chunk):
-            sl = slice(lo, min(lo + self.m_chunk, M))
-            if self._W0 is not None:
-                W0, W1, idx = self._W0[sl], self._W1[sl], self._IDX[sl]
-            else:
-                G, idx, frc = self._chunk_kernel(sl)
-                W0, W1 = G * (1.0 - frc), G * frc
-            for s in range(S):
-                row = (W0 * fpad[s][idx] + W1 * fpad[s][idx + 1]).sum(axis=2)
-                out[s, sl] = row @ g_arr[s]
+        for lo in range(0, S, _STACK):
+            f, g = fhats[lo : lo + _STACK].T, ghats[lo : lo + _STACK].T
+            fg = np.empty((M, M, f.shape[1]), dtype=np.complex128)
+            np.multiply(f[:, None, :], g[None, :, :], out=fg)
+            # real kernel: act on the interleaved real and imaginary parts
+            out[lo : lo + _STACK] = (self._K @ fg.reshape(M * M, -1).view(np.float64)).view(np.complex128).T
         return out
 
     def apply_coeffs(self, fhat: NDArray, ghat: NDArray) -> NDArray:
@@ -384,37 +317,80 @@ def _times_d(c: SpectralField) -> SpectralField:
     return SpectralField(c.grid, c.coeffs * c.grid.xi)
 
 
+# term -> (symbol kind, first factor, second factor), aux = <D>^{-1}(N U)
+NORMAL_FORM_TERMS = {
+    "bd_U": ("omega", "N", "U"),              # boundary term of the U equation
+    "bd_N": ("omega_tilde", "U", "U"),        # boundary term of the N equation
+    "cubic_1": ("omega", "D|U|^2", "U"),
+    "cubic_2": ("omega", "N", "aux"),
+    "cubic_3": ("omega_tilde", "aux", "U"),
+    "cubic_3b": ("omega_tilde", "U", "aux"),  # N equation, conjugate factor differentiated
+    "nonres_U": ("xl_mask", "N", "U"),        # guarded pieces the normal form removes
+    "nonres_N": ("xl_lx_mask", "U", "U"),
+}
+
+
+def _values(grid: RadialGrid, coeffs: NDArray) -> NDArray:
+    return np.stack([to_physical(SpectralField(grid, c)).values for c in coeffs])
+
+
+def _coeffs(grid: RadialGrid, values: NDArray) -> NDArray:
+    return np.stack([to_spectral(PhysField(grid, v)).coeffs for v in values])
+
+
+def normal_form_terms(
+    grid: RadialGrid,
+    params: ResonanceParams,
+    cN: NDArray,
+    cU: NDArray,
+    names: Sequence[str],
+    n_angular: int = 64,
+) -> dict[str, NDArray]:
+    """Raw Omega / OmegaTilde outputs of the named terms on (S, M) coefficient stacks.
+
+    The products N U and |U|^2 are formed once, in physical space and without
+    dealiasing: the residual identity needs the exact products, and the sweep
+    fields are alias-free by construction.  They are returned too, as "NU" and
+    "UU"; the ``<D>^{-1}`` and ``D`` factors outside the operators are left to
+    the caller.
+    """
+    cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
+    vN, vU = _values(grid, cN), _values(grid, cU)
+    out = {"NU": _coeffs(grid, vN * vU), "UU": _coeffs(grid, vU * np.conj(vU))}
+    factors = {"N": cN, "U": cU, "aux": out["NU"] / np.sqrt(1.0 + grid.xi**2), "D|U|^2": grid.xi * out["UU"]}
+    for name in names:
+        kind, a, b = NORMAL_FORM_TERMS[name]
+        out[name] = get_operator(grid, BilinearSymbol(kind, params), n_angular).apply_batch(factors[a], factors[b])
+    return out
+
+
+def _single_terms(N, U, params: ResonanceParams, names: Sequence[str], n_angular: int) -> tuple[RadialGrid, dict]:
+    if N.grid.key() != U.grid.key():
+        raise ValueError("fields live on different grids")
+    cN, cU = as_spectral(N).coeffs, as_spectral(U).coeffs
+    return U.grid, normal_form_terms(U.grid, params, cN, cU, names, n_angular)
+
+
 def boundary_term_U(N: PhysField, U: PhysField, params: ResonanceParams, n_angular: int = 64) -> PhysField:
     """<D>^{-1} Omega(N, U): the boundary correction of the transformed U equation."""
-    sym = BilinearSymbol("omega", params)
-    out = to_spectral(bilinear_apply(sym, N, U, n_angular))
-    return to_physical(_inv_bracket(out))
+    grid, nf = _single_terms(N, U, params, ("bd_U",), n_angular)
+    return to_physical(_inv_bracket(SpectralField(grid, nf["bd_U"][0])))
 
 
 def boundary_term_N(U: PhysField, params: ResonanceParams, n_angular: int = 64) -> PhysField:
     """alpha * D * OmegaTilde(U, U): the boundary correction of the transformed N equation."""
-    sym = BilinearSymbol("omega_tilde", params)
-    out = to_spectral(bilinear_apply(sym, U, U, n_angular))
-    return to_physical(SpectralField(out.grid, params.alpha * out.grid.xi * out.coeffs))
+    grid, nf = _single_terms(U, U, params, ("bd_N",), n_angular)
+    return to_physical(SpectralField(grid, params.alpha * grid.xi * nf["bd_N"][0]))
 
 
 def cubic_terms(N: PhysField, U: PhysField, params: ResonanceParams, n_angular: int = 64) -> tuple[PhysField, PhysField, PhysField]:
     """The three cubic compositions produced by the normal form.
 
     Omega(D|U|^2, U), Omega(N, <D>^{-1}(N U)), OmegaTilde(<D>^{-1}(N U), U);
-    interior products are dealiased.
+    interior products are not dealiased (see :func:`normal_form_terms`).
     """
-    om = BilinearSymbol("omega", params)
-    omt = BilinearSymbol("omega_tilde", params)
-    usq = pointwise_product(U, U.conj(), dealiased=True)
-    d_usq = to_physical(_times_d(to_spectral(usq)))
-    nu = pointwise_product(N, U, dealiased=True)
-    aux = to_physical(_inv_bracket(to_spectral(nu)))
-    return (
-        bilinear_apply(om, d_usq, U, n_angular),
-        bilinear_apply(om, N, aux, n_angular),
-        bilinear_apply(omt, aux, U, n_angular),
-    )
+    grid, nf = _single_terms(N, U, params, ("cubic_1", "cubic_2", "cubic_3"), n_angular)
+    return tuple(to_physical(SpectralField(grid, nf[k][0])) for k in ("cubic_1", "cubic_2", "cubic_3"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +422,13 @@ def duhamel_residual(
     lxi = np.sqrt(1.0 + grid.xi**2)
     xi = grid.xi
 
-    last = traj.states[-1]
-    cU_t = to_spectral(last.U).coeffs
-    cN_t = to_spectral(last.N).coeffs
-    target = cU_t if which == "U" else cN_t
+    cU = np.stack([to_spectral(state.U).coeffs for state in traj.states])
+    cN = np.stack([to_spectral(state.N).coeffs for state in traj.states])
+    target = cU[-1] if which == "U" else cN[-1]
     den = spectral_l2(SpectralField(grid, target))
 
     if cfg.model == "linear":
-        first = traj.states[0]
-        c0 = to_spectral(first.U if which == "U" else first.N).coeffs
+        c0 = cU[0] if which == "U" else cN[0]
         phase = np.exp(1j * t * lxi) if which == "U" else np.exp(1j * cfg.alpha * t * xi)
         num = spectral_l2(SpectralField(grid, phase * c0 - target))
         return 0.0 if den == 0.0 else num / den
@@ -471,52 +445,25 @@ def duhamel_residual(
         raise ValueError("need at least three snapshots for Simpson quadrature")
 
     alpha = cfg.alpha
-    om = get_operator(grid, BilinearSymbol("omega", params), n_angular)
-    om_mask = get_operator(grid, BilinearSymbol("xl_mask", params), n_angular)
-    omt = get_operator(grid, BilinearSymbol("omega_tilde", params), n_angular)
-    omt_mask = get_operator(grid, BilinearSymbol("xl_lx_mask", params), n_angular)
-
-    n_t = len(times)
-    cU_all = np.empty((n_t, grid.M), dtype=np.complex128)
-    cN_all = np.empty_like(cU_all)
-    c_nu_all = np.empty_like(cU_all)
-    c_uu_all = np.empty_like(cU_all)
-    for i, state in enumerate(traj.states):
-        cU_all[i] = to_spectral(state.U).coeffs
-        cN_all[i] = to_spectral(state.N).coeffs
-        c_nu_all[i] = to_spectral(PhysField(grid, state.N.values * state.U.values)).coeffs
-        c_uu_all[i] = to_spectral(PhysField(grid, state.U.values * np.conj(state.U.values))).coeffs
-    aux_all = c_nu_all / lxi  # <D>^{-1}(N U)
-
+    ends = [0, -1]
     if which == "U":
-        cubic1 = om.apply_batch(xi * c_uu_all, cU_all)
-        cubic2 = om.apply_batch(cN_all, aux_all)
-        rest = c_nu_all - om_mask.apply_batch(cN_all, cU_all)
-        total = (-1j / lxi) * (alpha * cubic1 + cubic2 + rest)
+        nf = normal_form_terms(grid, params, cN, cU, ("cubic_1", "cubic_2", "nonres_U"), n_angular)
+        rest = nf["NU"] - nf["nonres_U"]
+        total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
         integrand = np.exp(1j * np.outer(t - times, lxi)) * total
+        b0, bt = normal_form_terms(grid, params, cN[ends], cU[ends], ("bd_U",), n_angular)["bd_U"] / lxi
+        free = np.exp(1j * t * lxi) * (cU[0] + b0)
     else:
-        cubic_a = omt.apply_batch(aux_all, cU_all)
-        cubic_b = omt.apply_batch(cU_all, aux_all)
-        rest = c_uu_all - omt_mask.apply_batch(cU_all, cU_all)
+        nf = normal_form_terms(grid, params, cN, cU, ("cubic_3", "cubic_3b", "nonres_N"), n_angular)
+        rest = nf["UU"] - nf["nonres_N"]
         # the second cubic term enters with the opposite sign: the conjugate
         # factor twists with phase exp(+i s <eta>)
-        total = -1j * alpha * xi * (cubic_a + rest) + 1j * alpha * xi * cubic_b
+        total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
         integrand = np.exp(1j * alpha * np.outer(t - times, xi)) * total
+        b0, bt = alpha * xi * normal_form_terms(grid, params, cN[ends], cU[ends], ("bd_N",), n_angular)["bd_N"]
+        free = np.exp(1j * alpha * t * xi) * (cN[0] + b0)
 
-    duhamel = simpson(integrand, x=times, axis=0)
-
-    first = traj.states[0]
-    cU0 = to_spectral(first.U).coeffs
-    cN0 = to_spectral(first.N).coeffs
-    if which == "U":
-        b0 = om.apply_coeffs(cN0, cU0) / lxi
-        bt = om.apply_coeffs(cN_t, cU_t) / lxi
-        rhs = np.exp(1j * t * lxi) * (cU0 + b0) - bt + duhamel
-    else:
-        b0 = alpha * xi * omt.apply_coeffs(cU0, cU0)
-        bt = alpha * xi * omt.apply_coeffs(cU_t, cU_t)
-        rhs = np.exp(1j * alpha * t * xi) * (cN0 + b0) - bt + duhamel
-
+    rhs = free - bt + simpson(integrand, x=times, axis=0)
     num = spectral_l2(SpectralField(grid, rhs - target))
     return 0.0 if den == 0.0 else num / den
 
@@ -648,9 +595,6 @@ def estimate_sweep(
     for M in sizes:
         grid = RadialGrid(R, M)
         lxi = np.sqrt(1.0 + grid.xi**2)
-        om = get_operator(grid, BilinearSymbol("omega", params), n_angular)
-        omt = get_operator(grid, BilinearSymbol("omega_tilde", params), n_angular)
-
         Ns, Us = [], []
         for trial in range(trials):
             rng = np.random.default_rng(seed + trial)
@@ -658,19 +602,12 @@ def estimate_sweep(
             Us.append(to_physical(sweep_trial_field(grid, rng)))
         cN = np.stack([to_spectral(f).coeffs for f in Ns])
         cU = np.stack([to_spectral(f).coeffs for f in Us])
-        c_nu = np.stack(
-            [to_spectral(PhysField(grid, n.values * u.values)).coeffs for n, u in zip(Ns, Us)]
-        )
-        c_usq = np.stack(
-            [to_spectral(PhysField(grid, u.values * np.conj(u.values))).coeffs for u in Us]
-        )
-        aux = c_nu / lxi
-
-        out_bd_U = om.apply_batch(cN, cU) / lxi
-        out_bd_N = grid.xi * omt.apply_batch(cU, cU)
-        out_c1 = om.apply_batch(grid.xi * c_usq, cU) / lxi
-        out_c2 = om.apply_batch(cN, aux) / lxi
-        out_c3 = grid.xi * omt.apply_batch(aux, cU)
+        nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3"), n_angular)
+        out_bd_U = nf["bd_U"] / lxi
+        out_bd_N = grid.xi * nf["bd_N"]
+        out_c1 = nf["cubic_1"] / lxi
+        out_c2 = nf["cubic_2"] / lxi
+        out_c3 = grid.xi * nf["cubic_3"]
 
         for trial, (N, U) in enumerate(zip(Ns, Us)):
             n_l2 = spectral_l2(SpectralField(grid, cN[trial]))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -414,19 +414,6 @@ def smooth_random_field(
         coeffs += a * np.exp(-(((grid.xi - mu) / width) ** 2))
     coeffs *= eta0(grid.xi / top)
     return SpectralField(grid, coeffs)
-
-
-def embed_coeffs(coeffs: Sequence[complex], grid: RadialGrid) -> SpectralField:
-    """Zero-pad a short coefficient vector into a (finer) grid sharing the same R.
-
-    The sine frequencies depend only on R, so grids with equal R are nested.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.size > grid.M:
-        raise ValueError("coefficient vector longer than the target band")
-    full = np.zeros(grid.M, dtype=np.complex128)
-    full[: coeffs.size] = coeffs
-    return SpectralField(grid, full)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ def test_malformed_value_rejected(tmp_path):
     assert run(["simulate", "--out", str(tmp_path), "--set", "sim.T=abc"]) == EXIT_CONFIG
 
 
+def test_invalid_sim_config_rejected(tmp_path):
+    assert run(["simulate", "--out", str(tmp_path / "a"), "--set", "sim.dt=0"]) == EXIT_CONFIG
+    assert run(["simulate", "--out", str(tmp_path / "b"), "--set", "sim.T=1.0", "--set", "sim.dt=0.3"]) == EXIT_CONFIG
+
+
 def test_missing_config_file(tmp_path):
     assert run(["simulate", "--out", str(tmp_path), "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 

@@ -255,6 +255,10 @@ def test_config_validation():
         SimConfig(0.5, 40.0, 256, dt=1e-3, T=1.0, model="other")
     with pytest.raises(ValueError, match="dt"):
         SimConfig(0.5, 40.0, 256, dt=0.0, T=1.0)
+    # round(T/dt) steps would stop the run at t=0.9
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        SimConfig(0.5, 40.0, 256, dt=0.3, T=1.0)
+    assert SimConfig(0.5, 40.0, 256, dt=0.1, T=0.3).T == 0.3
 
 
 def test_trajectory_export(tmp_path, grid):

@@ -3,7 +3,11 @@ import pytest
 
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
+    SYMBOL_KINDS,
+    _STACK,
+    BilinearOperator,
     BilinearSymbol,
+    _symbol_weight,
     annulus_guard,
     bilinear_apply,
     boundary_term_N,
@@ -94,15 +98,60 @@ def test_bilinearity_exact(grid, params, smooth_pair):
     rng = np.random.default_rng(5)
     h = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
     sym = BilinearSymbol("omega", params)
-    op = get_operator(grid, sym, 32)
     cf, cg, ch = (to_spectral(x).coeffs for x in (f, g, h))
-    # linear to the arithmetic precision of the cached kernel (float32 here)
-    lhs = op.apply_coeffs(cf + 2.0 * ch, cg)
-    rhs = op.apply_coeffs(cf, cg) + 2.0 * op.apply_coeffs(ch, cg)
-    assert np.max(np.abs(lhs - rhs)) < 1e-6 * max(np.max(np.abs(rhs)), 1e-30)
-    lhs = op.apply_coeffs(cf, cg + 3.0 * ch)
-    rhs = op.apply_coeffs(cf, cg) + 3.0 * op.apply_coeffs(cf, ch)
-    assert np.max(np.abs(lhs - rhs)) < 1e-6 * max(np.max(np.abs(rhs)), 1e-30)
+    # 72 angular nodes: M^2 Q above 2^22 entries, where kernels once dropped to float32
+    for n_angular in (32, 72):
+        op = get_operator(grid, sym, n_angular)
+        lhs = op.apply_coeffs(cf + 2.0 * ch, cg)
+        rhs = op.apply_coeffs(cf, cg) + 2.0 * op.apply_coeffs(ch, cg)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
+        lhs = op.apply_coeffs(cf, cg + 3.0 * ch)
+        rhs = op.apply_coeffs(cf, cg) + 3.0 * op.apply_coeffs(cf, ch)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
+
+
+def _loop_apply(grid, sym, n_angular, cf, cg):
+    """The quadrature as an explicit loop over output m, input rho_j, angle node q."""
+    M = grid.M
+    cos, glw = np.polynomial.legendre.leggauss(n_angular)
+    xi = grid.xi
+    trap = np.ones(M)
+    trap[0] = trap[-1] = 0.5
+    g = np.conj(cg) if sym.conjugates_second else cg
+    xo, rho = xi[:, None, None], xi[None, :, None]
+    u = np.sqrt(np.maximum(xo**2 + rho**2 - 2.0 * xo * rho * cos, 0.0))
+    w = _symbol_weight(sym, grid, xo, u, rho)
+    out = np.zeros(cf.shape, dtype=complex)
+    for m in range(M):
+        for j in range(M):
+            for q in range(n_angular):
+                um = u[m, j, q]
+                if um < xi[0] or um > xi[-1]:
+                    continue
+                pos = (um - xi[0]) / grid.dxi
+                i = min(int(np.floor(pos)), M - 1)
+                frac = pos - i
+                fu = (1.0 - frac) * cf[:, i] + (frac * cf[:, i + 1] if i + 1 < M else 0.0)
+                out[:, m] += w[m, j, q] * glw[q] * trap[j] * xi[j] ** 2 * fu * g[:, j]
+    return out * grid.dxi / (4.0 * np.pi**2)
+
+
+@pytest.mark.parametrize("kind", SYMBOL_KINDS)
+def test_apply_matches_loop_reference(kind):
+    grid = RadialGrid(20.0, 48)
+    params = ResonanceParams(0.5, 4.0 / 3.0, 1.0 / 3.0, 5, 0.0596, Branch.ALPHA_LT_1)
+    sym = BilinearSymbol(kind, None if kind == "plain" else params)
+    op = BilinearOperator(grid, sym, n_angular=8)
+    rng = np.random.default_rng(17)
+    S = 3 * _STACK + 5  # longer than the apply's internal chunk
+    cf = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
+    cg = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
+    got = op.apply_batch(cf, cg)
+    want = _loop_apply(grid, sym, 8, cf[:4], cg[:4])
+    assert np.max(np.abs(want)) > 0
+    assert np.max(np.abs(got[:4] - want)) < 1e-12 * np.max(np.abs(want))
+    rows = np.stack([op.apply_coeffs(a, b) for a, b in zip(cf, cg)])
+    assert np.array_equal(got, rows)
 
 
 def test_plain_symbol_is_pointwise_product(grid, smooth_pair):
