@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -180,13 +179,13 @@ def _initial_data(cfg: dict, grid: RadialGrid):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _run_simulate(cfg: dict, out: Path, jobs: int) -> None:
+def _run_simulate(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     export_trajectory(traj, out)
 
 
-def _run_params(cfg: dict, out: Path | None, jobs: int) -> None:
+def _run_params(cfg: dict, out: Path | None) -> None:
     alpha = cfg["resonance.alpha"]
     p = compute_params(alpha)
     lines = [
@@ -205,7 +204,7 @@ def _run_params(cfg: dict, out: Path | None, jobs: int) -> None:
         atomic_write_text(out / "params.txt", "\n".join(lines) + "\n")
 
 
-def _run_resonance(cfg: dict, out: Path, jobs: int) -> None:
+def _run_resonance(cfg: dict, out: Path) -> None:
     alpha = cfg["resonance.alpha"]
     p = compute_params(alpha)
     spec = LemmaGridSpec(
@@ -230,7 +229,7 @@ def _run_resonance(cfg: dict, out: Path, jobs: int) -> None:
         raise GuardError("resonance lower-bound verification failed")
 
 
-def _run_normalform(cfg: dict, out: Path, jobs: int) -> None:
+def _run_normalform(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg, model_override="simplified", dealias_override=False)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     params = compute_params(sim.alpha, band=sim.grid)
@@ -251,7 +250,7 @@ def _run_normalform(cfg: dict, out: Path, jobs: int) -> None:
         )
 
 
-def _run_scan(cfg: dict, out: Path, jobs: int) -> None:
+def _run_scan(cfg: dict, out: Path) -> None:
     grid = RadialGrid(cfg["grid.R"], cfg["grid.M"])
     ks = list(range(cfg["scan.k_min"], cfg["scan.k_max"] + 1))
     window = (0.0, cfg["scan.window"])
@@ -275,17 +274,11 @@ def _run_scan(cfg: dict, out: Path, jobs: int) -> None:
     write_csv(out / "scan_plot.csv", ["k", "log2_norm"], table.plot_series())
 
 
-def _run_sharpness(cfg: dict, out: Path, jobs: int) -> None:
-    ks = list(range(cfg["sharp.k_min"], cfg["sharp.k_max"] + 1))
-
-    def cell(k: int):
-        return sharpness_witness(k, cfg["sharp.q"], cfg["sharp.r"], R=cfg["sharp.R"], n_samples=cfg["sharp.samples"])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(cell, ks))
-    else:
-        reports = [cell(k) for k in ks]
+def _run_sharpness(cfg: dict, out: Path) -> None:
+    reports = [
+        sharpness_witness(k, cfg["sharp.q"], cfg["sharp.r"], R=cfg["sharp.R"], n_samples=cfg["sharp.samples"])
+        for k in range(cfg["sharp.k_min"], cfg["sharp.k_max"] + 1)
+    ]
     write_csv(
         out / "sharpness.csv",
         ["k", "measured", "scale_constant", "phi_norm", "ratio"],
@@ -294,7 +287,7 @@ def _run_sharpness(cfg: dict, out: Path, jobs: int) -> None:
     write_csv(out / "sharpness_plot.csv", ["k", "ratio"], [(r.k, r.ratio) for r in reports])
 
 
-def _run_scatter(cfg: dict, out: Path, jobs: int) -> None:
+def _run_scatter(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     cps = [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")]
@@ -327,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -342,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         elif name != "params":
             raise ConfigError(f"subcommand {name!r} requires --out")
-        RUNNERS[name](cfg, out, max(1, args.jobs))
+        RUNNERS[name](cfg, out)
         if out is not None:
             write_manifest(out / "manifest.txt", cfg)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .kgz import Trajectory
-from .radial import field_to_csv, write_field
+from .radial import SpectralField, field_to_csv, to_physical, write_field
 
 FLOAT_FMT = "%.17g"
 
@@ -64,11 +64,13 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
     if fields:
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        for i, state in enumerate(traj.states):
-            write_field(snapdir / f"U_{i:06d}.fld", state.U)
-            write_field(snapdir / f"N_{i:06d}.fld", state.N)
-        field_to_csv(outdir / "final_U.csv", traj.states[-1].U)
-        field_to_csv(outdir / "final_N.csv", traj.states[-1].N)
+        grid = cfg.grid
+        for i, (cu, cn) in enumerate(zip(traj.cU, traj.cN)):
+            U, N = to_physical(SpectralField(grid, cu)), to_physical(SpectralField(grid, cn))
+            write_field(snapdir / f"U_{i:06d}.fld", U)
+            write_field(snapdir / f"N_{i:06d}.fld", N)
+        field_to_csv(outdir / "final_U.csv", U)
+        field_to_csv(outdir / "final_N.csv", N)
     write_csv(
         outdir / "diagnostics.csv",
         ["t", "energy", "u_norm_l2", "n_norm_l2"],

@@ -34,9 +34,10 @@ from .radial import (
     PhysField,
     RadialGrid,
     SpectralField,
-    _dst1,
+    analyze,
     dealias_mask,
     spectral_l2,
+    synthesize,
     to_physical,
     to_spectral,
 )
@@ -140,9 +141,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered snapshots of a run plus per-snapshot diagnostics."""
+    """Time-ordered snapshots of a run plus per-snapshot diagnostics.
 
-    states: tuple[ComplexState, ...]
+    Snapshot i is stored as the sine coefficients ``cU[i]`` and ``cN[i]`` of
+    U and N at ``times[i]``; physical fields are built only on request.
+    """
+
+    times: NDArray[np.float64]
+    cU: NDArray[np.complex128]
+    cN: NDArray[np.complex128]
     energies: NDArray[np.float64]
     u_norms: NDArray[np.float64]
     n_norms: NDArray[np.float64]
@@ -154,13 +161,22 @@ class Trajectory:
             raise ValueError("trajectory must start at t=0")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
+        shape = (len(ts), self.config.M)
+        if self.cU.shape != shape or self.cN.shape != shape:
+            raise ValueError(f"coefficient stacks {self.cU.shape}, {self.cN.shape} do not match {shape}")
+        self.cU.flags.writeable = self.cN.flags.writeable = False
 
     @property
-    def times(self) -> NDArray[np.float64]:
-        return np.array([s.t for s in self.states])
+    def states(self) -> tuple[ComplexState, ...]:
+        """The snapshots as physical-space states, built on each access."""
+        g = self.config.grid
+        return tuple(
+            ComplexState(to_physical(SpectralField(g, u)), to_physical(SpectralField(g, n)), t=float(t))
+            for t, u, n in zip(self.times, self.cU, self.cN)
+        )
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +230,6 @@ class _Stepper:
         self.full_u = np.exp(1j * dt * self.lxi)
         self.full_n = np.exp(1j * dt * alpha * xi)
         self.mask = dealias_mask(grid) if dealias else None
-        # transform scale factors (see radial.to_spectral / to_physical)
-        self._fwd = 2.0 * np.pi * grid.dr / xi
-        self._inv = grid.dxi / (4.0 * np.pi**2 * grid.r)
-        self._r = grid.r
-
-    def _to_phys(self, c: NDArray) -> NDArray:
-        return self._inv * _dst1(self.xi * c)
-
-    def _to_spec(self, f: NDArray) -> NDArray:
-        return self._fwd * _dst1(self._r * f)
 
     def nonlinear(self, cU: NDArray, cN: NDArray) -> tuple[NDArray, NDArray]:
         """Twisted nonlinearity G = (-i<D>^{-1} q_u, -i alpha D q_n)."""
@@ -233,16 +239,16 @@ class _Stepper:
         if self.mask is not None:
             cU = cU * self.mask
             cN = cN * self.mask
-        U = self._to_phys(cU)
-        N = self._to_phys(cN)
+        U = synthesize(self.grid, cU)
+        N = synthesize(self.grid, cN)
         if self.model == "full":
             q_u = (N.real * U.real).astype(np.complex128)
             q_n = (U.real**2).astype(np.complex128)
         else:  # simplified
             q_u = N * U
             q_n = U * np.conj(U)
-        gU = (-1j / self.lxi) * self._to_spec(q_u)
-        gN = (-1j * self.alpha * self.xi) * self._to_spec(q_n)
+        gU = (-1j / self.lxi) * analyze(self.grid, q_u)
+        gN = (-1j * self.alpha * self.xi) * analyze(self.grid, q_n)
         if self.mask is not None:
             gU *= self.mask
             gN *= self.mask
@@ -311,20 +317,20 @@ def energy(s: RealState, alpha: float) -> float:
 
     quadratic terms computed spectrally, the cubic term by radial quadrature.
     """
-    g = s.grid
-    cu = to_spectral(s.u).coeffs
-    cud = to_spectral(s.u_dot).coeffs
-    cn = to_spectral(s.n).coeffs
-    cnd = to_spectral(s.n_dot).coeffs
+    cu, cud, cn, cnd = (to_spectral(f).coeffs for f in (s.u, s.u_dot, s.n, s.n_dot))
+    return _energy(s.grid, alpha, cu, cud, cn, cnd)
+
+
+def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> float:
+    """:func:`energy` from the coefficients of u, u_t, n and n_t."""
 
     def l2sq(arr):
         return float(np.sum(g.xi**2 * np.abs(arr) ** 2) * g.dxi / (2.0 * np.pi**2))
 
     quad = l2sq(cu) + l2sq(g.xi * cu) + l2sq(cud)
     half = 0.5 * (l2sq(cnd / g.xi) / alpha**2 + l2sq(cn))
-    cubic = 4.0 * np.pi * g.dr * float(
-        np.sum(g.r**2 * s.n.values.real * s.u.values.real**2)
-    )
+    u, n = synthesize(g, cu.real), synthesize(g, cn.real)
+    cubic = 4.0 * np.pi * g.dr * float(np.sum(g.r**2 * n * u**2))
     return quad + half - cubic
 
 
@@ -346,31 +352,15 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
     c0 = to_first_order(replace(init, t=0.0), config.alpha)
-    cU = to_spectral(c0.U).coeffs.copy()
-    cN = to_spectral(c0.N).coeffs.copy()
+    cU = to_spectral(c0.U).coeffs
+    cN = to_spectral(c0.N).coeffs
     norm0 = max(spectral_l2(SpectralField(g, cU)), 1e-300)
 
-    states: list[ComplexState] = []
-    diags: list[tuple[float, float, float]] = []
-
-    def record(i: int, cu_arr, cn_arr):
-        t = i * config.dt
-        state = ComplexState(
-            to_physical(SpectralField(g, cu_arr)),
-            to_physical(SpectralField(g, cn_arr)),
-            t=t,
-        )
-        states.append(state)
-        real = from_first_order(state, config.alpha)
-        diags.append(
-            (
-                energy(real, config.alpha),
-                spectral_l2(SpectralField(g, cu_arr)),
-                spectral_l2(SpectralField(g, cn_arr)),
-            )
-        )
-
-    record(0, cU, cN)
+    recorded = [i for i in range(n_steps + 1) if i % config.snapshot_stride == 0 or i == n_steps]
+    cUs = np.empty((len(recorded), g.M), dtype=np.complex128)
+    cNs = np.empty_like(cUs)
+    cUs[0], cNs[0] = cU, cN
+    k = 1
     for i in range(1, n_steps + 1):
         cU, cN = st.step(cU, cN)
         t = i * config.dt
@@ -378,11 +368,18 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
             raise BlowupError(t, "non-finite values in state")
         if spectral_l2(SpectralField(g, cU)) > 1e6 * norm0:
             raise BlowupError(t, "||U||_2 exceeded 1e6 x initial")
-        if i % config.snapshot_stride == 0 or i == n_steps:
-            record(i, cU, cN)
+        if i == recorded[k]:
+            cUs[k], cNs[k] = cU, cN
+            k += 1
 
-    arr = np.asarray(diags)
-    return Trajectory(tuple(states), arr[:, 0], arr[:, 1], arr[:, 2], config)
+    # u, u_t, n, n_t have coefficients Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN
+    # because the transform is real; one snapshot at a time keeps temporaries small
+    a = config.alpha
+    energies = [_energy(g, a, u.real, -st.lxi * u.imag, n.real, -a * g.xi * n.imag) for u, n in zip(cUs, cNs)]
+    u_norms = [spectral_l2(SpectralField(g, u)) for u in cUs]
+    n_norms = [spectral_l2(SpectralField(g, n)) for n in cNs]
+    times = config.dt * np.asarray(recorded, dtype=float)
+    return Trajectory(times, cUs, cNs, np.asarray(energies), np.asarray(u_norms), np.asarray(n_norms), config)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from the full product, which keeps the transformed integral identity exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .radial import (
     PhysField,
     RadialGrid,
     SpectralField,
+    analyze,
     as_spectral,
     besov_norm,
     chi_k,
@@ -51,6 +53,7 @@ from .radial import (
     lebesgue_norm,
     sobolev_norm,
     spectral_l2,
+    synthesize,
     to_physical,
     to_spectral,
 )
@@ -151,11 +154,6 @@ def _symbol_weight(
 
 _ROWS = 8     # output frequencies per kernel-build chunk
 _STACK = 4    # coefficient pairs per apply chunk
-_operator_cache: dict = {}
-
-
-def clear_bilinear_cache() -> None:
-    _operator_cache.clear()
 
 
 def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
@@ -252,13 +250,13 @@ class BilinearOperator:
         return to_physical(SpectralField(self.grid, out))
 
 
+@lru_cache(maxsize=2)
 def get_operator(grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64) -> BilinearOperator:
-    key = (grid.key(), symbol, n_angular)
-    op = _operator_cache.get(key)
-    if op is None:
-        op = BilinearOperator(grid, symbol, n_angular)
-        _operator_cache[key] = op
-    return op
+    """Shared operator; the two most recently used kernels stay alive."""
+    return BilinearOperator(grid, symbol, n_angular)
+
+
+clear_bilinear_cache = get_operator.cache_clear
 
 
 def bilinear_apply(sym: BilinearSymbol, f, g, n_angular: int = 64) -> PhysField:
@@ -330,14 +328,6 @@ NORMAL_FORM_TERMS = {
 }
 
 
-def _values(grid: RadialGrid, coeffs: NDArray) -> NDArray:
-    return np.stack([to_physical(SpectralField(grid, c)).values for c in coeffs])
-
-
-def _coeffs(grid: RadialGrid, values: NDArray) -> NDArray:
-    return np.stack([to_spectral(PhysField(grid, v)).coeffs for v in values])
-
-
 def normal_form_terms(
     grid: RadialGrid,
     params: ResonanceParams,
@@ -355,8 +345,8 @@ def normal_form_terms(
     the caller.
     """
     cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
-    vN, vU = _values(grid, cN), _values(grid, cU)
-    out = {"NU": _coeffs(grid, vN * vU), "UU": _coeffs(grid, vU * np.conj(vU))}
+    vN, vU = synthesize(grid, cN), synthesize(grid, cU)
+    out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
     factors = {"N": cN, "U": cU, "aux": out["NU"] / np.sqrt(1.0 + grid.xi**2), "D|U|^2": grid.xi * out["UU"]}
     for name in names:
         kind, a, b = NORMAL_FORM_TERMS[name]
@@ -422,8 +412,7 @@ def duhamel_residual(
     lxi = np.sqrt(1.0 + grid.xi**2)
     xi = grid.xi
 
-    cU = np.stack([to_spectral(state.U).coeffs for state in traj.states])
-    cN = np.stack([to_spectral(state.N).coeffs for state in traj.states])
+    cU, cN = traj.cU, traj.cN
     target = cU[-1] if which == "U" else cN[-1]
     den = spectral_l2(SpectralField(grid, target))
 

@@ -31,7 +31,7 @@ from scipy.fft import dst
 
 
 def _dst1(x: NDArray) -> NDArray:
-    """Unnormalized DST-I, safe for complex input.
+    """Unnormalized DST-I along the last axis, safe for complex input.
 
     y_m = 2 * sum_j x_j sin(pi*j*m/(N+1)); self-inverse up to 2*(N+1).
     """
@@ -201,20 +201,24 @@ def _check_same_grid(a, b) -> None:
 # forward / inverse transform
 # ---------------------------------------------------------------------------
 
+def analyze(grid: RadialGrid, values: NDArray) -> NDArray:
+    """c_m = (4*pi*dr/xi_m) sum_j r_j f_j sin(r_j xi_m) along the last axis of (..., M) samples."""
+    return (2.0 * np.pi * grid.dr / grid.xi) * _dst1(grid.r * values)
+
+
+def synthesize(grid: RadialGrid, coeffs: NDArray) -> NDArray:
+    """Inverse of :func:`analyze` on (..., M) coefficient arrays."""
+    return (grid.dxi / (4.0 * np.pi**2 * grid.r)) * _dst1(grid.xi * coeffs)
+
+
 def to_spectral(f: PhysField) -> SpectralField:
-    """3D radial Fourier transform: c_m = (4*pi*dr/xi_m) sum_j r_j f_j sin(r_j xi_m)."""
-    g = f.grid
-    w = g.r * f.values
-    coeffs = (2.0 * np.pi * g.dr / g.xi) * _dst1(w)
-    return SpectralField(g, coeffs)
+    """3D radial Fourier transform of a field (see :func:`analyze`)."""
+    return SpectralField(f.grid, analyze(f.grid, f.values))
 
 
 def to_physical(c: SpectralField) -> PhysField:
     """Inverse radial transform; exact inverse of to_spectral on grid data."""
-    g = c.grid
-    v = g.xi * c.coeffs
-    values = (g.dxi / (4.0 * np.pi**2 * g.r)) * _dst1(v)
-    return PhysField(g, values)
+    return PhysField(c.grid, synthesize(c.grid, c.coeffs))
 
 
 def as_spectral(f: Field) -> SpectralField:

@@ -34,7 +34,6 @@ from .radial import (
     sobolev_norm,
     spectral_l2,
     to_physical,
-    to_spectral,
     wave_propagate,
 )
 
@@ -160,24 +159,22 @@ class FreeEvolution:
 
 
 def _series(source, window, component: str, times, min_samples: int):
-    """Sample times and spectral fields of a trajectory or free evolution."""
+    """Sample times, grid and (S, M) coefficients (a slice for a trajectory) of a source."""
     t0, t1 = window
     if isinstance(source, Trajectory):
         ts = source.times
-        sel = (ts >= t0 - 1e-12) & (ts <= t1 + 1e-12)
         if t1 > ts[-1] + 1e-12 or t0 < ts[0] - 1e-12:
             raise GuardError(f"window [{t0}, {t1}] exceeds trajectory range [{ts[0]}, {ts[-1]}]")
-        ts = ts[sel]
-        if len(ts) < min_samples:
-            raise GuardError(f"only {len(ts)} snapshots in window; need >= {min_samples}")
-        idx = np.flatnonzero(sel)
-        fields = [to_spectral(getattr(source.states[i], component)) for i in idx]
-        return ts, fields
+        lo = int(np.searchsorted(ts, t0 - 1e-12, side="left"))
+        hi = int(np.searchsorted(ts, t1 + 1e-12, side="right"))
+        if hi - lo < min_samples:
+            raise GuardError(f"only {hi - lo} snapshots in window; need >= {min_samples}")
+        return ts[lo:hi], source.config.grid, getattr(source, "c" + component)[lo:hi]
     if isinstance(source, FreeEvolution):
         if times is None:
             times = np.linspace(t0, t1, max(min_samples, 64))
-        fields = [source.spectral_at(float(t)) for t in times]
-        return np.asarray(times, dtype=float), fields
+        coeffs = np.stack([source.spectral_at(float(t)).coeffs for t in times])
+        return np.asarray(times, dtype=float), source.phi.grid, coeffs
     raise TypeError(f"unsupported source {type(source)!r}")
 
 
@@ -198,14 +195,14 @@ def measure_spacetime_norm(
     regularity s with integrability r.  Time integration uses the trapezoid
     rule on the sample times (supremum for q = inf).
     """
-    ts, fields = _series(source, window, component, times, min_samples)
+    ts, grid, coeffs = _series(source, window, component, times, min_samples)
 
     def spatial(c: SpectralField) -> float:
         if s is None:
             return lebesgue_norm(to_physical(c), r)
         return besov_norm(c, s, r, homogeneous)
 
-    vals = np.array([spatial(c) for c in fields])
+    vals = np.array([spatial(SpectralField(grid, c)) for c in coeffs])
     if np.isinf(q):
         return float(vals.max())
     return float(np.trapezoid(vals**q, ts) ** (1.0 / q))
@@ -419,9 +416,8 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
         i = int(np.argmin(np.abs(ts - cp)))
         if abs(ts[i] - cp) > 0.5 * traj.config.dt + 1e-12:
             raise ValueError(f"no snapshot near checkpoint t={cp} (closest {ts[i]})")
-        state = traj.states[i]
-        profs_U.append(kg_propagate(to_spectral(state.U), -ts[i]))
-        profs_N.append(wave_propagate(to_spectral(state.N), -ts[i], alpha))
+        profs_U.append(kg_propagate(SpectralField(grid, traj.cU[i]), -ts[i]))
+        profs_N.append(wave_propagate(SpectralField(grid, traj.cN[i]), -ts[i], alpha))
     rows = []
     for (t1, v1, w1), (t2, v2, w2) in zip(
         zip(cps, profs_U, profs_N), zip(cps[1:], profs_U[1:], profs_N[1:])
@@ -481,26 +477,22 @@ def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, fl
         raise ValueError("eps breaks the exponent chain 10/3 < q(eps) < 4 < q(-eps)")
     if window is None:
         window = (float(traj.times[0]), float(traj.times[-1]))
-    ts, fields_U = _series(traj, window, "U", None, 64)
-    _, fields_N = _series(traj, window, "N", None, 64)
-    grid = traj.config.grid
+    ts, grid, cU = _series(traj, window, "U", None, 64)
+    _, _, cN = _series(traj, window, "N", None, 64)
     low_mask = chi_le(grid.xi, -1)
 
-    lows = [SpectralField(grid, c.coeffs * low_mask) for c in fields_U]
-    highs = [SpectralField(grid, c.coeffs * (1.0 - low_mask)) for c in fields_U]
+    def snapshot_norms(u, n):
+        low, high, nf = (SpectralField(grid, c) for c in (u * low_mask, u * (1.0 - low_mask), n))
+        return (
+            spectral_l2(low),
+            besov_norm(low, 0.25 + eps, q_eps, True),
+            sobolev_norm(high, 1.0),
+            besov_norm(high, 2.0 / 3.0, q_eps, False),
+            spectral_l2(nf),
+            besov_norm(nf, -0.25 - eps, q_meps, True),
+        )
 
-    def linf(vals):
-        return float(np.max(vals))
-
-    def l2t(vals):
-        return float(np.sqrt(np.trapezoid(np.asarray(vals) ** 2, ts)))
-
-    return ResolutionNorms(
-        eps=eps,
-        x_linf_l2=linf([spectral_l2(c) for c in lows]),
-        x_l2_besov=l2t([besov_norm(c, 0.25 + eps, q_eps, True) for c in lows]),
-        y_linf_h1=linf([sobolev_norm(c, 1.0) for c in highs]),
-        y_l2_besov=l2t([besov_norm(c, 2.0 / 3.0, q_eps, False) for c in highs]),
-        n_linf_l2=linf([spectral_l2(c) for c in fields_N]),
-        n_l2_besov=l2t([besov_norm(c, -0.25 - eps, q_meps, True) for c in fields_N]),
-    )
+    # one snapshot at a time; the columns alternate L^inf_t and L^2_t norms
+    vals = np.array([snapshot_norms(u, n) for u, n in zip(cU, cN)])
+    linf, l2t = vals.max(axis=0), np.sqrt(np.trapezoid(vals**2, ts, axis=0))
+    return ResolutionNorms(eps, linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5])

@@ -188,8 +188,6 @@ def test_sharpness_outputs(tmp_path):
             "sharpness",
             "--out",
             str(tmp_path),
-            "--jobs",
-            "2",
             "--set",
             "sharp.k_min=2",
             "--set",
