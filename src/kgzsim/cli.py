@@ -20,7 +20,7 @@ from .export import atomic_write_text, write_csv, write_manifest, export_traject
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
 from .normalform import duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
-from .strichartz import GuardError, scattering_profile, sharpness_witness, strichartz_scan
+from .strichartz import GuardError, resolution_norm, scattering_profile, sharpness_witness, strichartz_scan
 
 EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_GUARD = 0, 2, 3, 4
 
@@ -257,8 +257,6 @@ def _run_scan(cfg: dict, out: Path) -> None:
     flavor = cfg["scan.flavor"]
     if flavor not in ("wave", "schrodinger"):
         raise ConfigError(f"scan.flavor must be 'wave' or 'schrodinger', got {flavor!r}")
-    if window[1] * max(1.0, cfg["scan.alpha"]) > grid.R / 2.0:
-        raise GuardError("scan window exceeds the reflection-safe horizon R/2")
     table = strichartz_scan(
         grid,
         ks,
@@ -270,6 +268,8 @@ def _run_scan(cfg: dict, out: Path) -> None:
         n_samples=cfg["scan.samples"],
         seed=cfg["scan.seed"],
     )
+    if table.warning:
+        raise GuardError(table.warning)
     table.write_csv(out / "scan.csv")
     write_csv(out / "scan_plot.csv", ["k", "log2_norm"], table.plot_series())
 
@@ -292,11 +292,21 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     cps = [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")]
     report = scattering_profile(traj, sim.alpha, cps)
+    # the resolution-space norm over [0, t2] for each Cauchy row
+    norms = [(r.t2, resolution_norm(traj, cfg["scatter.eps"], window=(0.0, r.t2))) for r in report.rows]
     report.write_csv(out / "cauchy.csv")
     write_csv(
         out / "cauchy_plot.csv",
         ["t", "d_U_H1", "d_N_L2"],
         [(r.t2, r.d_U, r.d_N) for r in report.rows],
+    )
+    write_csv(
+        out / "resolution_norms.csv",
+        ["window", "x_linf_l2", "x_l2_besov", "y_linf_h1", "y_l2_besov", "n_linf_l2", "n_l2_besov", "total"],
+        [
+            (t, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
+            for t, n in norms
+        ],
     )
     export_trajectory(traj, out, fields=False)
 

@@ -1,8 +1,9 @@
 """Atomic file output: trajectory exports, CSV tables, and run manifests.
 
-All numeric CSV output uses 17 significant digits so 64-bit floats round-trip
-losslessly, and every file is written to a temporary name and renamed into
-place.
+This module owns the text-output format.  All numeric CSV output uses 17
+significant digits so 64-bit floats round-trip losslessly, and every text
+file is written to a temporary name and renamed into place.  Binary ``.fld``
+snapshots are written by ``radial.write_field`` directly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .kgz import Trajectory
-from .radial import SpectralField, field_to_csv, to_physical, write_field
+from .radial import Field, SpectralField, to_physical, write_field
 
 FLOAT_FMT = "%.17g"
 
@@ -48,6 +49,14 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def field_to_csv(path: Path | str, field: Field) -> None:
+    """CSV export (r or xi, re, im) of a physical or spectral field."""
+    spectral = isinstance(field, SpectralField)
+    axis = field.grid.xi if spectral else field.grid.r
+    data = field.coeffs if spectral else field.values
+    write_csv(path, ["xi" if spectral else "r", "re", "im"], zip(axis, data.real, data.imag))
+
+
 def write_manifest(path: Path | str, resolved: Mapping[str, object], timestamp: bool = True) -> None:
     """key=value dump of every parameter the run consumed."""
     lines = [f"{k}={_fmt(v)}" for k, v in sorted(resolved.items())]
@@ -57,14 +66,17 @@ def write_manifest(path: Path | str, resolved: Mapping[str, object], timestamp: 
 
 
 def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True) -> None:
-    """Snapshot files, a diagnostics CSV (t, E, ||U||_2, ||N||_2), and a manifest."""
+    """Snapshot files and a diagnostics CSV (t, E, ||U||_2, ||N||_2).
+
+    The run manifest is the caller's: ``kgzsim.cli`` writes it with the full
+    resolved configuration.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = traj.config
     if fields:
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        grid = cfg.grid
+        grid = traj.config.grid
         for i, (cu, cn) in enumerate(zip(traj.cU, traj.cN)):
             U, N = to_physical(SpectralField(grid, cu)), to_physical(SpectralField(grid, cn))
             write_field(snapdir / f"U_{i:06d}.fld", U)
@@ -79,14 +91,3 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
             for t, e, nu, nn in zip(traj.times, traj.energies, traj.u_norms, traj.n_norms)
         ],
     )
-    resolved = {
-        "sim.alpha": cfg.alpha,
-        "grid.R": cfg.R,
-        "grid.M": cfg.M,
-        "sim.dt": cfg.dt,
-        "sim.T": cfg.T,
-        "sim.model": cfg.model,
-        "sim.dealias": cfg.dealias,
-        "sim.snapshot_stride": cfg.snapshot_stride,
-    }
-    write_manifest(outdir / "manifest.txt", resolved)

@@ -40,6 +40,7 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.integrate import simpson
 
+from . import export
 from .radial import (
     PhysField,
     RadialGrid,
@@ -508,11 +509,8 @@ class SweepReport:
         return all(r <= factor for r in self.stability_ratios().values())
 
     def write_csv(self, path) -> None:
-        lines = ["estimate,M,trial,value"]
-        for r in self.rows:
-            lines.append(f"{r.estimate},{r.M},{r.trial},{r.value:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = [(r.estimate, r.M, r.trial, r.value) for r in self.rows]
+        export.write_csv(path, ["estimate", "M", "trial", "value"], rows)
 
 
 def _split_norm(f: PhysField, p: float, s_high: float) -> float:

@@ -138,9 +138,6 @@ class PhysField:
     def imag_field(self) -> "PhysField":
         return PhysField(self.grid, self.values.imag.astype(np.complex128))
 
-    def conj(self) -> "PhysField":
-        return PhysField(self.grid, np.conj(self.values))
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -451,16 +448,3 @@ def read_field(path) -> Field:
     else:
         data = raw.astype(np.complex128)
     return SpectralField(grid, data) if kind == KIND_SPEC else PhysField(grid, data)
-
-
-def field_to_csv(path, field: Field) -> None:
-    """CSV export (r or xi, re, im) with 17 significant digits."""
-    kind = isinstance(field, SpectralField)
-    axis = field.grid.xi if kind else field.grid.r
-    data = field.coeffs if kind else field.values
-    label = "xi" if kind else "r"
-    lines = [f"{label},re,im"]
-    for x, v in zip(axis, data):
-        lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import export
 from .radial import (
     PhysField,
     RadialGrid,
@@ -430,15 +431,15 @@ class LemmaReport:
         return out
 
     def write_csv(self, path) -> None:
-        lines = ["alpha,quantity,region,value,arg_xi,arg_eta,arg_cos,n_xi,n_eta,n_cos"]
-        for r in self.rows:
-            lines.append(
-                f"{self.params.alpha:.17g},{r.quantity},{r.region},{r.value:.17g},"
-                f"{r.arg_xi:.17g},{r.arg_eta:.17g},{r.arg_cos:.17g},"
-                f"{self.spec.n_xi},{self.spec.n_eta},{self.spec.n_cos}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        grid = (self.spec.n_xi, self.spec.n_eta, self.spec.n_cos)
+        export.write_csv(
+            path,
+            ["alpha", "quantity", "region", "value", "arg_xi", "arg_eta", "arg_cos", "n_xi", "n_eta", "n_cos"],
+            [
+                (self.params.alpha, r.quantity, r.region, r.value, r.arg_xi, r.arg_eta, r.arg_cos, *grid)
+                for r in self.rows
+            ],
+        )
 
 
 def verify_lemma_bounds(params: ResonanceParams, spec: LemmaGridSpec = LemmaGridSpec()) -> LemmaReport:

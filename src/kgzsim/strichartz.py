@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import export
 from .kgz import Trajectory
 from .radial import (
     RadialGrid,
@@ -153,10 +154,6 @@ class FreeEvolution:
             return kg_propagate(self.phi, t)
         return wave_propagate(self.phi, t, self.alpha)
 
-    @property
-    def speed(self) -> float:
-        return 1.0 if self.flavor == "kg" else self.alpha
-
 
 def _series(source, window, component: str, times, min_samples: int):
     """Sample times, grid and (S, M) coefficients (a slice for a trajectory) of a source."""
@@ -228,15 +225,12 @@ class ScanTable:
     warning: str | None = None
 
     def write_csv(self, path) -> None:
-        lines = ["k,norm,log2_norm,fit_residual"]
-        for k, n, res in zip(self.ks, self.norms, self.residuals):
-            lines.append(f"{k},{n:.17g},{math.log2(n):.17g},{res:.17g}")
-        lines.append(f"# slope,{self.slope:.17g}")
-        lines.append(f"# predicted_slope,{self.predicted_slope:.17g}")
+        """Per-block rows, then the fit and any warning as ``# name,value`` rows."""
+        rows = [(k, n, math.log2(n), res) for k, n, res in zip(self.ks, self.norms, self.residuals)]
+        rows += [("# slope", self.slope), ("# predicted_slope", self.predicted_slope)]
         if self.warning:
-            lines.append(f"# warning,{self.warning}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows.append(("# warning", self.warning))
+        export.write_csv(path, ["k", "norm", "log2_norm", "fit_residual"], rows)
 
     def plot_series(self) -> list[tuple[float, float]]:
         return [(float(k), math.log2(n)) for k, n in zip(self.ks, self.norms)]
@@ -390,11 +384,7 @@ class ScatteringReport:
     profiles_N: tuple[SpectralField, ...]
 
     def write_csv(self, path) -> None:
-        lines = ["t1,t2,d_U_H1,d_N_L2"]
-        for r in self.rows:
-            lines.append(f"{r.t1:.17g},{r.t2:.17g},{r.d_U:.17g},{r.d_N:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        export.write_csv(path, ["t1", "t2", "d_U_H1", "d_N_L2"], [(r.t1, r.t2, r.d_U, r.d_N) for r in self.rows])
 
 
 def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[float]) -> ScatteringReport:

@@ -1,4 +1,36 @@
+import pytest
+
+from kgzsim import cli, export
 from kgzsim.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, DEFAULTS, main, resolve_config
+from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
+from kgzsim.strichartz import resolution_norm
+
+SCATTER_ARGS = [
+    "--set",
+    "grid.R=40.0",
+    "--set",
+    "grid.M=128",
+    "--set",
+    "sim.T=8.0",
+    "--set",
+    "sim.dt=0.005",
+    "--set",
+    "scatter.checkpoints=2,4,8",
+]
+SCAN_ARGS = [
+    "--set",
+    "grid.R=16.0",
+    "--set",
+    "grid.M=512",
+    "--set",
+    "scan.window=2.0",
+    "--set",
+    "scan.k_min=1",
+    "--set",
+    "scan.k_max=3",
+    "--set",
+    "scan.samples=64",
+]
 
 
 def run(args):
@@ -159,27 +191,20 @@ def test_normalform_check_outputs(tmp_path):
 
 
 def test_scatter_diag_outputs(tmp_path):
-    code = run(
-        [
-            "scatter-diag",
-            "--out",
-            str(tmp_path),
-            "--set",
-            "grid.R=40.0",
-            "--set",
-            "grid.M=128",
-            "--set",
-            "sim.T=8.0",
-            "--set",
-            "sim.dt=0.005",
-            "--set",
-            "scatter.checkpoints=2,4,8",
-        ]
-    )
+    code = run(["scatter-diag", "--out", str(tmp_path)] + SCATTER_ARGS + ["--set", "scatter.eps=0.1"])
     assert code == EXIT_OK
     assert (tmp_path / "cauchy.csv").is_file()
     assert (tmp_path / "cauchy_plot.csv").is_file()
     assert (tmp_path / "diagnostics.csv").is_file()
+    lines = (tmp_path / "resolution_norms.csv").read_text().splitlines()
+    assert lines[0] == "window,x_linf_l2,x_l2_besov,y_linf_h1,y_l2_besov,n_linf_l2,n_l2_besov,total"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [4.0, 8.0]
+    # the same run through the library; 17-digit CSV values round-trip exactly
+    sim = SimConfig(0.5, 40.0, 128, dt=0.005, T=8.0, snapshot_stride=10)
+    traj = run_simulation(sim, gaussian_data(sim.grid, 0.01, 1.0))
+    for row in rows:
+        assert row[-1] == resolution_norm(traj, 0.1, (0.0, row[0])).total
 
 
 def test_sharpness_outputs(tmp_path):
@@ -203,26 +228,77 @@ def test_sharpness_outputs(tmp_path):
 
 
 def test_scan_outputs(tmp_path):
+    code = run(["strichartz-scan", "--out", str(tmp_path)] + SCAN_ARGS)
+    assert code == EXIT_OK
+    assert (tmp_path / "scan.csv").is_file()
+    assert (tmp_path / "scan_plot.csv").is_file()
+    assert (tmp_path / "manifest.txt").is_file()
+
+
+@pytest.mark.parametrize("flavor, expected", [("schrodinger", EXIT_OK), ("wave", EXIT_GUARD)])
+def test_scan_guard_follows_flow_speed(tmp_path, flavor, expected):
+    # window 4 on R=16: the Klein-Gordon flow (speed 1) stays inside R/2, the
+    # wave flow at speed alpha=3 does not
     code = run(
         [
             "strichartz-scan",
             "--out",
             str(tmp_path),
             "--set",
-            "grid.R=16.0",
+            "grid.R=16",
             "--set",
-            "grid.M=512",
+            "grid.M=256",
             "--set",
-            "scan.window=2.0",
+            f"scan.flavor={flavor}",
             "--set",
-            "scan.k_min=1",
+            "scan.r=4.5",
+            "--set",
+            "scan.alpha=3",
+            "--set",
+            "scan.window=4",
             "--set",
             "scan.k_max=3",
             "--set",
             "scan.samples=64",
         ]
     )
-    assert code == EXIT_OK
-    assert (tmp_path / "scan.csv").is_file()
-    assert (tmp_path / "scan_plot.csv").is_file()
-    assert (tmp_path / "manifest.txt").is_file()
+    assert code == expected
+    assert (tmp_path / "scan.csv").is_file() == (expected == EXIT_OK)
+
+
+def test_text_outputs_written_atomically(tmp_path, monkeypatch):
+    written = set()
+    atomic_write_text = export.atomic_write_text
+
+    def spy(path, text):
+        written.add(str(path))
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(export, "atomic_write_text", spy)
+    monkeypatch.setattr(cli, "atomic_write_text", spy)
+    runs = {
+        "resonance": ["--set", "lemma.n_xi=60"],
+        "strichartz-scan": SCAN_ARGS,
+        "normalform-check": [
+            "--set",
+            "grid.M=128",
+            "--set",
+            "sim.T=0.2",
+            "--set",
+            "sim.snapshot_stride=5",
+            "--set",
+            "quad.n_angular=16",
+            "--set",
+            "sweep.enabled=true",
+            "--set",
+            "sweep.sizes=64",
+            "--set",
+            "sweep.trials=2",
+        ],
+        "scatter-diag": SCATTER_ARGS,
+    }
+    for name, args in runs.items():
+        assert run([name, "--out", str(tmp_path / name)] + args) == EXIT_OK
+    outputs = {str(p) for p in tmp_path.rglob("*") if p.suffix in (".csv", ".txt")}
+    assert sorted(outputs - written) == []
+    assert len(outputs) == 15

@@ -313,11 +313,8 @@ def test_trajectory_export(tmp_path, grid):
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     export_trajectory(traj, tmp_path)
     assert (tmp_path / "diagnostics.csv").is_file()
-    assert (tmp_path / "manifest.txt").is_file()
+    assert not (tmp_path / "manifest.txt").exists()  # the CLI writes the one manifest
     snaps = sorted((tmp_path / "snapshots").glob("U_*.fld"))
     assert len(snaps) == len(traj)
     header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,energy,u_norm_l2,n_norm_l2"
-    manifest = (tmp_path / "manifest.txt").read_text()
-    for key in ("sim.alpha", "grid.R", "grid.M", "sim.dt", "sim.T", "sim.model"):
-        assert key in manifest

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kgzsim.export import field_to_csv
 from kgzsim.radial import (
     PhysField,
     RadialGrid,
@@ -11,7 +12,6 @@ from kgzsim.radial import (
     apply_multiplier,
     besov_norm,
     eta0,
-    field_to_csv,
     kg_propagate,
     lebesgue_norm,
     lp_project,
