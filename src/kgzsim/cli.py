@@ -16,11 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .export import atomic_write_text, write_csv, write_manifest, export_trajectory
+from .export import _fmt, atomic_write_text, write_csv, write_manifest, export_trajectory
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
 from .normalform import duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
-from .strichartz import GuardError, resolution_norm, scattering_profile, sharpness_witness, strichartz_scan
+from .strichartz import (
+    GuardError,
+    checkpoint_indices,
+    resolution_exponents,
+    resolution_norm,
+    scattering_profile,
+    sharpness_witness,
+    strichartz_scan,
+)
 
 EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_GUARD = 0, 2, 3, 4
 
@@ -188,17 +196,11 @@ def _run_simulate(cfg: dict, out: Path) -> None:
 def _run_params(cfg: dict, out: Path | None) -> None:
     alpha = cfg["resonance.alpha"]
     p = compute_params(alpha)
-    lines = [
-        f"alpha       = {alpha:.17g}",
-        f"branch      = {p.branch.value}",
-        f"c_alpha     = {p.c_alpha:.17g}",
-        f"delta_alpha = {p.delta_alpha:.17g}",
-        f"k_alpha     = {p.k_alpha}",
-        f"rho         = {p.rho:.17g}",
-    ]
+    items = [("alpha", alpha), ("branch", p.branch.value)]
     if alpha < 1.0:
-        r0 = alpha / np.sqrt(1.0 - alpha**2)
-        lines.insert(2, f"r0          = {r0:.17g}")
+        items.append(("r0", alpha / np.sqrt(1.0 - alpha**2)))
+    items += [("c_alpha", p.c_alpha), ("delta_alpha", p.delta_alpha), ("k_alpha", p.k_alpha), ("rho", p.rho)]
+    lines = [f"{k:<11} = {_fmt(v)}" for k, v in items]
     print("\n".join(lines))
     if out is not None:
         atomic_write_text(out / "params.txt", "\n".join(lines) + "\n")
@@ -223,7 +225,7 @@ def _run_resonance(cfg: dict, out: Path) -> None:
     summary["passed"] = bool(summary["passed"] and ok_profile)
     atomic_write_text(
         out / "summary.txt",
-        "\n".join(f"{k}={v}" for k, v in summary.items()) + "\n",
+        "\n".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n",
     )
     if not summary["passed"]:
         raise GuardError("resonance lower-bound verification failed")
@@ -289,8 +291,17 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
 
 def _run_scatter(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
+    # settle the analysis settings first: the library would reject them only after the run
+    try:
+        cps = [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")]
+        checkpoint_indices(sim.snapshot_times, cps, sim.dt)
+    except ValueError as exc:
+        raise ConfigError(f"scatter.checkpoints: {exc}") from exc
+    try:
+        resolution_exponents(cfg["scatter.eps"])
+    except ValueError as exc:
+        raise ConfigError(f"scatter.eps: {exc}") from exc
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
-    cps = [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")]
     report = scattering_profile(traj, sim.alpha, cps)
     # the resolution-space norm over [0, t2] for each Cauchy row
     norms = [(r.t2, resolution_norm(traj, cfg["scatter.eps"], window=(0.0, r.t2))) for r in report.rows]

@@ -138,6 +138,16 @@ class SimConfig:
     def grid(self) -> RadialGrid:
         return RadialGrid(self.R, self.M)
 
+    @property
+    def snapshot_steps(self) -> list[int]:
+        """Indices of the steps after which a run records a snapshot (0 is the initial state)."""
+        n_steps = int(round(self.T / self.dt)) if self.T > 0 else 0
+        return [i for i in range(n_steps + 1) if i % self.snapshot_stride == 0 or i == n_steps]
+
+    @property
+    def snapshot_times(self) -> NDArray[np.float64]:
+        return self.dt * np.asarray(self.snapshot_steps, dtype=float)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -342,21 +352,24 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
     """Evolve from t=0 to T, recording snapshots every ``snapshot_stride`` steps.
 
     Deterministic: identical config and data give a bit-identical trajectory.
-    Raises :class:`BlowupError` (with the failure time) on non-finite values
-    or when ||U||_2 exceeds 1e6 times its initial value.
+    Raises :class:`BlowupError` (with the failure time) on non-finite values,
+    when ||U||_2 exceeds 1e6 times its initial value, or when ||N||_2 exceeds
+    1e6 times the larger initial norm (N may start at zero and is then driven
+    by |u|^2).
     """
     if init.grid.key() != config.grid.key():
         raise ValueError("initial data grid does not match config grid")
     g = config.grid
-    n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0
+    recorded = config.snapshot_steps
+    n_steps = recorded[-1]
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
     c0 = to_first_order(replace(init, t=0.0), config.alpha)
     cU = to_spectral(c0.U).coeffs
     cN = to_spectral(c0.N).coeffs
     norm0 = max(spectral_l2(SpectralField(g, cU)), 1e-300)
+    n_norm0 = max(spectral_l2(SpectralField(g, cN)), norm0)
 
-    recorded = [i for i in range(n_steps + 1) if i % config.snapshot_stride == 0 or i == n_steps]
     cUs = np.empty((len(recorded), g.M), dtype=np.complex128)
     cNs = np.empty_like(cUs)
     cUs[0], cNs[0] = cU, cN
@@ -368,6 +381,8 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
             raise BlowupError(t, "non-finite values in state")
         if spectral_l2(SpectralField(g, cU)) > 1e6 * norm0:
             raise BlowupError(t, "||U||_2 exceeded 1e6 x initial")
+        if spectral_l2(SpectralField(g, cN)) > 1e6 * n_norm0:
+            raise BlowupError(t, "||N||_2 exceeded 1e6 x initial max(||U||_2, ||N||_2)")
         if i == recorded[k]:
             cUs[k], cNs[k] = cU, cN
             k += 1
@@ -378,7 +393,7 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
     energies = [_energy(g, a, u.real, -st.lxi * u.imag, n.real, -a * g.xi * n.imag) for u, n in zip(cUs, cNs)]
     u_norms = [spectral_l2(SpectralField(g, u)) for u in cUs]
     n_norms = [spectral_l2(SpectralField(g, n)) for n in cNs]
-    times = config.dt * np.asarray(recorded, dtype=float)
+    times = config.snapshot_times
     return Trajectory(times, cUs, cNs, np.asarray(energies), np.asarray(u_norms), np.asarray(n_norms), config)
 
 

@@ -103,6 +103,24 @@ def _xl_blocks(params: ResonanceParams, ks: Sequence[int]) -> list[int]:
     return [k for k in ks if abs(2.0**k - params.c_alpha) > params.delta_alpha]
 
 
+def _phase(sym: BilinearSymbol, xi_out: NDArray, u: NDArray, rho: NDArray) -> NDArray:
+    if sym.kind == "omega":
+        return -np.sqrt(1.0 + xi_out**2) + sym.params.alpha * u + np.sqrt(1.0 + rho**2)
+    return np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - sym.params.alpha * xi_out
+
+
+def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
+    """(M, M) mask of the pairs (xi_m, rho_j) where the weight can be nonzero: with
+    L = 2^(max(xl) - k_alpha + 1), the XL factors vanish for rho >= L and the
+    LX factors for u >= L, where u >= |xi - rho| at every angle."""
+    if sym.kind == "plain":
+        return np.ones((grid.M, grid.M), dtype=bool)
+    xl, xi = _xl_blocks(sym.params, grid.resolved_k), grid.xi
+    L = 2.0 ** (max(xl) - sym.params.k_alpha + 1) if xl else 0.0
+    keep = np.broadcast_to(xi < L, (grid.M, grid.M))
+    return keep | (np.abs(xi[:, None] - xi) < L) if sym.conjugates_second else keep
+
+
 def _symbol_weight(
     sym: BilinearSymbol,
     grid: RadialGrid,
@@ -115,8 +133,7 @@ def _symbol_weight(
         return np.ones(np.broadcast_shapes(xi_out.shape, u.shape, rho.shape))
 
     p = sym.params
-    ks = list(grid.resolved_k)
-    xl = _xl_blocks(p, ks)
+    xl = _xl_blocks(p, grid.resolved_k)
     ka = p.k_alpha
 
     # eta0 planes over u are the dominant cost; compute each scale once
@@ -139,11 +156,7 @@ def _symbol_weight(
     if sym.kind in ("xl_mask", "xl_lx_mask"):
         return np.broadcast_to(num, np.broadcast_shapes(num.shape, xi_out.shape)).copy()
 
-    if sym.kind == "omega":
-        den = -np.sqrt(1.0 + xi_out**2) + p.alpha * u + np.sqrt(1.0 + rho**2)
-    else:  # omega_tilde
-        den = np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - p.alpha * xi_out
-    num, den = np.broadcast_arrays(num, den)
+    num, den = np.broadcast_arrays(num, _phase(sym, xi_out, u, rho))
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=num != 0.0)
     return out
@@ -177,8 +190,9 @@ class BilinearOperator:
 
     The quadrature is contracted once into a float64 CSR kernel K of shape
     (M, M*M): K[m, i*M + j] weighs fhat_i * ghat_j in output frequency m.
-    Entries that only touch the zero pad beyond xi_M are dropped, and the
-    high-low symbols leave well under one percent of M^3 entries.  An apply is
+    The weight is evaluated only on the symbol's (xi, rho) pair support, and
+    entries that only touch the zero pad beyond xi_M are dropped.  ``min_abs_phase``
+    is the smallest |phase| divided by (None if the kind has none).  An apply is
     K @ (f outer g), chunked over the stack; every output row is summed in the
     same order whatever the stack, so results are bit-identical between runs
     and between batched and single applies.
@@ -195,33 +209,36 @@ class BilinearOperator:
         # (2 pi)^{-3} * 2 pi = 1/(4 pi^2), folded with the radial measure
         self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * grid.xi**2
         self.max_abs_weight = 0.0
+        self.min_abs_phase = np.inf if symbol.kind in ("omega", "omega_tilde") else None
+        support = _pair_support(symbol, grid)
         blocks = []
         for lo in range(0, M, _ROWS):
-            sl = slice(lo, min(lo + _ROWS, M))
-            G, idx, frc = self._chunk_kernel(sl)
-            m, j, q = np.nonzero(G)
-            g, i, f = G[m, j, q], idx[m, j, q], frc[m, j, q]
+            m, j = np.nonzero(support[lo : lo + _ROWS])
+            G, idx, frc = self._pair_kernel(lo + m, j)
+            p, q = np.nonzero(G)
+            g, i, f = G[p, q], idx[p, q], frc[p, q]
             # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1}; index M is the zero pad
             w = np.concatenate([g * (1.0 - f), g * f])
             i = np.concatenate([i, i + 1])
-            m, j = np.tile(m, 2), np.tile(j, 2)
+            m, j = np.tile(m[p], 2), np.tile(j[p], 2)
             keep = (i < M) & (w != 0.0)
-            shape = (sl.stop - lo, M * M)
+            shape = (min(_ROWS, M - lo), M * M)
             blocks.append(sparse.coo_array((w[keep], (m[keep], i[keep] * M + j[keep])), shape=shape).tocsr())
         self._K = sparse.vstack(blocks, format="csr")
 
-    def _chunk_kernel(self, m_slice: slice) -> tuple[NDArray, NDArray, NDArray]:
-        """Quadrature weights and interpolation tables, axes (m, rho node, angle)."""
-        xi_out = self.grid.xi[m_slice][:, None, None]
-        rho = self.grid.xi[None, :, None]
+    def _pair_kernel(self, m: NDArray, j: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        """Quadrature weights and interpolation tables on the pairs (xi_m, rho_j), axes (pair, angle)."""
+        xi_out = self.grid.xi[m][:, None]
+        rho = self.grid.xi[j][:, None]
         u = np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * self._cos, 0.0))
         w = _symbol_weight(self.symbol, self.grid, xi_out, u, rho)
         if not np.all(np.isfinite(w)):
-            raise RuntimeError(
-                f"bilinear symbol {self.symbol.kind!r} is not finite on its support"
-            )
+            raise RuntimeError(f"bilinear symbol {self.symbol.kind!r} is not finite on its support")
         self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
-        G = w * (self._base[None, :, None] * self._glw)
+        if self.min_abs_phase is not None:
+            den = _phase(self.symbol, xi_out, u, rho)[w != 0.0]
+            self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
+        G = w * (self._base[j][:, None] * self._glw)
         idx, frc = _interp_tables(self.grid, u)
         return G, idx, frc
 

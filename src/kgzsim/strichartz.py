@@ -387,6 +387,17 @@ class ScatteringReport:
         export.write_csv(path, ["t1", "t2", "d_U_H1", "d_N_L2"], [(r.t1, r.t2, r.d_U, r.d_N) for r in self.rows])
 
 
+def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) -> list[int]:
+    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2."""
+    out = []
+    for cp in checkpoints:
+        i = int(np.argmin(np.abs(times - cp)))
+        if abs(times[i] - cp) > 0.5 * dt + 1e-12:
+            raise ValueError(f"no snapshot near checkpoint t={cp} (closest {times[i]})")
+        out.append(i)
+    return out
+
+
 def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[float]) -> ScatteringReport:
     """Free-flow pullback profiles at checkpoints and their Cauchy differences.
 
@@ -402,10 +413,7 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
             f"checkpoint {max(cps)} is beyond the reflection-safe horizon R/(2 max(1, alpha))"
         )
     profs_U, profs_N = [], []
-    for cp in cps:
-        i = int(np.argmin(np.abs(ts - cp)))
-        if abs(ts[i] - cp) > 0.5 * traj.config.dt + 1e-12:
-            raise ValueError(f"no snapshot near checkpoint t={cp} (closest {ts[i]})")
+    for i in checkpoint_indices(ts, cps, traj.config.dt):
         profs_U.append(kg_propagate(SpectralField(grid, traj.cU[i]), -ts[i]))
         profs_N.append(wave_propagate(SpectralField(grid, traj.cN[i]), -ts[i], alpha))
     rows = []
@@ -458,13 +466,19 @@ class ResolutionNorms:
         )
 
 
-def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, float] | None = None) -> ResolutionNorms:
+def resolution_exponents(eps: float) -> tuple[float, float]:
+    """q(eps) and q(-eps); ValueError unless 0 < eps < 0.3 and 10/3 < q(eps) < 4 < q(-eps)."""
     if not 0.0 < eps < 0.3:
         raise ValueError("eps must lie in (0, 0.3)")
     q_eps = 1.0 / (0.25 + eps / 3.0)
     q_meps = 1.0 / (0.25 - eps / 3.0)
     if not (10.0 / 3.0 < q_eps < 4.0 < q_meps):
         raise ValueError("eps breaks the exponent chain 10/3 < q(eps) < 4 < q(-eps)")
+    return q_eps, q_meps
+
+
+def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, float] | None = None) -> ResolutionNorms:
+    q_eps, q_meps = resolution_exponents(eps)
     if window is None:
         window = (float(traj.times[0]), float(traj.times[-1]))
     ts, grid, cU = _series(traj, window, "U", None, 64)

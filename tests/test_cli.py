@@ -163,7 +163,7 @@ def test_resonance_outputs(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "lemma_bounds.csv").is_file()
     summary = (tmp_path / "summary.txt").read_text()
-    assert "passed=True" in summary
+    assert "passed=true" in summary
 
 
 def test_normalform_check_outputs(tmp_path):
@@ -205,6 +205,26 @@ def test_scatter_diag_outputs(tmp_path):
     traj = run_simulation(sim, gaussian_data(sim.grid, 0.01, 1.0))
     for row in rows:
         assert row[-1] == resolution_norm(traj, 0.1, (0.0, row[0])).total
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("scatter.eps=0.5", "eps must lie in (0, 0.3)"),
+        ("scatter.eps=0.2", "exponent chain"),
+        ("scatter.checkpoints=2,4.003,8", "no snapshot near checkpoint t=4.003"),
+        ("scatter.checkpoints=2,x", "could not convert"),
+    ],
+)
+def test_scatter_diag_rejects_analysis_settings_before_the_run(tmp_path, monkeypatch, capsys, setting, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    code = run(["scatter-diag", "--out", str(tmp_path)] + SCATTER_ARGS + ["--set", setting])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sharpness_outputs(tmp_path):

@@ -295,6 +295,25 @@ def test_blowup_signal_carries_time():
     assert 0.0 < err.value.t <= 5.0
 
 
+def test_blowup_guard_watches_N(monkeypatch):
+    # a step that leaves U as it is and multiplies N by ten
+    monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, cU, cN: (cU, 10.0 * cN))
+    grid = RadialGrid(10.0, 64)
+    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.01, T=1.0, snapshot_stride=10)
+    with pytest.raises(BlowupError) as err:
+        run_simulation(cfg, gaussian_data(grid, 0.01))
+    assert err.value.reason.startswith("||N||_2 exceeded")
+    assert err.value.t <= 0.08
+
+
+def test_snapshot_schedule():
+    cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=0.25, snapshot_stride=10)
+    assert cfg.snapshot_steps == [0, 10, 20, 25]
+    traj = run_simulation(cfg, gaussian_data(cfg.grid, 0.01))
+    assert np.array_equal(traj.times, cfg.snapshot_times)
+    assert traj.times[-1] == pytest.approx(0.25)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         SimConfig(1.0, 40.0, 256, dt=1e-3, T=1.0)

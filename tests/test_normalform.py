@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kgzsim.normalform import (
     _STACK,
     BilinearOperator,
     BilinearSymbol,
+    _pair_support,
     _symbol_weight,
     annulus_guard,
     bilinear_apply,
@@ -74,13 +77,54 @@ def test_annulus_guard_profile(params):
     assert 0.0 < mid < 1.0
 
 
+def _quadrature_geometry(grid, cos, rows=slice(None)):
+    xo, rho = grid.xi[rows, None, None], grid.xi[None, :, None]
+    return xo, np.sqrt(np.maximum(xo**2 + rho**2 - 2.0 * xo * rho * cos, 0.0)), rho
+
+
 def test_symbol_finite_on_support(grid, params):
-    op = get_operator(grid, BilinearSymbol("omega", params), 32)
-    assert np.isfinite(op.max_abs_weight)
-    # the guarded reciprocal cannot exceed 1/min|omega| at the guard edge
-    assert op.max_abs_weight > 0
-    op2 = get_operator(grid, BilinearSymbol("omega_tilde", params), 32)
-    assert np.isfinite(op2.max_abs_weight)
+    cos, _ = np.polynomial.legendre.leggauss(32)
+    for kind, mask in (("omega", "xl_mask"), ("omega_tilde", "xl_lx_mask")):
+        sym = BilinearSymbol(kind, params)
+        op = BilinearOperator(grid, sym, 32)
+        num = BilinearOperator(grid, BilinearSymbol(mask, params), 32)
+        assert np.isfinite(op.max_abs_weight) and op.max_abs_weight > 0
+        assert 0.0 < op.min_abs_phase < np.inf
+        assert num.min_abs_phase is None
+        # each symbol divides its mask by the phase on the mask's support, so the
+        # guarded reciprocal cannot exceed max|mask| / min|phase|
+        assert op.max_abs_weight <= num.max_abs_weight / op.min_abs_phase * (1.0 + 1e-12)
+        # the recorded phase is the smallest one divided by on the full (m, j, q) grid
+        smallest = np.inf
+        for lo in range(0, grid.M, 64):
+            xo, u, rho = _quadrature_geometry(grid, cos, slice(lo, lo + 64))
+            if kind == "omega":
+                phase = -np.sqrt(1.0 + xo**2) + params.alpha * u + np.sqrt(1.0 + rho**2)
+            else:
+                phase = np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - params.alpha * xo
+            divided = _symbol_weight(sym, grid, xo, u, rho) != 0.0
+            smallest = min(smallest, np.abs(phase[divided]).min(initial=np.inf))
+        assert op.min_abs_phase == pytest.approx(smallest, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, M",
+    [(0.5, 256), (2.0, 128)],  # the C8 grid, where the band cap on k_alpha binds, and the sweep grid
+)
+def test_weight_vanishes_off_pair_support(alpha, M):
+    grid = RadialGrid(40.0, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        params = compute_params(alpha, band=grid)
+    # eight Gauss nodes and the end points c = -1, 1, where u = xi + rho and |xi - rho|
+    nodes, _ = np.polynomial.legendre.leggauss(8)
+    xo, u, rho = _quadrature_geometry(grid, np.concatenate([[-1.0], nodes, [1.0]]))
+    for kind in SYMBOL_KINDS[1:]:
+        sym = BilinearSymbol(kind, params)
+        w = _symbol_weight(sym, grid, xo, u, rho)
+        support = _pair_support(sym, grid)
+        assert np.all(w[~support] == 0.0), kind
+        assert np.any(w[support] != 0.0), kind
 
 
 # ---------------------------------------------------------------------------
