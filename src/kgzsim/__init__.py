@@ -29,9 +29,7 @@ from .kgz import (
     from_first_order,
     gaussian_data,
     oracle_evolve,
-    rhs,
     run_simulation,
-    step,
     to_first_order,
 )
 from .resonance import (
@@ -50,11 +48,7 @@ from .resonance import (
 from .normalform import (
     BilinearOperator,
     BilinearSymbol,
-    bilinear_apply,
-    boundary_term_N,
-    boundary_term_U,
     clear_bilinear_cache,
-    cubic_terms,
     dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,

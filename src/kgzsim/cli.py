@@ -22,6 +22,7 @@ from .normalform import duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
+    check_horizon,
     checkpoint_indices,
     resolution_exponents,
     resolution_norm,
@@ -233,6 +234,10 @@ def _run_resonance(cfg: dict, out: Path) -> None:
 
 def _run_normalform(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg, model_override="simplified", dealias_override=False)
+    try:
+        sizes = tuple(RadialGrid(sim.R, int(s)).M for s in str(cfg["sweep.sizes"]).split(","))
+    except ValueError as exc:
+        raise ConfigError(f"sweep.sizes: {exc}") from exc
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     params = compute_params(sim.alpha, band=sim.grid)
     n_ang = cfg["quad.n_angular"]
@@ -242,7 +247,6 @@ def _run_normalform(cfg: dict, out: Path) -> None:
         rows.append((float(traj.times[-1]), which, res, n_ang))
     write_csv(out / "residuals.csv", ["t", "component", "residual", "n_angular"], rows)
     if cfg["sweep.enabled"]:
-        sizes = tuple(int(s) for s in str(cfg["sweep.sizes"]).split(","))
         report = estimate_sweep(sim.alpha, sizes=sizes, trials=cfg["sweep.trials"], R=sim.R, n_angular=n_ang)
         report.write_csv(out / "estimate_sweep.csv")
         write_csv(
@@ -301,6 +305,7 @@ def _run_scatter(cfg: dict, out: Path) -> None:
         resolution_exponents(cfg["scatter.eps"])
     except ValueError as exc:
         raise ConfigError(f"scatter.eps: {exc}") from exc
+    check_horizon(cps, sim.alpha, sim.R)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)
     # the resolution-space norm over [0, t2] for each Cauchy row

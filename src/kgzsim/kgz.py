@@ -36,7 +36,9 @@ from .radial import (
     SpectralField,
     analyze,
     dealias_mask,
-    spectral_l2,
+    l2_norms,
+    map_rows,
+    sobolev_norms,
     synthesize,
     to_physical,
     to_spectral,
@@ -220,7 +222,7 @@ def from_first_order(c: ComplexState, alpha: float) -> RealState:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side and the Lawson-RK4 stepper
+# the Lawson-RK4 stepper
 # ---------------------------------------------------------------------------
 
 class _Stepper:
@@ -285,36 +287,6 @@ class _Stepper:
         return new_u, new_n
 
 
-def rhs(c: ComplexState, alpha: float, model: str = "full", dealias: bool = False) -> tuple[PhysField, PhysField]:
-    """Time derivative (dU/dt, dN/dt) of the first-order system."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    g = c.grid
-    st = _Stepper(g, 1.0, alpha, model, dealias)
-    cU = to_spectral(c.U).coeffs
-    cN = to_spectral(c.N).coeffs
-    gU, gN = st.nonlinear(cU, cN)
-    dU = 1j * st.lxi * cU + gU
-    dN = 1j * alpha * g.xi * cN + gN
-    return to_physical(SpectralField(g, dU)), to_physical(SpectralField(g, dN))
-
-
-def step(c: ComplexState, dt: float, config: SimConfig) -> ComplexState:
-    """One Lawson-RK4 step.  Exact for the linear flow; 4th order otherwise."""
-    if dt > config.dt * (1.0 + 1e-12):
-        raise ValueError(f"step size {dt} exceeds configured dt={config.dt}")
-    st = _Stepper(c.grid, dt, config.alpha, config.model, config.dealias)
-    cU, cN = st.step(to_spectral(c.U).coeffs, to_spectral(c.N).coeffs)
-    t_new = c.t + dt
-    if not (np.all(np.isfinite(cU)) and np.all(np.isfinite(cN))):
-        raise BlowupError(t_new, "non-finite values in state")
-    return ComplexState(
-        to_physical(SpectralField(c.grid, cU)),
-        to_physical(SpectralField(c.grid, cN)),
-        t=t_new,
-    )
-
-
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------
@@ -328,19 +300,15 @@ def energy(s: RealState, alpha: float) -> float:
     quadratic terms computed spectrally, the cubic term by radial quadrature.
     """
     cu, cud, cn, cnd = (to_spectral(f).coeffs for f in (s.u, s.u_dot, s.n, s.n_dot))
-    return _energy(s.grid, alpha, cu, cud, cn, cnd)
+    return float(_energy(s.grid, alpha, cu, cud, cn, cnd))
 
 
-def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> float:
-    """:func:`energy` from the coefficients of u, u_t, n and n_t."""
-
-    def l2sq(arr):
-        return float(np.sum(g.xi**2 * np.abs(arr) ** 2) * g.dxi / (2.0 * np.pi**2))
-
-    quad = l2sq(cu) + l2sq(g.xi * cu) + l2sq(cud)
-    half = 0.5 * (l2sq(cnd / g.xi) / alpha**2 + l2sq(cn))
+def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> NDArray:
+    """:func:`energy` along the last axis of the coefficients of u, u_t, n and n_t."""
+    quad = sobolev_norms(g, cu, 1.0) ** 2 + l2_norms(g, cud) ** 2
+    half = 0.5 * (l2_norms(g, cnd / g.xi) ** 2 / alpha**2 + l2_norms(g, cn) ** 2)
     u, n = synthesize(g, cu.real), synthesize(g, cn.real)
-    cubic = 4.0 * np.pi * g.dr * float(np.sum(g.r**2 * n * u**2))
+    cubic = 4.0 * np.pi * g.dr * np.sum(g.r**2 * n * u**2, axis=-1)
     return quad + half - cubic
 
 
@@ -367,8 +335,8 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
     c0 = to_first_order(replace(init, t=0.0), config.alpha)
     cU = to_spectral(c0.U).coeffs
     cN = to_spectral(c0.N).coeffs
-    norm0 = max(spectral_l2(SpectralField(g, cU)), 1e-300)
-    n_norm0 = max(spectral_l2(SpectralField(g, cN)), norm0)
+    norm0 = max(l2_norms(g, cU), 1e-300)
+    n_norm0 = max(l2_norms(g, cN), norm0)
 
     cUs = np.empty((len(recorded), g.M), dtype=np.complex128)
     cNs = np.empty_like(cUs)
@@ -379,22 +347,21 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
         t = i * config.dt
         if not (np.all(np.isfinite(cU)) and np.all(np.isfinite(cN))):
             raise BlowupError(t, "non-finite values in state")
-        if spectral_l2(SpectralField(g, cU)) > 1e6 * norm0:
+        if l2_norms(g, cU) > 1e6 * norm0:
             raise BlowupError(t, "||U||_2 exceeded 1e6 x initial")
-        if spectral_l2(SpectralField(g, cN)) > 1e6 * n_norm0:
+        if l2_norms(g, cN) > 1e6 * n_norm0:
             raise BlowupError(t, "||N||_2 exceeded 1e6 x initial max(||U||_2, ||N||_2)")
         if i == recorded[k]:
             cUs[k], cNs[k] = cU, cN
             k += 1
 
     # u, u_t, n, n_t have coefficients Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN
-    # because the transform is real; one snapshot at a time keeps temporaries small
+    # because the transform is real; chunks of rows keep the temporaries small
     a = config.alpha
-    energies = [_energy(g, a, u.real, -st.lxi * u.imag, n.real, -a * g.xi * n.imag) for u, n in zip(cUs, cNs)]
-    u_norms = [spectral_l2(SpectralField(g, u)) for u in cUs]
-    n_norms = [spectral_l2(SpectralField(g, n)) for n in cNs]
-    times = config.snapshot_times
-    return Trajectory(times, cUs, cNs, np.asarray(energies), np.asarray(u_norms), np.asarray(n_norms), config)
+    energies = map_rows(
+        lambda u, n: _energy(g, a, u.real, -st.lxi * u.imag, n.real, -a * g.xi * n.imag), g.M, cUs, cNs
+    )
+    return Trajectory(config.snapshot_times, cUs, cNs, energies, l2_norms(g, cUs), l2_norms(g, cNs), config)
 
 
 # ---------------------------------------------------------------------------

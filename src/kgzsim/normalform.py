@@ -47,19 +47,19 @@ from .radial import (
     SpectralField,
     analyze,
     as_spectral,
-    besov_norm,
+    besov_norms,
     chi_k,
     chi_le,
     eta0,
-    lebesgue_norm,
-    sobolev_norm,
-    spectral_l2,
+    l2_norms,
+    lebesgue_norms,
+    sobolev_norms,
     synthesize,
     to_physical,
-    to_spectral,
 )
 from .resonance import InteractionTag, ResonanceParams, decompose_bilinear
 from .kgz import Trajectory
+from .strichartz import resolution_exponents
 
 SYMBOL_KINDS = ("plain", "omega", "omega_tilde", "xl_mask", "xl_lx_mask")
 
@@ -258,15 +258,6 @@ class BilinearOperator:
             out[lo : lo + _STACK] = (self._K @ fg.reshape(M * M, -1).view(np.float64)).view(np.complex128).T
         return out
 
-    def apply_coeffs(self, fhat: NDArray, ghat: NDArray) -> NDArray:
-        """Output coefficients of B[w](f, g) from input coefficient arrays."""
-        return self.apply_batch(fhat[None, :], ghat[None, :])[0]
-
-    def apply(self, f, g) -> PhysField:
-        cf, cg = as_spectral(f), as_spectral(g)
-        out = self.apply_coeffs(cf.coeffs, cg.coeffs)
-        return to_physical(SpectralField(self.grid, out))
-
 
 @lru_cache(maxsize=2)
 def get_operator(grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64) -> BilinearOperator:
@@ -275,14 +266,6 @@ def get_operator(grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64) 
 
 
 clear_bilinear_cache = get_operator.cache_clear
-
-
-def bilinear_apply(sym: BilinearSymbol, f, g, n_angular: int = 64) -> PhysField:
-    """Apply the bilinear operator with symbol ``sym`` to radial fields f, g."""
-    grid = f.grid
-    if grid.key() != g.grid.key():
-        raise ValueError("fields live on different grids")
-    return get_operator(grid, sym, n_angular).apply(f, g)
 
 
 def dense_bilinear_reference(
@@ -325,14 +308,6 @@ def dense_bilinear_reference(
 # boundary and cubic terms
 # ---------------------------------------------------------------------------
 
-def _inv_bracket(c: SpectralField) -> SpectralField:
-    return SpectralField(c.grid, c.coeffs / np.sqrt(1.0 + c.grid.xi**2))
-
-
-def _times_d(c: SpectralField) -> SpectralField:
-    return SpectralField(c.grid, c.coeffs * c.grid.xi)
-
-
 # term -> (symbol kind, first factor, second factor), aux = <D>^{-1}(N U)
 NORMAL_FORM_TERMS = {
     "bd_U": ("omega", "N", "U"),              # boundary term of the U equation
@@ -372,35 +347,6 @@ def normal_form_terms(
     return out
 
 
-def _single_terms(N, U, params: ResonanceParams, names: Sequence[str], n_angular: int) -> tuple[RadialGrid, dict]:
-    if N.grid.key() != U.grid.key():
-        raise ValueError("fields live on different grids")
-    cN, cU = as_spectral(N).coeffs, as_spectral(U).coeffs
-    return U.grid, normal_form_terms(U.grid, params, cN, cU, names, n_angular)
-
-
-def boundary_term_U(N: PhysField, U: PhysField, params: ResonanceParams, n_angular: int = 64) -> PhysField:
-    """<D>^{-1} Omega(N, U): the boundary correction of the transformed U equation."""
-    grid, nf = _single_terms(N, U, params, ("bd_U",), n_angular)
-    return to_physical(_inv_bracket(SpectralField(grid, nf["bd_U"][0])))
-
-
-def boundary_term_N(U: PhysField, params: ResonanceParams, n_angular: int = 64) -> PhysField:
-    """alpha * D * OmegaTilde(U, U): the boundary correction of the transformed N equation."""
-    grid, nf = _single_terms(U, U, params, ("bd_N",), n_angular)
-    return to_physical(SpectralField(grid, params.alpha * grid.xi * nf["bd_N"][0]))
-
-
-def cubic_terms(N: PhysField, U: PhysField, params: ResonanceParams, n_angular: int = 64) -> tuple[PhysField, PhysField, PhysField]:
-    """The three cubic compositions produced by the normal form.
-
-    Omega(D|U|^2, U), Omega(N, <D>^{-1}(N U)), OmegaTilde(<D>^{-1}(N U), U);
-    interior products are not dealiased (see :func:`normal_form_terms`).
-    """
-    grid, nf = _single_terms(N, U, params, ("cubic_1", "cubic_2", "cubic_3"), n_angular)
-    return tuple(to_physical(SpectralField(grid, nf[k][0])) for k in ("cubic_1", "cubic_2", "cubic_3"))
-
-
 # ---------------------------------------------------------------------------
 # Duhamel residuals of the transformed integral equations
 # ---------------------------------------------------------------------------
@@ -432,12 +378,12 @@ def duhamel_residual(
 
     cU, cN = traj.cU, traj.cN
     target = cU[-1] if which == "U" else cN[-1]
-    den = spectral_l2(SpectralField(grid, target))
+    den = l2_norms(grid, target)
 
     if cfg.model == "linear":
         c0 = cU[0] if which == "U" else cN[0]
         phase = np.exp(1j * t * lxi) if which == "U" else np.exp(1j * cfg.alpha * t * xi)
-        num = spectral_l2(SpectralField(grid, phase * c0 - target))
+        num = l2_norms(grid, phase * c0 - target)
         return 0.0 if den == 0.0 else num / den
 
     if cfg.model != "simplified":
@@ -471,7 +417,7 @@ def duhamel_residual(
         free = np.exp(1j * alpha * t * xi) * (cN[0] + b0)
 
     rhs = free - bt + simpson(integrand, x=times, axis=0)
-    num = spectral_l2(SpectralField(grid, rhs - target))
+    num = l2_norms(grid, rhs - target)
     return 0.0 if den == 0.0 else num / den
 
 
@@ -530,26 +476,6 @@ class SweepReport:
         export.write_csv(path, ["estimate", "M", "trial", "value"], rows)
 
 
-def _split_norm(f: PhysField, p: float, s_high: float) -> float:
-    """||P_{<0} f||_p + inhomogeneous Besov of P_{>=0} f at regularity s_high."""
-    c = to_spectral(f)
-    low = SpectralField(c.grid, c.coeffs * chi_le(c.grid.xi, -1))
-    high = SpectralField(c.grid, c.coeffs - low.coeffs)
-    return lebesgue_norm(to_physical(low), p) + besov_norm(high, s_high, p, homogeneous=False)
-
-
-def _xy_norm(f: PhysField, eps: float) -> float:
-    """Frequency-split spatial norm: low part in hom. Besov (1/4+eps, q(eps)),
-    high part in inhom. Besov (2/3, q(eps))."""
-    q_eps = 1.0 / (0.25 + eps / 3.0)
-    c = to_spectral(f)
-    low = SpectralField(c.grid, c.coeffs * chi_le(c.grid.xi, -1))
-    high = SpectralField(c.grid, c.coeffs - low.coeffs)
-    return besov_norm(low, 0.25 + eps, q_eps, homogeneous=True) + besov_norm(
-        high, 2.0 / 3.0, q_eps, homogeneous=False
-    )
-
-
 def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> SpectralField:
     """Two-cluster trial field: mass near xi ~ 0.1 and near xi ~ 4.
 
@@ -592,55 +518,53 @@ def estimate_sweep(
     sizes = tuple(sorted(sizes))
     coarse = RadialGrid(R, sizes[0])
     params = compute_params(alpha, band=coarse)
-    q_eps = 1.0 / (0.25 + eps / 3.0)
-    q_meps = 1.0 / (0.25 - eps / 3.0)
+    q_eps, q_meps = resolution_exponents(eps)
 
     rows: list[SweepRow] = []
     for M in sizes:
         grid = RadialGrid(R, M)
-        lxi = np.sqrt(1.0 + grid.xi**2)
-        Ns, Us = [], []
+        xi, lxi, low = grid.xi, np.sqrt(1.0 + grid.xi**2), chi_le(grid.xi, -1)
+        cN, cU = np.empty((2, trials, M), dtype=np.complex128)
         for trial in range(trials):
             rng = np.random.default_rng(seed + trial)
-            Ns.append(to_physical(sweep_trial_field(grid, rng)))
-            Us.append(to_physical(sweep_trial_field(grid, rng)))
-        cN = np.stack([to_spectral(f).coeffs for f in Ns])
-        cU = np.stack([to_spectral(f).coeffs for f in Us])
+            cN[trial] = sweep_trial_field(grid, rng).coeffs
+            cU[trial] = sweep_trial_field(grid, rng).coeffs
         nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3"), n_angular)
-        out_bd_U = nf["bd_U"] / lxi
-        out_bd_N = grid.xi * nf["bd_N"]
-        out_c1 = nf["cubic_1"] / lxi
-        out_c2 = nf["cubic_2"] / lxi
-        out_c3 = grid.xi * nf["cubic_3"]
+        c2 = nf["cubic_2"] / lxi
 
-        for trial, (N, U) in enumerate(zip(Ns, Us)):
-            n_l2 = spectral_l2(SpectralField(grid, cN[trial]))
-            u_h1 = sobolev_norm(U, 1.0)
-            u_l6 = lebesgue_norm(U, 6.0)
-            n_bes = besov_norm(N, -0.25 - eps, q_meps, homogeneous=True)
-            u_bes = besov_norm(U, 0.25 + eps, q_eps, homogeneous=True)
+        n_l2 = l2_norms(grid, cN)
+        u_h1 = sobolev_norms(grid, cU, 1.0)
+        u_l6 = lebesgue_norms(grid, synthesize(grid, cU), 6.0)
+        besov_pair = besov_norms(grid, cN, -0.25 - eps, q_meps) * besov_norms(grid, cU, 0.25 + eps, q_eps)
+        # the frequency-split norms: low part in L^1.2 or hom. Besov (1/4+eps, q(eps)),
+        # high part in inhom. Besov (11/6, 1.2) or (2/3, q(eps))
+        split_c2 = lebesgue_norms(grid, synthesize(grid, c2 * low), 1.2) + besov_norms(
+            grid, c2 - c2 * low, 1.0 + 5.0 / 6.0, 1.2, homogeneous=False
+        )
+        xy_U = besov_norms(grid, cU * low, 0.25 + eps, q_eps) + besov_norms(
+            grid, cU - cU * low, 2.0 / 3.0, q_eps, homogeneous=False
+        )
 
-            val = {
-                "bd_U": sobolev_norm(SpectralField(grid, out_bd_U[trial]), 1.0) / (n_l2 * u_h1),
-                "bd_N": spectral_l2(SpectralField(grid, out_bd_N[trial])) / u_h1**2,
-                "cubic_1": sobolev_norm(SpectralField(grid, out_c1[trial]), 1.0) / (u_l6**2 * u_h1),
-                "cubic_2": _split_norm(
-                    to_physical(SpectralField(grid, out_c2[trial])), 1.2, 1.0 + 5.0 / 6.0
-                )
-                / (n_l2**2 * u_l6),
-                "cubic_3": spectral_l2(SpectralField(grid, out_c3[trial])) / (n_l2 * u_l6**2),
-            }
-            lh = decompose_bilinear(N, U, InteractionTag.LH, params, dealiased=False)
-            val["bi_LH"] = sobolev_norm(_inv_bracket(to_spectral(lh)), 1.0) / (n_bes * u_bes)
-            hh = decompose_bilinear(N, U, InteractionTag.HH, params, dealiased=False)
-            val["bi_HH"] = sobolev_norm(_inv_bracket(to_spectral(hh)), 1.0) / (n_bes * u_bes)
-            uhh = decompose_bilinear(
-                U, PhysField(grid, np.conj(U.values)), InteractionTag.HH, params, dealiased=False
-            )
-            val["bi_DHH"] = spectral_l2(_times_d(to_spectral(uhh))) / _xy_norm(U, eps) ** 2
+        # the tagged products are the only work done one trial at a time
+        lh, hh, uhh = np.empty((3, trials, M), dtype=np.complex128)
+        for trial in range(trials):
+            N, U = SpectralField(grid, cN[trial]), SpectralField(grid, cU[trial])
+            Ubar = SpectralField(grid, np.conj(cU[trial]))
+            lh[trial] = decompose_bilinear(N, U, InteractionTag.LH, params, dealiased=False).values
+            hh[trial] = decompose_bilinear(N, U, InteractionTag.HH, params, dealiased=False).values
+            uhh[trial] = decompose_bilinear(U, Ubar, InteractionTag.HH, params, dealiased=False).values
 
-            for est, v in val.items():
-                rows.append(SweepRow(est, M, trial, float(v)))
+        values = {
+            "bd_U": sobolev_norms(grid, nf["bd_U"] / lxi, 1.0) / (n_l2 * u_h1),
+            "bd_N": l2_norms(grid, xi * nf["bd_N"]) / u_h1**2,
+            "cubic_1": sobolev_norms(grid, nf["cubic_1"] / lxi, 1.0) / (u_l6**2 * u_h1),
+            "cubic_2": split_c2 / (n_l2**2 * u_l6),
+            "cubic_3": l2_norms(grid, xi * nf["cubic_3"]) / (n_l2 * u_l6**2),
+            "bi_LH": sobolev_norms(grid, analyze(grid, lh) / lxi, 1.0) / besov_pair,
+            "bi_HH": sobolev_norms(grid, analyze(grid, hh) / lxi, 1.0) / besov_pair,
+            "bi_DHH": l2_norms(grid, xi * analyze(grid, uhh)) / xy_U**2,
+        }
+        rows += [SweepRow(est, M, trial, float(v[trial])) for trial in range(trials) for est, v in values.items()]
         clear_bilinear_cache()
 
     return SweepReport(alpha, sizes, trials, eps, tuple(rows))

@@ -305,45 +305,85 @@ def lp_project_le(f: Field, k: int) -> Field:
 # norms
 # ---------------------------------------------------------------------------
 
-def lebesgue_norm(f: PhysField, p: float) -> float:
-    """L^p norm with the 3D radial quadrature (4*pi sum |f|^p r^2 dr)^(1/p)."""
+_CHUNK = 2**13  # elements per row chunk of an array-level computation (128 KB of complex)
+
+
+def map_rows(fn: Callable[..., NDArray], row_elements: int, *arrays: NDArray) -> NDArray:
+    """One value per row: ``fn`` over chunks of rows of (..., M) arrays of one shape.
+
+    A chunk holds at most _CHUNK / row_elements rows (at least one), so the
+    temporaries of ``fn`` stay small whatever the stack.  Returns the leading
+    shape, a scalar for a single row.
+    """
+    shape = arrays[0].shape
+    rows = [a.reshape(-1, shape[-1]) for a in arrays]
+    step = max(1, _CHUNK // row_elements)
+    out = np.empty(len(rows[0]))
+    for lo in range(0, len(out), step):
+        out[lo : lo + step] = fn(*(r[lo : lo + step] for r in rows))
+    return out.reshape(shape[:-1])[()]
+
+
+def l2_norms(grid: RadialGrid, coeffs: NDArray) -> NDArray:
+    """L^2 norms of (..., M) coefficient arrays; agree with the physical quadrature exactly."""
+    return map_rows(
+        lambda c: np.sqrt(np.sum(grid.xi**2 * np.abs(c) ** 2, axis=-1) * grid.dxi / (2.0 * np.pi**2)), grid.M, coeffs
+    )
+
+
+def sobolev_norms(grid: RadialGrid, coeffs: NDArray, s: float) -> NDArray:
+    """Inhomogeneous Sobolev norms ||<D>^s f||_{L^2} of (..., M) coefficient arrays."""
+    w = (1.0 + grid.xi**2) ** (s / 2.0)
+    return map_rows(lambda c: l2_norms(grid, c * w), grid.M, coeffs)
+
+
+def lebesgue_norms(grid: RadialGrid, values: NDArray, p: float) -> NDArray:
+    """L^p norms (4*pi sum |f|^p r^2 dr)^(1/p) of (..., M) physical samples."""
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    vals = np.abs(as_physical(f).values)
     if np.isinf(p):
-        return float(vals.max(initial=0.0))
-    g = f.grid
-    return float((4.0 * np.pi * g.dr * np.sum(vals**p * g.r**2)) ** (1.0 / p))
+        return map_rows(lambda v: np.abs(v).max(axis=-1, initial=0.0), grid.M, values)
+    scale = 4.0 * np.pi * grid.dr
+    return map_rows(lambda v: (scale * np.sum(np.abs(v) ** p * grid.r**2, axis=-1)) ** (1.0 / p), grid.M, values)
 
 
-def spectral_l2(c: SpectralField) -> float:
-    """L^2 norm from coefficients; agrees with the physical quadrature exactly."""
-    g = c.grid
-    return float(np.sqrt(np.sum(g.xi**2 * np.abs(c.coeffs) ** 2) * g.dxi / (2.0 * np.pi**2)))
+def besov_norms(grid: RadialGrid, coeffs: NDArray, s: float, p: float, homogeneous: bool = True) -> NDArray:
+    """Besov norms of (..., M) coefficient arrays: l^2 over resolved dyadic k of
+    weighted ||P_k f||_p, weight 2^(s*k) in the homogeneous case, <2^k>^s otherwise.
 
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """Inhomogeneous Sobolev norm ||<D>^s f||_{L^2}, computed spectrally."""
-    c = as_spectral(f)
-    w = (1.0 + c.grid.xi**2) ** (s / 2.0)
-    return spectral_l2(SpectralField(c.grid, c.coeffs * w))
-
-
-def besov_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> float:
-    """Besov norm: l^2 over resolved dyadic k of weighted ||P_k f||_p.
-
-    Weight 2^(s*k) in the homogeneous case, <2^k>^s otherwise.
+    Every dyadic block of a chunk of rows goes through one synthesize.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    c = as_spectral(f)
-    total = 0.0
-    for k in c.grid.resolved_k:
-        block = SpectralField(c.grid, c.coeffs * chi_k(c.grid.xi, k))
-        nb = lebesgue_norm(to_physical(block), p)
-        w = 2.0 ** (s * k) if homogeneous else (1.0 + 4.0**k) ** (s / 2.0)
-        total += (w * nb) ** 2
-    return float(np.sqrt(total))
+    ks = grid.resolved_k
+    chi = np.stack([chi_k(grid.xi, k) for k in ks])[:, None, :]
+    weights = [2.0 ** (s * k) if homogeneous else (1.0 + 4.0**k) ** (s / 2.0) for k in ks]
+
+    def norm(c: NDArray) -> NDArray:
+        blocks = lebesgue_norms(grid, synthesize(grid, chi * c), p)
+        return np.sqrt(sum((w * nb) ** 2 for w, nb in zip(weights, blocks)))
+
+    return map_rows(norm, len(ks) * grid.M, coeffs)
+
+
+def lebesgue_norm(f: Field, p: float) -> float:
+    """L^p norm of one field (see :func:`lebesgue_norms`)."""
+    return float(lebesgue_norms(f.grid, as_physical(f).values, p))
+
+
+def spectral_l2(c: SpectralField) -> float:
+    """L^2 norm of one field from its coefficients (see :func:`l2_norms`)."""
+    return float(l2_norms(c.grid, c.coeffs))
+
+
+def sobolev_norm(f: Field, s: float) -> float:
+    """Inhomogeneous Sobolev norm of one field (see :func:`sobolev_norms`)."""
+    return float(sobolev_norms(f.grid, as_spectral(f).coeffs, s))
+
+
+def besov_norm(f: Field, s: float, p: float, homogeneous: bool = True) -> float:
+    """Besov norm of one field (see :func:`besov_norms`)."""
+    return float(besov_norms(f.grid, as_spectral(f).coeffs, s, p, homogeneous))
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,18 @@ from .kgz import Trajectory
 from .radial import (
     RadialGrid,
     SpectralField,
-    besov_norm,
+    besov_norms,
     chi_le,
     kg_propagate,
-    lebesgue_norm,
+    l2_norms,
+    lebesgue_norms,
     lp_project,
+    map_rows,
     random_band_limited,
     sobolev_norm,
+    sobolev_norms,
     spectral_l2,
-    to_physical,
+    synthesize,
     wave_propagate,
 )
 
@@ -149,11 +152,6 @@ class FreeEvolution:
         if self.flavor not in ("kg", "wave"):
             raise ValueError("flavor must be 'kg' or 'wave'")
 
-    def spectral_at(self, t: float) -> SpectralField:
-        if self.flavor == "kg":
-            return kg_propagate(self.phi, t)
-        return wave_propagate(self.phi, t, self.alpha)
-
 
 def _series(source, window, component: str, times, min_samples: int):
     """Sample times, grid and (S, M) coefficients (a slice for a trajectory) of a source."""
@@ -168,10 +166,14 @@ def _series(source, window, component: str, times, min_samples: int):
             raise GuardError(f"only {hi - lo} snapshots in window; need >= {min_samples}")
         return ts[lo:hi], source.config.grid, getattr(source, "c" + component)[lo:hi]
     if isinstance(source, FreeEvolution):
-        if times is None:
-            times = np.linspace(t0, t1, max(min_samples, 64))
-        coeffs = np.stack([source.spectral_at(float(t)).coeffs for t in times])
-        return np.asarray(times, dtype=float), source.phi.grid, coeffs
+        times = np.linspace(t0, t1, max(min_samples, 64)) if times is None else np.asarray(times, dtype=float)
+        grid = source.phi.grid
+        # the phases of kg_propagate and wave_propagate at every sample time at once
+        if source.flavor == "kg":
+            phase = np.outer(times, np.sqrt(1.0 + grid.xi**2))
+        else:
+            phase = np.outer(source.alpha * times, grid.xi)
+        return times, grid, source.phi.coeffs * np.exp(1j * phase)
     raise TypeError(f"unsupported source {type(source)!r}")
 
 
@@ -193,13 +195,10 @@ def measure_spacetime_norm(
     rule on the sample times (supremum for q = inf).
     """
     ts, grid, coeffs = _series(source, window, component, times, min_samples)
-
-    def spatial(c: SpectralField) -> float:
-        if s is None:
-            return lebesgue_norm(to_physical(c), r)
-        return besov_norm(c, s, r, homogeneous)
-
-    vals = np.array([spatial(SpectralField(grid, c)) for c in coeffs])
+    if s is None:
+        vals = map_rows(lambda c: lebesgue_norms(grid, synthesize(grid, c), r), grid.M, coeffs)
+    else:
+        vals = besov_norms(grid, coeffs, s, r, homogeneous)
     if np.isinf(q):
         return float(vals.max())
     return float(np.trapezoid(vals**q, ts) ** (1.0 / q))
@@ -398,6 +397,14 @@ def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) 
     return out
 
 
+def check_horizon(checkpoints: Sequence[float], alpha: float, R: float) -> None:
+    """GuardError unless every checkpoint lies within the reflection-safe horizon R/(2 max(1, alpha))."""
+    if max(checkpoints) * max(1.0, alpha) > R / 2.0:
+        raise GuardError(
+            f"checkpoint {max(checkpoints)} is beyond the reflection-safe horizon R/(2 max(1, alpha))"
+        )
+
+
 def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[float]) -> ScatteringReport:
     """Free-flow pullback profiles at checkpoints and their Cauchy differences.
 
@@ -408,10 +415,7 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
     cps = tuple(float(t) for t in checkpoints)
     ts = traj.times
     grid = traj.config.grid
-    if max(cps) * max(1.0, alpha) > grid.R / 2.0:
-        raise GuardError(
-            f"checkpoint {max(cps)} is beyond the reflection-safe horizon R/(2 max(1, alpha))"
-        )
+    check_horizon(cps, alpha, grid.R)
     profs_U, profs_N = [], []
     for i in checkpoint_indices(ts, cps, traj.config.dt):
         profs_U.append(kg_propagate(SpectralField(grid, traj.cU[i]), -ts[i]))
@@ -483,20 +487,18 @@ def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, fl
         window = (float(traj.times[0]), float(traj.times[-1]))
     ts, grid, cU = _series(traj, window, "U", None, 64)
     _, _, cN = _series(traj, window, "N", None, 64)
-    low_mask = chi_le(grid.xi, -1)
-
-    def snapshot_norms(u, n):
-        low, high, nf = (SpectralField(grid, c) for c in (u * low_mask, u * (1.0 - low_mask), n))
-        return (
-            spectral_l2(low),
-            besov_norm(low, 0.25 + eps, q_eps, True),
-            sobolev_norm(high, 1.0),
-            besov_norm(high, 2.0 / 3.0, q_eps, False),
-            spectral_l2(nf),
-            besov_norm(nf, -0.25 - eps, q_meps, True),
-        )
-
-    # one snapshot at a time; the columns alternate L^inf_t and L^2_t norms
-    vals = np.array([snapshot_norms(u, n) for u, n in zip(cU, cN)])
+    low = chi_le(grid.xi, -1)
+    high = 1.0 - low
+    # the low and high parts of U exist only a chunk of rows at a time
+    split = (
+        lambda u: l2_norms(grid, u * low),
+        lambda u: besov_norms(grid, u * low, 0.25 + eps, q_eps, True),
+        lambda u: sobolev_norms(grid, u * high, 1.0),
+        lambda u: besov_norms(grid, u * high, 2.0 / 3.0, q_eps, False),
+    )
+    cols = [map_rows(norm, grid.M, cU) for norm in split]
+    cols += [l2_norms(grid, cN), besov_norms(grid, cN, -0.25 - eps, q_meps, True)]
+    # the columns alternate L^inf_t and L^2_t norms
+    vals = np.stack(cols, axis=1)
     linf, l2t = vals.max(axis=0), np.sqrt(np.trapezoid(vals**2, ts, axis=0))
     return ResolutionNorms(eps, linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5])

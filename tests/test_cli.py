@@ -37,6 +37,10 @@ def run(args):
     return main(args)
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("the simulation ran")
+
+
 def test_params_prints_constants(capsys):
     assert run(["params", "--set", "resonance.alpha=0.5"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -217,13 +221,29 @@ def test_scatter_diag_outputs(tmp_path):
     ],
 )
 def test_scatter_diag_rejects_analysis_settings_before_the_run(tmp_path, monkeypatch, capsys, setting, message):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the simulation ran")
-
     monkeypatch.setattr(cli, "run_simulation", no_run)
     code = run(["scatter-diag", "--out", str(tmp_path)] + SCATTER_ARGS + ["--set", setting])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scatter_diag_checks_the_horizon_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    # alpha = 0.5 and R = 40 put the reflection-safe horizon at 20; the last checkpoint is 24
+    args = ["--set", "grid.R=40", "--set", "grid.M=64", "--set", "sim.T=24", "--set", "sim.dt=0.01"]
+    code = run(["scatter-diag", "--out", str(tmp_path)] + args + ["--set", "scatter.checkpoints=6,12,24"])
+    assert code == EXIT_GUARD
+    assert "reflection-safe horizon" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sizes, message", [("64,1x", "invalid literal for int()"), ("64,2", "need at least 4 modes")])
+def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypatch, capsys, sizes, message):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    code = run(["normalform-check", "--out", str(tmp_path), "--set", "sweep.enabled=true", "--set", f"sweep.sizes={sizes}"])
+    assert code == EXIT_CONFIG
+    assert f"sweep.sizes: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,17 +6,15 @@ import pytest
 from kgzsim.export import export_trajectory
 from kgzsim.kgz import (
     BlowupError,
-    ComplexState,
     RealState,
     SimConfig,
     Trajectory,
     energy,
     from_first_order,
     gaussian_data,
+    _Stepper,
     oracle_evolve,
-    rhs,
     run_simulation,
-    step,
     to_first_order,
 )
 from kgzsim.radial import (
@@ -26,6 +24,7 @@ from kgzsim.radial import (
     kg_propagate,
     random_band_limited,
     spectral_l2,
+    synthesize,
     to_physical,
     to_spectral,
 )
@@ -85,26 +84,28 @@ def test_velocity_only_mode(grid):
 # ---------------------------------------------------------------------------
 
 def test_rhs_zero_state(grid):
-    c = ComplexState(zero(grid), zero(grid))
-    dU, dN = rhs(c, ALPHA, "full")
-    assert np.all(dU.values == 0) and np.all(dN.values == 0)
+    st = _Stepper(grid, 1.0, ALPHA, "full", False)
+    z = np.zeros(grid.M, dtype=complex)
+    for out in st.nonlinear(z, z) + st.step(z, z):
+        assert np.all(out == 0)
 
 
 def test_rhs_linear_single_mode(grid):
-    c = ComplexState(eigenmode(grid, 4), zero(grid))
-    dU, _ = rhs(c, ALPHA, "linear")
-    expected = 1j * np.sqrt(1.0 + grid.xi[3] ** 2)
-    got = to_spectral(dU).coeffs[3] / to_spectral(c.U).coeffs[3]
-    assert abs(got - expected) < 1e-12
+    # the linear generator i<xi>: one step of the linear model multiplies mode 4 by exp(i dt <xi_4>)
+    dt = 0.1
+    cU = to_spectral(eigenmode(grid, 4)).coeffs
+    new_u, _ = _Stepper(grid, dt, ALPHA, "linear", False).step(cU, np.zeros(grid.M, dtype=complex))
+    expected = np.exp(1j * dt * np.sqrt(1.0 + grid.xi[3] ** 2))
+    assert abs(new_u[3] / cU[3] - expected) < 1e-12
 
 
 def test_full_equals_simplified_on_real_states(grid, rng):
     s = random_real_state(grid, rng)
-    real_pair = ComplexState(s.u, s.n)
-    dU_f, dN_f = rhs(real_pair, ALPHA, "full")
-    dU_s, dN_s = rhs(real_pair, ALPHA, "simplified")
-    assert np.max(np.abs(dU_f.values - dU_s.values)) < 1e-12
-    assert np.max(np.abs(dN_f.values - dN_s.values)) < 1e-12
+    cU, cN = to_spectral(s.u).coeffs, to_spectral(s.n).coeffs
+    dU_f, dN_f = _Stepper(grid, 1.0, ALPHA, "full", False).nonlinear(cU, cN)
+    dU_s, dN_s = _Stepper(grid, 1.0, ALPHA, "simplified", False).nonlinear(cU, cN)
+    assert np.max(np.abs(synthesize(grid, dU_f) - synthesize(grid, dU_s))) < 1e-12
+    assert np.max(np.abs(synthesize(grid, dN_f) - synthesize(grid, dN_s))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +113,11 @@ def test_full_equals_simplified_on_real_states(grid, rng):
 # ---------------------------------------------------------------------------
 
 def test_step_exact_on_linear_flow(grid, rng):
-    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.25, T=1.0, model="linear", dealias=False)
-    U = to_physical(random_band_limited(grid, rng, (1, 100)))
-    N = to_physical(random_band_limited(grid, rng, (1, 100)))
-    out = step(ComplexState(U, N), 0.25, cfg)
-    exact = kg_propagate(to_spectral(U), 0.25)
-    got = to_spectral(out.U)
-    assert spectral_l2(got - exact) < 1e-13 * spectral_l2(exact)
-
-
-def test_step_rejects_oversized_dt(grid):
-    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.1, T=1.0)
-    c = ComplexState(zero(grid), zero(grid))
-    with pytest.raises(ValueError, match="exceeds"):
-        step(c, 0.2, cfg)
+    U = random_band_limited(grid, rng, (1, 100))
+    N = random_band_limited(grid, rng, (1, 100))
+    new_u, _ = _Stepper(grid, 0.25, ALPHA, "linear", False).step(U.coeffs, N.coeffs)
+    exact = kg_propagate(U, 0.25)
+    assert spectral_l2(SpectralField(grid, new_u) - exact) < 1e-13 * spectral_l2(exact)
 
 
 def test_integrator_fourth_order(grid):
@@ -251,6 +243,9 @@ def test_trajectory_energies_match_states(moving_traj):
     for e, state in zip(moving_traj.energies, states):
         ref = energy(from_first_order(state, ALPHA), ALPHA)
         assert abs(e - ref) <= 1e-13 * abs(ref)
+    grid = moving_traj.config.grid
+    for norms, stack in ((moving_traj.u_norms, moving_traj.cU), (moving_traj.n_norms, moving_traj.cN)):
+        assert np.array_equal(norms, [spectral_l2(SpectralField(grid, c)) for c in stack])
 
 
 def test_trajectory_states_are_views_of_coefficients(moving_traj):

@@ -12,23 +12,20 @@ from kgzsim.normalform import (
     _pair_support,
     _symbol_weight,
     annulus_guard,
-    bilinear_apply,
-    boundary_term_N,
-    boundary_term_U,
     clear_bilinear_cache,
-    cubic_terms,
     dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,
     get_operator,
+    normal_form_terms,
 )
 from kgzsim.radial import (
-    PhysField,
     RadialGrid,
     SpectralField,
     pointwise_product,
     smooth_random_field,
     spectral_l2,
+    synthesize,
     to_physical,
     to_spectral,
 )
@@ -49,10 +46,6 @@ def smooth_pair(grid):
     f = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
     g = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
     return f, g
-
-
-def zero(grid):
-    return PhysField(grid, np.zeros(grid.M))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +126,9 @@ def test_weight_vanishes_off_pair_support(alpha, M):
 
 def test_zero_second_argument(grid, params, smooth_pair):
     f, _ = smooth_pair
-    out = bilinear_apply(BilinearSymbol("omega", params), f, zero(grid), 32)
-    assert np.max(np.abs(out.values)) == 0.0
+    op = get_operator(grid, BilinearSymbol("omega", params), 32)
+    out = op.apply_batch(to_spectral(f).coeffs, np.zeros(grid.M))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_bilinearity_exact(grid, params, smooth_pair):
@@ -146,11 +140,11 @@ def test_bilinearity_exact(grid, params, smooth_pair):
     # 72 angular nodes: M^2 Q above 2^22 entries, where kernels once dropped to float32
     for n_angular in (32, 72):
         op = get_operator(grid, sym, n_angular)
-        lhs = op.apply_coeffs(cf + 2.0 * ch, cg)
-        rhs = op.apply_coeffs(cf, cg) + 2.0 * op.apply_coeffs(ch, cg)
+        lhs, a, b = op.apply_batch([cf + 2.0 * ch, cf, ch], [cg, cg, cg])
+        rhs = a + 2.0 * b
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
-        lhs = op.apply_coeffs(cf, cg + 3.0 * ch)
-        rhs = op.apply_coeffs(cf, cg) + 3.0 * op.apply_coeffs(cf, ch)
+        lhs, a, b = op.apply_batch([cf, cf, cf], [cg + 3.0 * ch, cg, ch])
+        rhs = a + 3.0 * b
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
 
 
@@ -194,25 +188,24 @@ def test_apply_matches_loop_reference(kind):
     want = _loop_apply(grid, sym, 8, cf[:4], cg[:4])
     assert np.max(np.abs(want)) > 0
     assert np.max(np.abs(got[:4] - want)) < 1e-12 * np.max(np.abs(want))
-    rows = np.stack([op.apply_coeffs(a, b) for a, b in zip(cf, cg)])
+    rows = np.concatenate([op.apply_batch(a[None], b[None]) for a, b in zip(cf, cg)])
     assert np.array_equal(got, rows)
 
 
 def test_plain_symbol_is_pointwise_product(grid, smooth_pair):
     f, g = smooth_pair
-    got = bilinear_apply(BilinearSymbol("plain"), f, g)
-    want = pointwise_product(f, g)
-    err = spectral_l2(to_spectral(got) - to_spectral(want))
-    assert err < 1e-3 * spectral_l2(to_spectral(want))
+    got = get_operator(grid, BilinearSymbol("plain")).apply_batch(to_spectral(f).coeffs, to_spectral(g).coeffs)
+    want = to_spectral(pointwise_product(f, g))
+    err = spectral_l2(SpectralField(grid, got[0]) - want)
+    assert err < 1e-3 * spectral_l2(want)
 
 
 def test_support_violation_gives_zero(grid, params):
     # both factors in nearby blocks: separation < k_alpha, mask empty
     cf = np.where((grid.xi >= 2.2) & (grid.xi <= 3.6), 1.0, 0.0).astype(complex)
     cg = np.where((grid.xi >= 1.1) & (grid.xi <= 1.9), 1.0, 0.0).astype(complex)
-    f, g = to_physical(SpectralField(grid, cf)), to_physical(SpectralField(grid, cg))
-    out = bilinear_apply(BilinearSymbol("omega", params), f, g, 32)
-    assert spectral_l2(to_spectral(out)) < 1e-12
+    out = get_operator(grid, BilinearSymbol("omega", params), 32).apply_batch(cf, cg)
+    assert spectral_l2(SpectralField(grid, out[0])) < 1e-12
 
 
 def test_against_dense_quadrature_oracle():
@@ -227,9 +220,9 @@ def test_against_dense_quadrature_oracle():
     cg[grid.xi > 1.9] = 0.0
     f, g = to_physical(SpectralField(grid, cf)), to_physical(SpectralField(grid, cg))
     sym = BilinearSymbol("omega", params)
-    got = bilinear_apply(sym, f, g, n_angular=16)
+    got = get_operator(grid, sym, 16).apply_batch(cf, cg)
     oracle = dense_bilinear_reference(sym, f, g, refine=4, n_angular=64, rho_max=4.0)
-    n_got = spectral_l2(to_spectral(got))
+    n_got = spectral_l2(SpectralField(grid, got[0]))
     n_oracle = spectral_l2(to_spectral(oracle))
     assert n_oracle > 0
     assert abs(n_got - n_oracle) < 1e-3 * n_oracle
@@ -242,30 +235,35 @@ def test_against_dense_quadrature_oracle():
 
 def test_boundary_term_zero_cases(grid, params, smooth_pair):
     _, U = smooth_pair
-    out = boundary_term_U(zero(grid), U, params, 32)
-    assert np.max(np.abs(out.values)) == 0.0
-    out = boundary_term_N(zero(grid), params, 32)
-    assert np.max(np.abs(out.values)) == 0.0
+    cU, z = to_spectral(U).coeffs, np.zeros(grid.M)
+    out = normal_form_terms(grid, params, z, cU, ("bd_U",), 32)["bd_U"]
+    assert np.max(np.abs(out)) == 0.0
+    out = normal_form_terms(grid, params, z, z, ("bd_N",), 32)["bd_N"]
+    assert np.max(np.abs(out)) == 0.0
+
+
+CUBIC = ("cubic_1", "cubic_2", "cubic_3")
 
 
 def test_cubic_dependence_structure(grid, params, smooth_pair):
     N, U = smooth_pair
-    t1, t2, t3 = cubic_terms(N, zero(grid), params, 32)
+    cN, cU, z = to_spectral(N).coeffs, to_spectral(U).coeffs, np.zeros(grid.M)
+    # rows: (N, 0), (0, U), (N, U); physical values, as the terms enter the equations
+    nf = normal_form_terms(grid, params, [cN, z, cN], [z, cU, cU], CUBIC, 32)
+    (t1, a1, b1), (t2, a2, _), (t3, a3, _) = (synthesize(grid, nf[k]) for k in CUBIC)
     for t in (t1, t2, t3):
-        assert np.max(np.abs(t.values)) == 0.0
-    a1, a2, a3 = cubic_terms(zero(grid), U, params, 32)
-    assert np.max(np.abs(a2.values)) == 0.0
-    assert np.max(np.abs(a3.values)) == 0.0
-    b1, _, _ = cubic_terms(N, U, params, 32)
-    assert np.max(np.abs(a1.values - b1.values)) < 1e-12 * max(np.max(np.abs(b1.values)), 1e-30)
+        assert np.max(np.abs(t)) == 0.0
+    assert np.max(np.abs(a2)) == 0.0
+    assert np.max(np.abs(a3)) == 0.0
+    assert np.max(np.abs(a1 - b1)) < 1e-12 * max(np.max(np.abs(b1)), 1e-30)
 
 
 def test_cubic_trilinear_scaling(grid, params, smooth_pair):
     _, U = smooth_pair
-    one, _, _ = cubic_terms(zero(grid), U, params, 32)
-    eight, _, _ = cubic_terms(zero(grid), 2.0 * U, params, 32)
-    err = np.max(np.abs(eight.values - 8.0 * one.values))
-    assert err < 1e-8 * np.max(np.abs(eight.values))
+    cU, z = to_spectral(U).coeffs, np.zeros(grid.M)
+    one, eight = synthesize(grid, normal_form_terms(grid, params, [z, z], [cU, 2.0 * cU], CUBIC, 32)["cubic_1"])
+    err = np.max(np.abs(eight - 8.0 * one))
+    assert err < 1e-8 * np.max(np.abs(eight))
 
 
 # ---------------------------------------------------------------------------

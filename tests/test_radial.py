@@ -6,20 +6,27 @@ from scipy.integrate import quad
 
 from kgzsim.export import field_to_csv
 from kgzsim.radial import (
+    _CHUNK,
     PhysField,
     RadialGrid,
     SpectralField,
     apply_multiplier,
     besov_norm,
+    besov_norms,
     eta0,
     kg_propagate,
+    l2_norms,
     lebesgue_norm,
+    lebesgue_norms,
     lp_project,
     lp_project_le,
     pointwise_product,
     random_band_limited,
     read_field,
+    sobolev_norm,
+    sobolev_norms,
     spectral_l2,
+    synthesize,
     to_physical,
     to_spectral,
     wave_propagate,
@@ -262,6 +269,67 @@ def test_besov_homogeneity(grid, rng):
     one = besov_norm(f, 0.5, 3.0)
     two = besov_norm(2.0 * f, 0.5, 3.0)
     assert abs(two - 2.0 * one) < 1e-12 * two
+
+
+def _lp_reference(grid, values, p):
+    if np.isinf(p):
+        return np.max(np.abs(values))
+    return (4.0 * np.pi * grid.dr * np.sum(np.abs(values) ** p * grid.r**2)) ** (1.0 / p)
+
+
+def _besov_reference(grid, c, s, p, homogeneous):
+    """The Besov norm of one coefficient row, block by block."""
+    total = 0.0
+    for k in grid.resolved_k:
+        weight = 2.0 ** (s * k) if homogeneous else np.sqrt(1.0 + 4.0**k) ** s
+        total += (weight * _lp_reference(grid, to_physical(lp_project(SpectralField(grid, c), k)).values, p)) ** 2
+    return np.sqrt(total)
+
+
+@pytest.fixture(scope="module")
+def norm_stack():
+    # over three chunks of the norms with M-element rows; the Besov norm's rows
+    # hold every dyadic block, so its chunks are shorter
+    grid = RadialGrid(20.0, 128)
+    rng = np.random.default_rng(11)
+    S = 3 * (_CHUNK // grid.M) + 6
+    stack = (rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))) * np.exp(-grid.xi / 4.0)
+    stack[[0, _CHUNK // grid.M - 1, S - 1]] = 0.0  # zero rows, one at a chunk end
+    return grid, stack
+
+
+def _assert_rows_match(got, field_rows, reference, stack):
+    zero = ~stack.any(axis=1)
+    assert np.all(got[zero] == 0.0) and np.all(field_rows[zero] == 0.0)
+    assert np.all(got[~zero] > 0.0)
+    assert np.max(np.abs(got - field_rows) / np.maximum(field_rows, 1e-300)) <= 1e-14
+    assert np.max(np.abs(got - reference) / np.maximum(reference, 1e-300)) <= 1e-14
+
+
+def test_array_norms_match_field_norms_row_by_row(norm_stack):
+    grid, stack = norm_stack
+    fields = [SpectralField(grid, c) for c in stack]
+    l2 = np.sqrt(np.sum(grid.xi**2 * np.abs(stack) ** 2, axis=1) * grid.dxi / (2.0 * np.pi**2))
+    _assert_rows_match(l2_norms(grid, stack), np.array([spectral_l2(f) for f in fields]), l2, stack)
+    h1 = np.sqrt(np.sum(grid.xi**2 * (1.0 + grid.xi**2) * np.abs(stack) ** 2, axis=1) * grid.dxi / (2.0 * np.pi**2))
+    _assert_rows_match(sobolev_norms(grid, stack, 1.0), np.array([sobolev_norm(f, 1.0) for f in fields]), h1, stack)
+    values = synthesize(grid, stack)
+    for p in (1.2, 2.0, 6.0, np.inf):
+        want = np.array([_lp_reference(grid, v, p) for v in values])
+        rows = np.array([lebesgue_norm(to_physical(f), p) for f in fields])
+        _assert_rows_match(lebesgue_norms(grid, values, p), rows, want, stack)
+        for s, homogeneous in ((0.3, True), (-0.7, False)):
+            want = np.array([_besov_reference(grid, c, s, p, homogeneous) for c in stack])
+            rows = np.array([besov_norm(f, s, p, homogeneous) for f in fields])
+            _assert_rows_match(besov_norms(grid, stack, s, p, homogeneous), rows, want, stack)
+    # leading axes beyond one are kept
+    flat = besov_norms(grid, stack, 0.3, 6.0)
+    assert np.array_equal(besov_norms(grid, stack.reshape(2, -1, grid.M), 0.3, 6.0), flat.reshape(2, -1))
+    for p in (0.5, 0.99):
+        with pytest.raises(ValueError, match="p >= 1"):
+            lebesgue_norms(grid, values, p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            besov_norms(grid, stack, 0.0, p)
 
 
 # ---------------------------------------------------------------------------
