@@ -22,6 +22,7 @@ from .normalform import duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
+    beta_exponent,
     check_horizon,
     checkpoint_indices,
     resolution_exponents,
@@ -29,6 +30,7 @@ from .strichartz import (
     scattering_profile,
     sharpness_witness,
     strichartz_scan,
+    witness_window,
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_GUARD = 0, 2, 3, 4
@@ -177,6 +179,24 @@ def _sim_config(cfg: dict, model_override: str | None = None, dealias_override: 
         raise ConfigError(str(exc)) from exc
 
 
+def _check(keys: str, validate, *args):
+    """Run a library validator before any work: its ValueError becomes a config
+    error that names ``keys``, and a GuardError passes through."""
+    try:
+        return validate(*args)
+    except GuardError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
+def _k_range(cfg: dict, section: str) -> range:
+    ks = range(cfg[f"{section}.k_min"], cfg[f"{section}.k_max"] + 1)
+    if not ks:
+        raise ConfigError(f"{section}.k_min={ks.start} exceeds {section}.k_max={ks.stop - 1}")
+    return ks
+
+
 def _initial_data(cfg: dict, grid: RadialGrid):
     profile = cfg.get("data.profile", "gaussian")
     if profile != "gaussian":
@@ -196,7 +216,7 @@ def _run_simulate(cfg: dict, out: Path) -> None:
 
 def _run_params(cfg: dict, out: Path | None) -> None:
     alpha = cfg["resonance.alpha"]
-    p = compute_params(alpha)
+    p = _check("resonance.alpha", compute_params, alpha)
     items = [("alpha", alpha), ("branch", p.branch.value)]
     if alpha < 1.0:
         items.append(("r0", alpha / np.sqrt(1.0 - alpha**2)))
@@ -208,8 +228,7 @@ def _run_params(cfg: dict, out: Path | None) -> None:
 
 
 def _run_resonance(cfg: dict, out: Path) -> None:
-    alpha = cfg["resonance.alpha"]
-    p = compute_params(alpha)
+    p = _check("resonance.alpha", compute_params, cfg["resonance.alpha"])
     spec = LemmaGridSpec(
         xi_min=cfg["lemma.xi_min"],
         xi_max=cfg["lemma.xi_max"],
@@ -234,10 +253,8 @@ def _run_resonance(cfg: dict, out: Path) -> None:
 
 def _run_normalform(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg, model_override="simplified", dealias_override=False)
-    try:
-        sizes = tuple(RadialGrid(sim.R, int(s)).M for s in str(cfg["sweep.sizes"]).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"sweep.sizes: {exc}") from exc
+    listed = str(cfg["sweep.sizes"]).split(",")
+    sizes = _check("sweep.sizes", lambda: tuple(RadialGrid(sim.R, int(s)).M for s in listed))
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     params = compute_params(sim.alpha, band=sim.grid)
     n_ang = cfg["quad.n_angular"]
@@ -257,19 +274,21 @@ def _run_normalform(cfg: dict, out: Path) -> None:
 
 
 def _run_scan(cfg: dict, out: Path) -> None:
-    grid = RadialGrid(cfg["grid.R"], cfg["grid.M"])
-    ks = list(range(cfg["scan.k_min"], cfg["scan.k_max"] + 1))
-    window = (0.0, cfg["scan.window"])
-    flavor = cfg["scan.flavor"]
-    if flavor not in ("wave", "schrodinger"):
-        raise ConfigError(f"scan.flavor must be 'wave' or 'schrodinger', got {flavor!r}")
+    grid = _check("grid.R, grid.M", RadialGrid, cfg["grid.R"], cfg["grid.M"])
+    ks, resolved = _k_range(cfg, "scan"), grid.resolved_k
+    if ks[0] not in resolved or ks[-1] not in resolved:
+        raise ConfigError(
+            f"scan.k_min..k_max = {ks[0]}..{ks[-1]} leaves the grid's resolved blocks {resolved[0]}..{resolved[-1]}"
+        )
+    q, r, flavor = cfg["scan.q"], cfg["scan.r"], cfg["scan.flavor"]
+    _check("scan.q, scan.r, scan.flavor", beta_exponent, q, r, flavor)
     table = strichartz_scan(
         grid,
         ks,
-        cfg["scan.q"],
-        cfg["scan.r"],
+        q,
+        r,
         flavor,
-        window,
+        (0.0, cfg["scan.window"]),
         alpha=cfg["scan.alpha"],
         n_samples=cfg["scan.samples"],
         seed=cfg["scan.seed"],
@@ -281,10 +300,12 @@ def _run_scan(cfg: dict, out: Path) -> None:
 
 
 def _run_sharpness(cfg: dict, out: Path) -> None:
-    reports = [
-        sharpness_witness(k, cfg["sharp.q"], cfg["sharp.r"], R=cfg["sharp.R"], n_samples=cfg["sharp.samples"])
-        for k in range(cfg["sharp.k_min"], cfg["sharp.k_max"] + 1)
-    ]
+    ks = _k_range(cfg, "sharp")
+    q, r, R = cfg["sharp.q"], cfg["sharp.r"], cfg["sharp.R"]
+    _check("sharp.q, sharp.r", beta_exponent, q, r, "schrodinger")
+    for k in ks:
+        _check("sharp.k_min", witness_window, k, R)
+    reports = [sharpness_witness(k, q, r, R=R, n_samples=cfg["sharp.samples"]) for k in ks]
     write_csv(
         out / "sharpness.csv",
         ["k", "measured", "scale_constant", "phi_norm", "ratio"],
@@ -296,15 +317,9 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
 def _run_scatter(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
     # settle the analysis settings first: the library would reject them only after the run
-    try:
-        cps = [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")]
-        checkpoint_indices(sim.snapshot_times, cps, sim.dt)
-    except ValueError as exc:
-        raise ConfigError(f"scatter.checkpoints: {exc}") from exc
-    try:
-        resolution_exponents(cfg["scatter.eps"])
-    except ValueError as exc:
-        raise ConfigError(f"scatter.eps: {exc}") from exc
+    cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
+    _check("scatter.checkpoints", checkpoint_indices, sim.snapshot_times, cps, sim.dt)
+    _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
     check_horizon(cps, sim.alpha, sim.R)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)

@@ -195,30 +195,26 @@ class Trajectory:
 # first-order <-> second-order conversion
 # ---------------------------------------------------------------------------
 
+def _rates(g: RadialGrid, alpha: float) -> NDArray[np.float64]:
+    """(2, M) frequencies of the pair: <xi> for U, alpha*xi for N."""
+    return np.stack([np.sqrt(1.0 + g.xi**2), alpha * g.xi])
+
+
 def to_first_order(s: RealState, alpha: float) -> ComplexState:
     """U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha."""
     g = s.grid
-    lxi = np.sqrt(1.0 + g.xi**2)
-    cu = to_spectral(s.u).coeffs
-    cud = to_spectral(s.u_dot).coeffs
-    cn = to_spectral(s.n).coeffs
-    cnd = to_spectral(s.n_dot).coeffs
-    U = to_physical(SpectralField(g, cu - 1j * cud / lxi))
-    N = to_physical(SpectralField(g, cn - 1j * cnd / (alpha * g.xi)))
-    return ComplexState(U, N, t=s.t)
+    c = analyze(g, np.stack([f.values for f in (s.u, s.n, s.u_dot, s.n_dot)]))
+    U, N = synthesize(g, c[:2] - 1j * c[2:] / _rates(g, alpha))
+    return ComplexState(PhysField(g, U), PhysField(g, N), t=s.t)
 
 
 def from_first_order(c: ComplexState, alpha: float) -> RealState:
     """Inverse of :func:`to_first_order`: u = Re U, u_t = -<D> Im U, etc."""
     g = c.grid
-    lxi = np.sqrt(1.0 + g.xi**2)
-    u = c.U.real_field()
-    n = c.N.real_field()
-    im_u = to_spectral(c.U.imag_field()).coeffs
-    im_n = to_spectral(c.N.imag_field()).coeffs
-    u_dot = to_physical(SpectralField(g, -lxi * im_u))
-    n_dot = to_physical(SpectralField(g, -alpha * g.xi * im_n))
-    return RealState(u, u_dot, n, n_dot, t=c.t)
+    im = analyze(g, np.stack([c.U.values.imag, c.N.values.imag]))
+    u_dot, n_dot = synthesize(g, -_rates(g, alpha) * im)
+    u, n = (PhysField(g, f.values.real) for f in (c.U, c.N))
+    return RealState(u, PhysField(g, u_dot), n, PhysField(g, n_dot), t=c.t)
 
 
 # ---------------------------------------------------------------------------
@@ -226,65 +222,44 @@ def from_first_order(c: ComplexState, alpha: float) -> RealState:
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """Precomputed Lawson-RK4 machinery bound to (grid, dt, alpha, model)."""
+    """Precomputed Lawson-RK4 machinery bound to (grid, dt, alpha, model).
+
+    The state is the (2, M) array c = (cU, cN) of sine coefficients; row 0
+    turns at the frequency <xi>, row 1 at alpha*xi.
+    """
 
     def __init__(self, grid: RadialGrid, dt: float, alpha: float, model: str, dealias: bool):
         self.grid = grid
         self.dt = dt
-        self.alpha = alpha
         self.model = model
-        self.dealias = dealias
-        xi = grid.xi
-        self.xi = xi
-        self.lxi = np.sqrt(1.0 + xi**2)
-        self.half_u = np.exp(0.5j * dt * self.lxi)
-        self.half_n = np.exp(0.5j * dt * alpha * xi)
-        self.full_u = np.exp(1j * dt * self.lxi)
-        self.full_n = np.exp(1j * dt * alpha * xi)
+        lxi = np.sqrt(1.0 + grid.xi**2)
+        self.half = np.stack([np.exp(0.5j * dt * lxi), np.exp(0.5j * dt * alpha * grid.xi)])
+        self.full = np.stack([np.exp(1j * dt * lxi), np.exp(1j * dt * alpha * grid.xi)])
+        self.factor = np.stack([-1j / lxi, -1j * alpha * grid.xi])
         self.mask = dealias_mask(grid) if dealias else None
 
-    def nonlinear(self, cU: NDArray, cN: NDArray) -> tuple[NDArray, NDArray]:
-        """Twisted nonlinearity G = (-i<D>^{-1} q_u, -i alpha D q_n)."""
+    def nonlinear(self, c: NDArray) -> NDArray:
+        """Twisted nonlinearity G = (-i<D>^{-1} q_u, -i alpha D q_n) of the pair."""
         if self.model == "linear":
-            z = np.zeros_like(cU)
-            return z, z.copy()
-        if self.mask is not None:
-            cU = cU * self.mask
-            cN = cN * self.mask
-        U = synthesize(self.grid, cU)
-        N = synthesize(self.grid, cN)
+            return np.zeros_like(c)
         if self.model == "full":
-            q_u = (N.real * U.real).astype(np.complex128)
-            q_n = (U.real**2).astype(np.complex128)
-        else:  # simplified
-            q_u = N * U
-            q_n = U * np.conj(U)
-        gU = (-1j / self.lxi) * analyze(self.grid, q_u)
-        gN = (-1j * self.alpha * self.xi) * analyze(self.grid, q_n)
+            c = c.real  # the transform is real, so this synthesizes Re U and Re N exactly
         if self.mask is not None:
-            gU *= self.mask
-            gN *= self.mask
-        return gU, gN
+            c = c * self.mask
+        u, n = synthesize(self.grid, c)
+        q = np.stack([n * u, u**2 if self.model == "full" else u * np.conj(u)])
+        g = self.factor * analyze(self.grid, q)
+        if self.mask is not None:
+            g *= self.mask
+        return g
 
-    def step(self, cU: NDArray, cN: NDArray) -> tuple[NDArray, NDArray]:
-        h = self.dt
-        a1u, a1n = self.nonlinear(cU, cN)
-        u2 = self.half_u * (cU + 0.5 * h * a1u)
-        n2 = self.half_n * (cN + 0.5 * h * a1n)
-        a2u, a2n = self.nonlinear(u2, n2)
-        u3 = self.half_u * cU + 0.5 * h * a2u
-        n3 = self.half_n * cN + 0.5 * h * a2n
-        a3u, a3n = self.nonlinear(u3, n3)
-        u4 = self.full_u * cU + h * self.half_u * a3u
-        n4 = self.full_n * cN + h * self.half_n * a3n
-        a4u, a4n = self.nonlinear(u4, n4)
-        new_u = self.full_u * cU + (h / 6.0) * (
-            self.full_u * a1u + 2.0 * self.half_u * (a2u + a3u) + a4u
-        )
-        new_n = self.full_n * cN + (h / 6.0) * (
-            self.full_n * a1n + 2.0 * self.half_n * (a2n + a3n) + a4n
-        )
-        return new_u, new_n
+    def step(self, c: NDArray) -> NDArray:
+        h, half, full = self.dt, self.half, self.full
+        a1 = self.nonlinear(c)
+        a2 = self.nonlinear(half * (c + 0.5 * h * a1))
+        a3 = self.nonlinear(half * c + 0.5 * h * a2)
+        a4 = self.nonlinear(full * c + h * half * a3)
+        return full * c + (h / 6.0) * (full * a1 + 2.0 * half * (a2 + a3) + a4)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +274,8 @@ def energy(s: RealState, alpha: float) -> float:
 
     quadratic terms computed spectrally, the cubic term by radial quadrature.
     """
-    cu, cud, cn, cnd = (to_spectral(f).coeffs for f in (s.u, s.u_dot, s.n, s.n_dot))
-    return float(_energy(s.grid, alpha, cu, cud, cn, cnd))
+    c = analyze(s.grid, np.stack([f.values for f in (s.u, s.u_dot, s.n, s.n_dot)]))
+    return float(_energy(s.grid, alpha, *c))
 
 
 def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> NDArray:
@@ -333,35 +308,36 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
     c0 = to_first_order(replace(init, t=0.0), config.alpha)
-    cU = to_spectral(c0.U).coeffs
-    cN = to_spectral(c0.N).coeffs
-    norm0 = max(l2_norms(g, cU), 1e-300)
-    n_norm0 = max(l2_norms(g, cN), norm0)
+    c = analyze(g, np.stack([c0.U.values, c0.N.values]))
+    u_norm0, n_norm0 = l2_norms(g, c)
+    u_norm0 = max(u_norm0, 1e-300)
+    limit = 1e6 * np.array([u_norm0, max(n_norm0, u_norm0)])
 
-    cUs = np.empty((len(recorded), g.M), dtype=np.complex128)
-    cNs = np.empty_like(cUs)
-    cUs[0], cNs[0] = cU, cN
+    cs = np.empty((2, len(recorded), g.M), dtype=np.complex128)
+    cs[:, 0] = c
     k = 1
     for i in range(1, n_steps + 1):
-        cU, cN = st.step(cU, cN)
+        c = st.step(c)
         t = i * config.dt
-        if not (np.all(np.isfinite(cU)) and np.all(np.isfinite(cN))):
+        if not np.all(np.isfinite(c)):
             raise BlowupError(t, "non-finite values in state")
-        if l2_norms(g, cU) > 1e6 * norm0:
+        over = l2_norms(g, c) > limit
+        if over[0]:
             raise BlowupError(t, "||U||_2 exceeded 1e6 x initial")
-        if l2_norms(g, cN) > 1e6 * n_norm0:
+        if over[1]:
             raise BlowupError(t, "||N||_2 exceeded 1e6 x initial max(||U||_2, ||N||_2)")
         if i == recorded[k]:
-            cUs[k], cNs[k] = cU, cN
+            cs[:, k] = c
             k += 1
 
     # u, u_t, n, n_t have coefficients Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN
     # because the transform is real; chunks of rows keep the temporaries small
-    a = config.alpha
+    cU, cN = cs
+    rates = _rates(g, config.alpha)
     energies = map_rows(
-        lambda u, n: _energy(g, a, u.real, -st.lxi * u.imag, n.real, -a * g.xi * n.imag), g.M, cUs, cNs
+        lambda u, n: _energy(g, config.alpha, u.real, -rates[0] * u.imag, n.real, -rates[1] * n.imag), g.M, cU, cN
     )
-    return Trajectory(config.snapshot_times, cUs, cNs, energies, l2_norms(g, cUs), l2_norms(g, cNs), config)
+    return Trajectory(config.snapshot_times, cU, cN, energies, l2_norms(g, cU), l2_norms(g, cN), config)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,11 @@ def _dst1(x: NDArray) -> NDArray:
     """Unnormalized DST-I along the last axis, safe for complex input.
 
     y_m = 2 * sum_j x_j sin(pi*j*m/(N+1)); self-inverse up to 2*(N+1).
+    Complex input (C-contiguous) goes through one real transform of its
+    interleaved (..., M, 2) float view.
     """
     if np.iscomplexobj(x):
-        return dst(x.real, type=1) + 1j * dst(x.imag, type=1)
+        return dst(x.view(np.float64).reshape(*x.shape, 2), type=1, axis=-2).view(np.complex128)[..., 0]
     return dst(x, type=1)
 
 
@@ -131,12 +133,6 @@ class PhysField:
         return PhysField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def real_field(self) -> "PhysField":
-        return PhysField(self.grid, self.values.real.astype(np.complex128))
-
-    def imag_field(self) -> "PhysField":
-        return PhysField(self.grid, self.values.imag.astype(np.complex128))
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,19 @@ class WitnessReport:
         return self.measured / (self.scale_constant * self.phi_norm)
 
 
+def witness_window(k: int, R: float) -> tuple[float, float]:
+    """The sharpness witness's time window [2^(1-k), 2^(k-1)] at scale 2^k.
+
+    Needs k >= 1, and the window must end within the reflection-safe horizon R/2.
+    """
+    if k < 1:
+        raise ValueError("witness needs k >= 1")
+    t_hi = 2.0 ** (k - 1)
+    if t_hi > R / 2.0:
+        raise GuardError(f"window end 2^(k-1) = {t_hi} exceeds the reflection-safe horizon R/2 = {R / 2}")
+    return 2.0 ** (1 - k), t_hi
+
+
 def sharpness_witness(
     k: int,
     q: float,
@@ -336,12 +349,8 @@ def sharpness_witness(
     times ||phi||_{L^2}; the reported ratio should be bounded below, uniformly
     in k, when the estimate's exponent is sharp.
     """
-    if k < 1:
-        raise ValueError("witness needs k >= 1")
-    t_hi = 2.0 ** (k - 1)
-    t_lo = 2.0 ** (1 - k)
-    if t_hi > R / 2.0:
-        raise GuardError(f"window end 2^(k-1) = {t_hi} exceeds the reflection-safe horizon R/2 = {R / 2}")
+    t_lo, t_hi = witness_window(k, R)
+    beta = beta_exponent(q, r, "schrodinger").value  # rejects an inadmissible (q, r) before any work
     xi_top = envelope_top * 2.0**k
     M = int(np.ceil(1.05 * xi_top * R / np.pi))
     grid = RadialGrid(R, M)
@@ -359,7 +368,7 @@ def sharpness_witness(
     if abs(iq + 2.0 * ir - 1.0) < 1e-12:
         const = (1.0 + k * k) ** (0.5 * iq) * 2.0 ** ((0.5 - ir) * k)
     else:
-        const = 2.0 ** (beta_exponent(q, r, "schrodinger").value * k)
+        const = 2.0 ** (beta * k)
     return WitnessReport(k, q, r, measured, const, phi_norm, (t_lo, t_hi))
 
 

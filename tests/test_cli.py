@@ -247,6 +247,43 @@ def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "subcommand, entry, settings, message",
+    [
+        ("strichartz-scan", "strichartz_scan", ["scan.k_min=5", "scan.k_max=4"], "scan.k_min=5 exceeds scan.k_max=4"),
+        # the default grid (R=16, M=1024) resolves the blocks -3..8
+        ("strichartz-scan", "strichartz_scan", ["scan.k_min=12", "scan.k_max=13"], "resolved blocks -3..8"),
+        ("strichartz-scan", "strichartz_scan", ["scan.q=1"], "scan.q, scan.r, scan.flavor: exponents must lie"),
+        ("strichartz-scan", "strichartz_scan", ["scan.r=3"], "is not wave-admissible"),
+        ("sharpness", "sharpness_witness", ["sharp.k_min=0"], "sharp.k_min: witness needs k >= 1"),
+        ("sharpness", "sharpness_witness", ["sharp.q=1"], "sharp.q, sharp.r: exponents must lie"),
+        ("sharpness", "sharpness_witness", ["sharp.k_min=3", "sharp.k_max=2"], "sharp.k_min=3 exceeds sharp.k_max=2"),
+        ("resonance", "verify_lemma_bounds", ["resonance.alpha=1.0"], "resonance.alpha: alpha must be positive"),
+        ("params", None, ["resonance.alpha=-1"], "resonance.alpha: alpha must be positive"),
+    ],
+    ids=["scan-empty", "scan-unresolved", "scan-q", "scan-r", "sharp-k0", "sharp-q", "sharp-empty", "resonance", "params"],
+)
+def test_bad_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, subcommand, entry, settings, message):
+    if entry is not None:
+        monkeypatch.setattr(cli, entry, no_run)
+    args = [subcommand, "--out", str(tmp_path)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sharpness_checks_the_horizon_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sharpness_witness", no_run)
+    # sharp.R = 64 puts the horizon at 32, and the window of k = 7 ends at 2^6 = 64
+    code = run(["sharpness", "--out", str(tmp_path), "--set", "sharp.k_max=7"])
+    assert code == EXIT_GUARD
+    assert "reflection-safe horizon" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sharpness_outputs(tmp_path):
     code = run(
         [

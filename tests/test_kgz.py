@@ -85,8 +85,8 @@ def test_velocity_only_mode(grid):
 
 def test_rhs_zero_state(grid):
     st = _Stepper(grid, 1.0, ALPHA, "full", False)
-    z = np.zeros(grid.M, dtype=complex)
-    for out in st.nonlinear(z, z) + st.step(z, z):
+    z = np.zeros((2, grid.M), dtype=complex)
+    for out in (st.nonlinear(z), st.step(z)):
         assert np.all(out == 0)
 
 
@@ -94,16 +94,16 @@ def test_rhs_linear_single_mode(grid):
     # the linear generator i<xi>: one step of the linear model multiplies mode 4 by exp(i dt <xi_4>)
     dt = 0.1
     cU = to_spectral(eigenmode(grid, 4)).coeffs
-    new_u, _ = _Stepper(grid, dt, ALPHA, "linear", False).step(cU, np.zeros(grid.M, dtype=complex))
+    new_u = _Stepper(grid, dt, ALPHA, "linear", False).step(np.stack([cU, np.zeros(grid.M, dtype=complex)]))[0]
     expected = np.exp(1j * dt * np.sqrt(1.0 + grid.xi[3] ** 2))
     assert abs(new_u[3] / cU[3] - expected) < 1e-12
 
 
 def test_full_equals_simplified_on_real_states(grid, rng):
     s = random_real_state(grid, rng)
-    cU, cN = to_spectral(s.u).coeffs, to_spectral(s.n).coeffs
-    dU_f, dN_f = _Stepper(grid, 1.0, ALPHA, "full", False).nonlinear(cU, cN)
-    dU_s, dN_s = _Stepper(grid, 1.0, ALPHA, "simplified", False).nonlinear(cU, cN)
+    c = np.stack([to_spectral(s.u).coeffs, to_spectral(s.n).coeffs])
+    dU_f, dN_f = _Stepper(grid, 1.0, ALPHA, "full", False).nonlinear(c)
+    dU_s, dN_s = _Stepper(grid, 1.0, ALPHA, "simplified", False).nonlinear(c)
     assert np.max(np.abs(synthesize(grid, dU_f) - synthesize(grid, dU_s))) < 1e-12
     assert np.max(np.abs(synthesize(grid, dN_f) - synthesize(grid, dN_s))) < 1e-12
 
@@ -115,7 +115,7 @@ def test_full_equals_simplified_on_real_states(grid, rng):
 def test_step_exact_on_linear_flow(grid, rng):
     U = random_band_limited(grid, rng, (1, 100))
     N = random_band_limited(grid, rng, (1, 100))
-    new_u, _ = _Stepper(grid, 0.25, ALPHA, "linear", False).step(U.coeffs, N.coeffs)
+    new_u = _Stepper(grid, 0.25, ALPHA, "linear", False).step(np.stack([U.coeffs, N.coeffs]))[0]
     exact = kg_propagate(U, 0.25)
     assert spectral_l2(SpectralField(grid, new_u) - exact) < 1e-13 * spectral_l2(exact)
 
@@ -290,15 +290,19 @@ def test_blowup_signal_carries_time():
     assert 0.0 < err.value.t <= 5.0
 
 
-def test_blowup_guard_watches_N(monkeypatch):
-    # a step that leaves U as it is and multiplies N by ten
-    monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, cU, cN: (cU, 10.0 * cN))
+@pytest.mark.parametrize("which, growth", [("U", [[10.0], [1.0]]), ("N", [[1.0], [10.0]])], ids=["U", "N"])
+def test_blowup_guard_watches_each_norm(monkeypatch, which, growth):
+    # a step that multiplies one field by ten and leaves the other as it is;
+    # ||N(0)|| = 100 ||U(0)||, so each guard fires at step 6 or 7 only against
+    # its own limit (against the other it would fire at step 4 or 5, or 8 or 9)
+    monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, c: c * growth)
     grid = RadialGrid(10.0, 64)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.01, T=1.0, snapshot_stride=10)
+    init = gaussian_data(grid, 0.01)
     with pytest.raises(BlowupError) as err:
-        run_simulation(cfg, gaussian_data(grid, 0.01))
-    assert err.value.reason.startswith("||N||_2 exceeded")
-    assert err.value.t <= 0.08
+        run_simulation(cfg, replace(init, n=100.0 * init.n))
+    assert err.value.reason.startswith(f"||{which}||_2 exceeded")
+    assert round(err.value.t / cfg.dt) in (6, 7)
 
 
 def test_snapshot_schedule():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dst
 from scipy.integrate import quad
 
 from kgzsim.export import field_to_csv
+from kgzsim import radial
 from kgzsim.radial import (
     _CHUNK,
     PhysField,
@@ -55,6 +57,24 @@ def test_single_eigenmode_diagonalizes(grid):
 def test_zero_transforms_to_zero(grid):
     z = PhysField(grid, np.zeros(grid.M))
     assert np.all(to_spectral(z).coeffs == 0)
+
+
+@pytest.mark.parametrize("M", [255, 256, 512])
+def test_dst1_complex_is_one_real_transform(M, monkeypatch):
+    calls = []
+
+    def counted(x, **kw):
+        calls.append(x.shape)
+        return dst(x, **kw)
+
+    monkeypatch.setattr(radial, "dst", counted)
+    rng = np.random.default_rng(M)
+    stack = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+    for x in (stack, stack[1].copy()):
+        calls.clear()
+        y = radial._dst1(x)
+        assert calls == [x.shape + (2,)]
+        assert np.array_equal(y, dst(x.real, type=1) + 1j * dst(x.imag, type=1))
 
 
 def test_gaussian_against_quadrature_oracle():
