@@ -48,7 +48,6 @@ from .resonance import (
 from .normalform import (
     BilinearOperator,
     BilinearSymbol,
-    clear_bilinear_cache,
     dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,

@@ -24,6 +24,7 @@ from .strichartz import (
     GuardError,
     beta_exponent,
     check_horizon,
+    check_samples,
     checkpoint_indices,
     resolution_exponents,
     resolution_norm,
@@ -229,13 +230,8 @@ def _run_params(cfg: dict, out: Path | None) -> None:
 
 def _run_resonance(cfg: dict, out: Path) -> None:
     p = _check("resonance.alpha", compute_params, cfg["resonance.alpha"])
-    spec = LemmaGridSpec(
-        xi_min=cfg["lemma.xi_min"],
-        xi_max=cfg["lemma.xi_max"],
-        n_xi=cfg["lemma.n_xi"],
-        n_eta=cfg["lemma.n_eta"],
-        n_cos=cfg["lemma.n_cos"],
-    )
+    keys = [f"lemma.{field}" for field in ("xi_min", "xi_max", "n_xi", "n_eta", "n_cos")]
+    spec = _check(", ".join(keys), LemmaGridSpec, *(cfg[k] for k in keys))
     report = verify_lemma_bounds(p, spec)
     report.write_csv(out / "lemma_bounds.csv")
     ok_profile, margin = verify_profile_bound(p)
@@ -282,6 +278,9 @@ def _run_scan(cfg: dict, out: Path) -> None:
         )
     q, r, flavor = cfg["scan.q"], cfg["scan.r"], cfg["scan.flavor"]
     _check("scan.q, scan.r, scan.flavor", beta_exponent, q, r, flavor)
+    _check("scan.samples", check_samples, cfg["scan.samples"])
+    # strichartz_scan's reflection rule: the wave flow moves at scan.alpha, Klein-Gordon at 1
+    check_horizon([cfg["scan.window"]], 1.0 if flavor == "schrodinger" else cfg["scan.alpha"], grid.R)
     table = strichartz_scan(
         grid,
         ks,
@@ -293,8 +292,6 @@ def _run_scan(cfg: dict, out: Path) -> None:
         n_samples=cfg["scan.samples"],
         seed=cfg["scan.seed"],
     )
-    if table.warning:
-        raise GuardError(table.warning)
     table.write_csv(out / "scan.csv")
     write_csv(out / "scan_plot.csv", ["k", "log2_norm"], table.plot_series())
 
@@ -303,6 +300,7 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
     ks = _k_range(cfg, "sharp")
     q, r, R = cfg["sharp.q"], cfg["sharp.r"], cfg["sharp.R"]
     _check("sharp.q, sharp.r", beta_exponent, q, r, "schrodinger")
+    _check("sharp.samples", check_samples, cfg["sharp.samples"])
     for k in ks:
         _check("sharp.k_min", witness_window, k, R)
     reports = [sharpness_witness(k, q, r, R=R, n_samples=cfg["sharp.samples"]) for k in ks]

@@ -13,12 +13,14 @@ evaluated by Gauss-Legendre quadrature in the angle and trapezoid over the
 grid frequencies, with linear interpolation of fhat at off-grid radii.  The
 (2 pi)^{-3} is the convolution-theorem constant for the transform
 normalization used here, so the weight-one symbol reproduces the pointwise
-product f * g.  Each operator stores the whole quadrature as one float64
-sparse kernel, at every grid size and angular order.
+product f * g.  Each operator stores the whole quadrature as a float64
+pair-list kernel, at every grid size and angular order, and applies it in
+O(nnz) per coefficient pair.
 
 The boundary and cubic terms of the normal form come from one batched
 assembly, :func:`normal_form_terms`, which forms the interior products N U
-and |U|^2 without dealiasing.
+and |U|^2 without dealiasing.  It builds the operators it needs and drops
+them on return; no operator is cached between calls.
 
 The division by the resonance phase is only applied on a support that stays
 away from the phase's zero set: the dyadic high-low blocks outside the
@@ -32,7 +34,6 @@ from the full product, which keeps the transformed integral identity exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from scipy.integrate import simpson
 
 from . import export
 from .radial import (
+    _CHUNK,
     PhysField,
     RadialGrid,
     SpectralField,
@@ -136,9 +138,12 @@ def _symbol_weight(
     xl = _xl_blocks(p, grid.resolved_k)
     ka = p.k_alpha
 
-    # eta0 planes over u are the dominant cost; compute each scale once
+    # eta0 planes over u are the dominant cost: compute each scale once, into one
+    # array (one large block per call lets malloc reuse memory across kernel-build blocks)
     scales = sorted({k for k in xl} | {k - 1 for k in xl} | {k - ka for k in xl})
-    planes = {j: eta0(u / 2.0**j) for j in scales}
+    planes = dict(zip(scales, np.empty((len(scales),) + u.shape)))
+    for j, plane in planes.items():
+        plane[...] = eta0(u / 2.0**j)
 
     mask_xl = np.zeros(np.broadcast_shapes(u.shape, rho.shape))
     for k in xl:
@@ -166,15 +171,11 @@ def _symbol_weight(
 # quadrature operator
 # ---------------------------------------------------------------------------
 
-_ROWS = 8     # output frequencies per kernel-build chunk
-_STACK = 4    # coefficient pairs per apply chunk
+_ROWS = 8  # output frequencies per kernel-build chunk
 
 
 def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
-    """Index/fraction tables for linear interpolation at radii u.
-
-    Index M points at the zero pad (outside [xi_1, xi_M]).
-    """
+    """Index/fraction tables for linear interpolation at radii u; index M is the zero pad beyond [xi_1, xi_M]."""
     xi1, xiM, dxi = grid.xi[0], grid.xi[-1], grid.dxi
     pos = (u - xi1) / dxi
     idx = np.floor(pos).astype(np.intp)
@@ -188,14 +189,15 @@ def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
 class BilinearOperator:
     """Bilinear quadrature bound to (grid, symbol, angular order).
 
-    The quadrature is contracted once into a float64 CSR kernel K of shape
-    (M, M*M): K[m, i*M + j] weighs fhat_i * ghat_j in output frequency m.
-    The weight is evaluated only on the symbol's (xi, rho) pair support, and
-    entries that only touch the zero pad beyond xi_M are dropped.  ``min_abs_phase``
-    is the smallest |phase| divided by (None if the kind has none).  An apply is
-    K @ (f outer g), chunked over the stack; every output row is summed in the
-    same order whatever the stack, so results are bit-identical between runs
-    and between batched and single applies.
+    The quadrature is contracted once into a pair-list kernel.  Pair p is an
+    output frequency xi_(m_p) and input radius rho_(j_p) on the symbol's pair
+    support with a nonzero weight.  The float64 CSR matrix A (pairs, M) weighs
+    fhat_i in pair p and the 0/1 matrix B (M, pairs) sums each pair into its
+    output row; entries that only touch the zero pad beyond xi_M are dropped.
+    An apply is B @ ((A @ fhat) * ghat[j_p]); every output row is summed in the
+    same order whatever the stack, so batched and single applies are
+    bit-identical.  ``min_abs_phase`` is the smallest |phase| divided by (None
+    if the kind has none).
     """
 
     def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64):
@@ -211,7 +213,7 @@ class BilinearOperator:
         self.max_abs_weight = 0.0
         self.min_abs_phase = np.inf if symbol.kind in ("omega", "omega_tilde") else None
         support = _pair_support(symbol, grid)
-        blocks = []
+        blocks, pairs = [], []
         for lo in range(0, M, _ROWS):
             m, j = np.nonzero(support[lo : lo + _ROWS])
             G, idx, frc = self._pair_kernel(lo + m, j)
@@ -220,11 +222,17 @@ class BilinearOperator:
             # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1}; index M is the zero pad
             w = np.concatenate([g * (1.0 - f), g * f])
             i = np.concatenate([i, i + 1])
-            m, j = np.tile(m[p], 2), np.tile(j[p], 2)
             keep = (i < M) & (w != 0.0)
-            shape = (min(_ROWS, M - lo), M * M)
-            blocks.append(sparse.coo_array((w[keep], (m[keep], i[keep] * M + j[keep])), shape=shape).tocsr())
-        self._K = sparse.vstack(blocks, format="csr")
+            p = np.tile(p, 2)[keep]
+            # number the pairs that keep an entry in (m, j) order
+            kept = np.bincount(p, minlength=len(m)) > 0
+            p = (np.cumsum(kept) - 1)[p]
+            blocks.append(sparse.coo_array((w[keep], (p, i[keep])), shape=(kept.sum(), M)).tocsr())
+            pairs.append(np.stack([lo + m[kept], j[kept]]))
+        self._A = sparse.vstack(blocks, format="csr")
+        self.m_p, self.j_p = np.concatenate(pairs, axis=1)
+        n = len(self.m_p)
+        self._B = sparse.csr_array((np.ones(n), (self.m_p, np.arange(n))), shape=(M, n))
 
     def _pair_kernel(self, m: NDArray, j: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         """Quadrature weights and interpolation tables on the pairs (xi_m, rho_j), axes (pair, angle)."""
@@ -243,29 +251,20 @@ class BilinearOperator:
         return G, idx, frc
 
     def apply_batch(self, fhats: NDArray, ghats: NDArray) -> NDArray:
-        """Apply to a stack of coefficient pairs; shapes (S, M) -> (S, M)."""
+        """Apply to a stack of coefficient pairs, (S, M) -> (S, M), _CHUNK (pair, row) products or one row at a time."""
         fhats = np.atleast_2d(np.asarray(fhats, dtype=np.complex128))
         ghats = np.atleast_2d(np.asarray(ghats, dtype=np.complex128))
         if self.symbol.conjugates_second:
             ghats = np.conj(ghats)
-        S, M = fhats.shape
-        out = np.empty((S, M), dtype=np.complex128)
-        for lo in range(0, S, _STACK):
-            f, g = fhats[lo : lo + _STACK].T, ghats[lo : lo + _STACK].T
-            fg = np.empty((M, M, f.shape[1]), dtype=np.complex128)
-            np.multiply(f[:, None, :], g[None, :, :], out=fg)
-            # real kernel: act on the interleaved real and imaginary parts
-            out[lo : lo + _STACK] = (self._K @ fg.reshape(M * M, -1).view(np.float64)).view(np.complex128).T
+        out = np.empty(fhats.shape, dtype=np.complex128)
+        step = max(1, _CHUNK // max(1, len(self.m_p)))
+        for lo in range(0, len(out), step):
+            # real kernels: act on the interleaved real and imaginary parts of (M, rows) arrays
+            f = np.ascontiguousarray(fhats[lo : lo + step].T).view(np.float64)
+            prod = (self._A @ f).view(np.complex128)
+            prod *= ghats[lo : lo + step, self.j_p].T
+            out[lo : lo + step] = (self._B @ prod.view(np.float64)).view(np.complex128).T
         return out
-
-
-@lru_cache(maxsize=2)
-def get_operator(grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64) -> BilinearOperator:
-    """Shared operator; the two most recently used kernels stay alive."""
-    return BilinearOperator(grid, symbol, n_angular)
-
-
-clear_bilinear_cache = get_operator.cache_clear
 
 
 def dense_bilinear_reference(
@@ -335,15 +334,17 @@ def normal_form_terms(
     dealiasing: the residual identity needs the exact products, and the sweep
     fields are alias-free by construction.  They are returned too, as "NU" and
     "UU"; the ``<D>^{-1}`` and ``D`` factors outside the operators are left to
-    the caller.
+    the caller.  It builds one operator per symbol kind in ``names``, dropped on return.
     """
     cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
     vN, vU = synthesize(grid, cN), synthesize(grid, cU)
     out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
     factors = {"N": cN, "U": cU, "aux": out["NU"] / np.sqrt(1.0 + grid.xi**2), "D|U|^2": grid.xi * out["UU"]}
+    kinds = dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names)  # distinct, in order of first use
+    ops = {kind: BilinearOperator(grid, BilinearSymbol(kind, params), n_angular) for kind in kinds}
     for name in names:
         kind, a, b = NORMAL_FORM_TERMS[name]
-        out[name] = get_operator(grid, BilinearSymbol(kind, params), n_angular).apply_batch(factors[a], factors[b])
+        out[name] = ops[kind].apply_batch(factors[a], factors[b])
     return out
 
 
@@ -398,22 +399,21 @@ def duhamel_residual(
         raise ValueError("need at least three snapshots for Simpson quadrature")
 
     alpha = cfg.alpha
-    ends = [0, -1]
     if which == "U":
-        nf = normal_form_terms(grid, params, cN, cU, ("cubic_1", "cubic_2", "nonres_U"), n_angular)
+        nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "cubic_1", "cubic_2", "nonres_U"), n_angular)
         rest = nf["NU"] - nf["nonres_U"]
         total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
         integrand = np.exp(1j * np.outer(t - times, lxi)) * total
-        b0, bt = normal_form_terms(grid, params, cN[ends], cU[ends], ("bd_U",), n_angular)["bd_U"] / lxi
+        b0, bt = nf["bd_U"][[0, -1]] / lxi
         free = np.exp(1j * t * lxi) * (cU[0] + b0)
     else:
-        nf = normal_form_terms(grid, params, cN, cU, ("cubic_3", "cubic_3b", "nonres_N"), n_angular)
+        nf = normal_form_terms(grid, params, cN, cU, ("bd_N", "cubic_3", "cubic_3b", "nonres_N"), n_angular)
         rest = nf["UU"] - nf["nonres_N"]
         # the second cubic term enters with the opposite sign: the conjugate
         # factor twists with phase exp(+i s <eta>)
         total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
         integrand = np.exp(1j * alpha * np.outer(t - times, xi)) * total
-        b0, bt = alpha * xi * normal_form_terms(grid, params, cN[ends], cU[ends], ("bd_N",), n_angular)["bd_N"]
+        b0, bt = alpha * xi * nf["bd_N"][[0, -1]]
         free = np.exp(1j * alpha * t * xi) * (cN[0] + b0)
 
     rhs = free - bt + simpson(integrand, x=times, axis=0)
@@ -565,6 +565,5 @@ def estimate_sweep(
             "bi_DHH": l2_norms(grid, xi * analyze(grid, uhh)) / xy_U**2,
         }
         rows += [SweepRow(est, M, trial, float(v[trial])) for trial in range(trials) for est, v in values.items()]
-        clear_bilinear_cache()
 
     return SweepReport(alpha, sizes, trials, eps, tuple(rows))

@@ -383,6 +383,12 @@ class LemmaGridSpec:
     n_eta: int = 50
     n_cos: int = 21
 
+    def __post_init__(self):
+        if not 0.0 < self.xi_min < self.xi_max:
+            raise ValueError(f"need 0 < xi_min < xi_max, got {self.xi_min}, {self.xi_max}")
+        if min(self.n_xi, self.n_eta, self.n_cos) < 1:
+            raise ValueError(f"grid counts must be >= 1, got {self.n_xi}, {self.n_eta}, {self.n_cos}")
+
 
 @dataclass(frozen=True)
 class BoundRow:

@@ -256,6 +256,7 @@ def strichartz_scan(
     """
     evol_flavor = "kg" if flavor == "schrodinger" else "wave"
     beta = beta_exponent(q, r, flavor).value
+    check_samples(n_samples)
     # per-block norm growth 2^(k * slope) for unit-L^2 blocks: the estimate's
     # Besov weight contributes 2^(-s k) with s the stored regularity
     predicted = beta if flavor == "schrodinger" else -beta
@@ -316,6 +317,12 @@ class WitnessReport:
         return self.measured / (self.scale_constant * self.phi_norm)
 
 
+def check_samples(n: int) -> None:
+    """ValueError unless there are at least two sample times: a one-point trapezoid is zero."""
+    if n < 2:
+        raise ValueError(f"need at least 2 sample times, got {n}")
+
+
 def witness_window(k: int, R: float) -> tuple[float, float]:
     """The sharpness witness's time window [2^(1-k), 2^(k-1)] at scale 2^k.
 
@@ -351,6 +358,7 @@ def sharpness_witness(
     """
     t_lo, t_hi = witness_window(k, R)
     beta = beta_exponent(q, r, "schrodinger").value  # rejects an inadmissible (q, r) before any work
+    check_samples(n_samples)
     xi_top = envelope_top * 2.0**k
     M = int(np.ceil(1.05 * xi_top * R / np.pi))
     grid = RadialGrid(R, M)

@@ -10,7 +10,7 @@ import pytest
 
 import kgzsim as kz
 from kgzsim.kgz import SimConfig, from_first_order, gaussian_data, oracle_evolve, run_simulation
-from kgzsim.normalform import clear_bilinear_cache, duhamel_residual, estimate_sweep
+from kgzsim.normalform import duhamel_residual, estimate_sweep
 from kgzsim.radial import (
     PhysField,
     RadialGrid,
@@ -184,7 +184,6 @@ def test_c07_boundedness_sweeps():
     sweep = estimate_sweep(2.0, sizes=(128, 256, 512), trials=50, n_angular=64)
     ratios = sweep.stability_ratios()
     assert sweep.passed(2.0), ratios
-    clear_bilinear_cache()
     report(
         "criterion 7",
         "refinement ratios " + ", ".join(f"{k}={v:.3f}" for k, v in sorted(ratios.items())) + " (tol 2.0)",
@@ -211,7 +210,6 @@ def test_c08_duhamel_residuals():
     coarse_u, coarse_n = residuals["coarse"]
     assert fine_u < 1e-3 and fine_n < 1e-3
     assert coarse_u >= 2.0 * fine_u and coarse_n >= 2.0 * fine_n
-    clear_bilinear_cache()
     report(
         "criterion 8",
         f"residuals U {fine_u:.2e}, N {fine_n:.2e} (tol 1e-3); "

@@ -260,8 +260,25 @@ def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypat
         ("sharpness", "sharpness_witness", ["sharp.k_min=3", "sharp.k_max=2"], "sharp.k_min=3 exceeds sharp.k_max=2"),
         ("resonance", "verify_lemma_bounds", ["resonance.alpha=1.0"], "resonance.alpha: alpha must be positive"),
         ("params", None, ["resonance.alpha=-1"], "resonance.alpha: alpha must be positive"),
+        ("resonance", "verify_lemma_bounds", ["lemma.n_xi=0"], "grid counts must be >= 1"),
+        # one sample time makes a trapezoid over the window zero
+        ("strichartz-scan", "strichartz_scan", ["scan.samples=1"], "scan.samples: need at least 2 sample times"),
+        ("sharpness", "sharpness_witness", ["sharp.samples=1"], "sharp.samples: need at least 2 sample times"),
     ],
-    ids=["scan-empty", "scan-unresolved", "scan-q", "scan-r", "sharp-k0", "sharp-q", "sharp-empty", "resonance", "params"],
+    ids=[
+        "scan-empty",
+        "scan-unresolved",
+        "scan-q",
+        "scan-r",
+        "sharp-k0",
+        "sharp-q",
+        "sharp-empty",
+        "resonance",
+        "params",
+        "lemma-count",
+        "scan-samples",
+        "sharp-samples",
+    ],
 )
 def test_bad_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, subcommand, entry, settings, message):
     if entry is not None:
@@ -279,6 +296,15 @@ def test_sharpness_checks_the_horizon_before_any_work(tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "sharpness_witness", no_run)
     # sharp.R = 64 puts the horizon at 32, and the window of k = 7 ends at 2^6 = 64
     code = run(["sharpness", "--out", str(tmp_path), "--set", "sharp.k_max=7"])
+    assert code == EXIT_GUARD
+    assert "reflection-safe horizon" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_checks_the_horizon_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "strichartz_scan", no_run)
+    # the default wave flow (speed 1) on R=16: a window ending at 10 passes R/2 = 8
+    code = run(["strichartz-scan", "--out", str(tmp_path), "--set", "scan.window=10"])
     assert code == EXIT_GUARD
     assert "reflection-safe horizon" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

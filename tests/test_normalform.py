@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,20 +7,18 @@ import pytest
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
     SYMBOL_KINDS,
-    _STACK,
     BilinearOperator,
     BilinearSymbol,
     _pair_support,
     _symbol_weight,
     annulus_guard,
-    clear_bilinear_cache,
     dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,
-    get_operator,
     normal_form_terms,
 )
 from kgzsim.radial import (
+    _CHUNK,
     RadialGrid,
     SpectralField,
     pointwise_product,
@@ -126,7 +125,7 @@ def test_weight_vanishes_off_pair_support(alpha, M):
 
 def test_zero_second_argument(grid, params, smooth_pair):
     f, _ = smooth_pair
-    op = get_operator(grid, BilinearSymbol("omega", params), 32)
+    op = BilinearOperator(grid, BilinearSymbol("omega", params), 32)
     out = op.apply_batch(to_spectral(f).coeffs, np.zeros(grid.M))
     assert np.max(np.abs(out)) == 0.0
 
@@ -139,7 +138,7 @@ def test_bilinearity_exact(grid, params, smooth_pair):
     cf, cg, ch = (to_spectral(x).coeffs for x in (f, g, h))
     # 72 angular nodes: M^2 Q above 2^22 entries, where kernels once dropped to float32
     for n_angular in (32, 72):
-        op = get_operator(grid, sym, n_angular)
+        op = BilinearOperator(grid, sym, n_angular)
         lhs, a, b = op.apply_batch([cf + 2.0 * ch, cf, ch], [cg, cg, cg])
         rhs = a + 2.0 * b
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
@@ -181,7 +180,8 @@ def test_apply_matches_loop_reference(kind):
     sym = BilinearSymbol(kind, None if kind == "plain" else params)
     op = BilinearOperator(grid, sym, n_angular=8)
     rng = np.random.default_rng(17)
-    S = 3 * _STACK + 5  # longer than the apply's internal chunk
+    rows = max(1, _CHUNK // len(op.m_p))  # stack rows per apply chunk
+    S = 3 * rows + 1  # spans four chunks, the last one short
     cf = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
     cg = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
     got = op.apply_batch(cf, cg)
@@ -194,7 +194,7 @@ def test_apply_matches_loop_reference(kind):
 
 def test_plain_symbol_is_pointwise_product(grid, smooth_pair):
     f, g = smooth_pair
-    got = get_operator(grid, BilinearSymbol("plain")).apply_batch(to_spectral(f).coeffs, to_spectral(g).coeffs)
+    got = BilinearOperator(grid, BilinearSymbol("plain")).apply_batch(to_spectral(f).coeffs, to_spectral(g).coeffs)
     want = to_spectral(pointwise_product(f, g))
     err = spectral_l2(SpectralField(grid, got[0]) - want)
     assert err < 1e-3 * spectral_l2(want)
@@ -204,7 +204,7 @@ def test_support_violation_gives_zero(grid, params):
     # both factors in nearby blocks: separation < k_alpha, mask empty
     cf = np.where((grid.xi >= 2.2) & (grid.xi <= 3.6), 1.0, 0.0).astype(complex)
     cg = np.where((grid.xi >= 1.1) & (grid.xi <= 1.9), 1.0, 0.0).astype(complex)
-    out = get_operator(grid, BilinearSymbol("omega", params), 32).apply_batch(cf, cg)
+    out = BilinearOperator(grid, BilinearSymbol("omega", params), 32).apply_batch(cf, cg)
     assert spectral_l2(SpectralField(grid, out[0])) < 1e-12
 
 
@@ -220,13 +220,23 @@ def test_against_dense_quadrature_oracle():
     cg[grid.xi > 1.9] = 0.0
     f, g = to_physical(SpectralField(grid, cf)), to_physical(SpectralField(grid, cg))
     sym = BilinearSymbol("omega", params)
-    got = get_operator(grid, sym, 16).apply_batch(cf, cg)
+    op = BilinearOperator(grid, sym, 16)
+    got = op.apply_batch(cf, cg)
     oracle = dense_bilinear_reference(sym, f, g, refine=4, n_angular=64, rho_max=4.0)
     n_got = spectral_l2(SpectralField(grid, got[0]))
     n_oracle = spectral_l2(to_spectral(oracle))
     assert n_oracle > 0
     assert abs(n_got - n_oracle) < 1e-3 * n_oracle
-    clear_bilinear_cache()
+    # the apply's temporaries scale with the kernel's pairs, not with M^2:
+    # forming the (M, M) outer product of each row pair peaks at 128 MB here
+    stack = np.tile(cf, (8, 1)), np.tile(cg, (8, 1))
+    tracemalloc.start()
+    try:
+        op.apply_batch(*stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +336,6 @@ def test_estimate_sweep_smoke():
     assert set(ratios) == set(
         ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3", "bi_LH", "bi_HH", "bi_DHH")
     )
-    clear_bilinear_cache()
 
 
 def test_sweep_report_csv(tmp_path):
@@ -335,4 +344,3 @@ def test_sweep_report_csv(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "estimate,M,trial,value"
     assert len(lines) == 1 + len(report.rows)
-    clear_bilinear_cache()

@@ -246,6 +246,16 @@ def test_omega2_floor_away_from_origin(params_half):
     assert rep.row("min|w2|/<xi>").value > 0.2
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"xi_min": 0.0}, {"xi_min": 64.0}, {"n_xi": 0}, {"n_eta": 0}, {"n_cos": 0}],
+    ids=["xi_min-zero", "xi-range-empty", "n_xi", "n_eta", "n_cos"],
+)
+def test_lemma_grid_spec_rejects_empty_grids(fields):
+    with pytest.raises(ValueError):
+        LemmaGridSpec(**fields)
+
+
 def test_lemma_report_csv(tmp_path, params_half):
     rep = verify_lemma_bounds(params_half)
     rep.write_csv(tmp_path / "rep.csv")

@@ -118,6 +118,12 @@ def test_scan_reflection_warning():
     assert table.warning is not None
 
 
+def test_scan_needs_two_sample_times():
+    grid = RadialGrid(16.0, 512)
+    with pytest.raises(ValueError, match="at least 2 sample times"):
+        strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, 2.0), n_samples=1)
+
+
 def test_scan_csv(tmp_path):
     grid = RadialGrid(16.0, 512)
     table = strichartz_scan(grid, [1, 2, 3], 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64)
@@ -136,6 +142,8 @@ def test_witness_preconditions():
         sharpness_witness(0, 2.0, 4.0)
     with pytest.raises(GuardError, match="horizon"):
         sharpness_witness(8, 2.0, 4.0, R=64.0)
+    with pytest.raises(ValueError, match="at least 2 sample times"):
+        sharpness_witness(2, 2.0, 4.0, n_samples=1)
 
 
 def test_witness_ratio_positive_and_stable():
