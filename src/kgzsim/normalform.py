@@ -105,22 +105,39 @@ def _xl_blocks(params: ResonanceParams, ks: Sequence[int]) -> list[int]:
     return [k for k in ks if abs(2.0**k - params.c_alpha) > params.delta_alpha]
 
 
-def _phase(sym: BilinearSymbol, xi_out: NDArray, u: NDArray, rho: NDArray) -> NDArray:
+def _phase(sym: BilinearSymbol, xi_out: NDArray, u: NDArray, rho: NDArray, on: NDArray) -> NDArray:
+    """The phase on the entries ``on`` of u, with xi_out and rho broadcast against u."""
+    xi_out, rho, u = np.broadcast_to(xi_out, u.shape)[on], np.broadcast_to(rho, u.shape)[on], u[on]
     if sym.kind == "omega":
         return -np.sqrt(1.0 + xi_out**2) + sym.params.alpha * u + np.sqrt(1.0 + rho**2)
     return np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - sym.params.alpha * xi_out
 
 
+def _radius(xi_out: NDArray, rho: NDArray, cos: NDArray | float) -> NDArray:
+    """u = |xi - eta| at angle cosine ``cos``; each operation rounds monotonically, so u is monotone in cos."""
+    return np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * cos, 0.0))
+
+
+def _block_support(k: int, ka: int, lo: NDArray, hi: NDArray, rho: NDArray) -> tuple[NDArray, NDArray]:
+    """Where block k's XL and LX terms can be nonzero, for u in [lo, hi].  Each comparison is exact:
+    eta0(x) is 0.0 for x >= 2, eta0(x / 2) - eta0(x) is 0.0 for x <= 1, and x is u or rho over a power of 2."""
+    xl = (rho < 2.0 ** (k - ka + 1)) & (lo < 2.0 ** (k + 1)) & (hi > 2.0 ** (k - 1))
+    lx = (2.0 ** (k - 1) < rho) & (rho < 2.0 ** (k + 1)) & (lo < 2.0 ** (k - ka + 1))
+    return xl, lx
+
+
 def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
-    """(M, M) mask of the pairs (xi_m, rho_j) where the weight can be nonzero: with
-    L = 2^(max(xl) - k_alpha + 1), the XL factors vanish for rho >= L and the
-    LX factors for u >= L, where u >= |xi - rho| at every angle."""
+    """(M, M) mask of the pairs (xi_m, rho_j) where the weight can be nonzero: the union
+    of the block supports, with u at every angle in [u(1), u(-1)] (see :func:`_radius`)."""
     if sym.kind == "plain":
         return np.ones((grid.M, grid.M), dtype=bool)
-    xl, xi = _xl_blocks(sym.params, grid.resolved_k), grid.xi
-    L = 2.0 ** (max(xl) - sym.params.k_alpha + 1) if xl else 0.0
-    keep = np.broadcast_to(xi < L, (grid.M, grid.M))
-    return keep | (np.abs(xi[:, None] - xi) < L) if sym.conjugates_second else keep
+    xi, rho = grid.xi[:, None], grid.xi
+    lo, hi = _radius(xi, rho, 1.0), _radius(xi, rho, -1.0)
+    keep = np.zeros((grid.M, grid.M), dtype=bool)
+    for k in _xl_blocks(sym.params, grid.resolved_k):
+        xl, lx = _block_support(k, sym.params.k_alpha, lo, hi, rho)
+        keep |= xl | lx if sym.conjugates_second else xl
+    return keep
 
 
 def _symbol_weight(
@@ -130,41 +147,33 @@ def _symbol_weight(
     u: NDArray,
     rho: NDArray,
 ) -> NDArray:
-    """Evaluate the weight on broadcastable (xi_out, u, rho) arrays."""
+    """Evaluate the weight on broadcastable (xi_out, u, rho) arrays, the angle on the last axis.
+
+    Each row (xi_out, rho) gets only the block terms :func:`_block_support` allows on its range of u,
+    and the phase only where the numerator is nonzero; every term skipped is exactly 0.0.
+    """
+    shape = np.broadcast_shapes(xi_out.shape, u.shape, rho.shape)
     if sym.kind == "plain":
-        return np.ones(np.broadcast_shapes(xi_out.shape, u.shape, rho.shape))
+        return np.ones(shape)
 
-    p = sym.params
-    xl = _xl_blocks(p, grid.resolved_k)
-    ka = p.k_alpha
-
-    # eta0 planes over u are the dominant cost: compute each scale once, into one
-    # array (one large block per call lets malloc reuse memory across kernel-build blocks)
-    scales = sorted({k for k in xl} | {k - 1 for k in xl} | {k - ka for k in xl})
-    planes = dict(zip(scales, np.empty((len(scales),) + u.shape)))
-    for j, plane in planes.items():
-        plane[...] = eta0(u / 2.0**j)
-
-    mask_xl = np.zeros(np.broadcast_shapes(u.shape, rho.shape))
-    for k in xl:
-        mask_xl = mask_xl + (planes[k] - planes[k - 1]) * chi_le(rho, k - ka)
-    mask_xl = mask_xl * annulus_guard(u, p, sym.guard_fraction)
-
-    if sym.kind in ("omega", "xl_mask"):
-        num = mask_xl
-    else:
-        mask_lx = np.zeros_like(mask_xl)
-        for k in xl:
-            mask_lx = mask_lx + planes[k - ka] * chi_k(rho, k)
-        num = mask_xl + mask_lx
-
-    if sym.kind in ("xl_mask", "xl_lx_mask"):
-        return np.broadcast_to(num, np.broadcast_shapes(num.shape, xi_out.shape)).copy()
-
-    num, den = np.broadcast_arrays(num, _phase(sym, xi_out, u, rho))
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=num != 0.0)
-    return out
+    p, ka = sym.params, sym.params.k_alpha
+    u = np.broadcast_to(u, shape).reshape(-1, shape[-1])
+    rho = np.broadcast_to(rho, shape[:-1] + (1,)).reshape(-1, 1)
+    lo, hi = u.min(axis=1), u.max(axis=1)
+    num, lx = np.zeros(u.shape), np.zeros(u.shape) if sym.conjugates_second else 0.0
+    for k in _xl_blocks(p, grid.resolved_k):
+        on_xl, on_lx = (np.flatnonzero(on) for on in _block_support(k, ka, lo, hi, rho[:, 0]))
+        if on_xl.size:
+            num[on_xl] += chi_k(u[on_xl], k) * chi_le(rho[on_xl], k - ka)
+        if on_lx.size and sym.conjugates_second:
+            lx[on_lx] += chi_le(u[on_lx], k - ka) * chi_k(rho[on_lx], k)
+    on = num != 0.0
+    num[on] *= annulus_guard(u[on], p, sym.guard_fraction)
+    num += lx
+    if sym.kind in ("omega", "omega_tilde"):
+        on = num != 0.0
+        num[on] /= _phase(sym, np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1, 1), u, rho, on)
+    return num.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +247,13 @@ class BilinearOperator:
         """Quadrature weights and interpolation tables on the pairs (xi_m, rho_j), axes (pair, angle)."""
         xi_out = self.grid.xi[m][:, None]
         rho = self.grid.xi[j][:, None]
-        u = np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * self._cos, 0.0))
+        u = _radius(xi_out, rho, self._cos)
         w = _symbol_weight(self.symbol, self.grid, xi_out, u, rho)
         if not np.all(np.isfinite(w)):
             raise RuntimeError(f"bilinear symbol {self.symbol.kind!r} is not finite on its support")
         self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
         if self.min_abs_phase is not None:
-            den = _phase(self.symbol, xi_out, u, rho)[w != 0.0]
+            den = _phase(self.symbol, xi_out, u, rho, w != 0.0)
             self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
         G = w * (self._base[j][:, None] * self._glw)
         idx, frc = _interp_tables(self.grid, u)
@@ -295,7 +304,7 @@ def dense_bilinear_reference(
     gv = g_field.sample_at(rho)
     out = np.empty(grid.M, dtype=np.complex128)
     for m, xm in enumerate(grid.xi):
-        u = np.sqrt(np.maximum(xm**2 + rho[:, None] ** 2 - 2.0 * xm * rho[:, None] * nodes[None, :], 0.0))
+        u = _radius(xm, rho[:, None], nodes[None, :])
         w = _symbol_weight(sym, grid, np.array(xm)[None, None], u, rho[:, None])
         fv = cf.sample_at(u.ravel()).reshape(u.shape)
         kern = w * fv * weights[None, :]

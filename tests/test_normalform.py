@@ -21,6 +21,7 @@ from kgzsim.radial import (
     _CHUNK,
     RadialGrid,
     SpectralField,
+    eta0,
     pointwise_product,
     smooth_random_field,
     spectral_l2,
@@ -99,24 +100,77 @@ def test_symbol_finite_on_support(grid, params):
         assert op.min_abs_phase == pytest.approx(smallest, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "alpha, M",
-    [(0.5, 256), (2.0, 128)],  # the C8 grid, where the band cap on k_alpha binds, and the sweep grid
-)
-def test_weight_vanishes_off_pair_support(alpha, M):
+# the C8 grid, where the band cap on k_alpha binds, and the sweep grid
+SUPPORT_GRIDS = pytest.mark.parametrize("alpha, M", [(0.5, 256), (2.0, 128)])
+
+
+def _grid_and_params(alpha, M):
     grid = RadialGrid(40.0, M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        params = compute_params(alpha, band=grid)
+        return grid, compute_params(alpha, band=grid)
+
+
+def _gauss_and_end_points(grid):
     # eight Gauss nodes and the end points c = -1, 1, where u = xi + rho and |xi - rho|
     nodes, _ = np.polynomial.legendre.leggauss(8)
-    xo, u, rho = _quadrature_geometry(grid, np.concatenate([[-1.0], nodes, [1.0]]))
+    return _quadrature_geometry(grid, np.concatenate([[-1.0], nodes, [1.0]]))
+
+
+@SUPPORT_GRIDS
+def test_weight_vanishes_off_pair_support(alpha, M):
+    grid, params = _grid_and_params(alpha, M)
+    xo, u, rho = _gauss_and_end_points(grid)
+    c = np.linspace(-1.0, 1.0, 257)
     for kind in SYMBOL_KINDS[1:]:
         sym = BilinearSymbol(kind, params)
         w = _symbol_weight(sym, grid, xo, u, rho)
         support = _pair_support(sym, grid)
         assert np.all(w[~support] == 0.0), kind
         assert np.any(w[support] != 0.0), kind
+        # the converse: every support pair carries a nonzero weight at some angle
+        hit = np.zeros_like(support)
+        for lo in range(0, M, 16):
+            rows = _symbol_weight(sym, grid, *_quadrature_geometry(grid, c, slice(lo, lo + 16)))
+            hit[lo : lo + 16] = np.any(rows != 0.0, axis=-1)
+        assert np.array_equal(hit, support), kind
+
+
+def _all_blocks_weight(sym, grid, xi_out, u, rho):
+    """The weight as one formula: every dyadic block on every entry, the phase on the full array."""
+    p, ka = sym.params, sym.params.k_alpha
+    xl = [k for k in grid.resolved_k if abs(2.0**k - p.c_alpha) > p.delta_alpha]
+    num = np.zeros(np.broadcast_shapes(u.shape, rho.shape))
+    for k in xl:
+        num = num + (eta0(u / 2.0**k) - eta0(u / 2.0 ** (k - 1))) * eta0(rho / 2.0 ** (k - ka))
+    num = num * annulus_guard(u, p, sym.guard_fraction)
+    if sym.conjugates_second:
+        lx = np.zeros_like(num)
+        for k in xl:
+            lx = lx + eta0(u / 2.0 ** (k - ka)) * (eta0(rho / 2.0**k) - eta0(rho / 2.0 ** (k - 1)))
+        num = num + lx
+    num = np.broadcast_to(num, np.broadcast_shapes(num.shape, xi_out.shape))
+    if sym.kind in ("xl_mask", "xl_lx_mask"):
+        return num.copy()
+    if sym.kind == "omega":
+        phase = -np.sqrt(1.0 + xi_out**2) + p.alpha * u + np.sqrt(1.0 + rho**2)
+    else:
+        phase = np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - p.alpha * xi_out
+    out = np.zeros(num.shape)
+    np.divide(num, phase, out=out, where=num != 0.0)
+    return out
+
+
+@SUPPORT_GRIDS
+def test_weight_matches_all_blocks_formula(alpha, M):
+    # the per-block evaluation skips only exact zeros, so it is bit-identical
+    grid, params = _grid_and_params(alpha, M)
+    xo, u, rho = _gauss_and_end_points(grid)
+    for kind in SYMBOL_KINDS[1:]:
+        sym = BilinearSymbol(kind, params)
+        want = _all_blocks_weight(sym, grid, xo, u, rho)
+        assert np.any(want != 0.0), kind
+        assert np.array_equal(_symbol_weight(sym, grid, xo, u, rho), want), kind
 
 
 # ---------------------------------------------------------------------------
