@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -136,8 +137,9 @@ class SimConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
-    @property
+    @cached_property
     def grid(self) -> RadialGrid:
+        """The config's one grid, so that its cached arrays are built once per config."""
         return RadialGrid(self.R, self.M)
 
     @property

@@ -128,15 +128,33 @@ def _block_support(k: int, ka: int, lo: NDArray, hi: NDArray, rho: NDArray) -> t
 
 def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
     """(M, M) mask of the pairs (xi_m, rho_j) where the weight can be nonzero: the union
-    of the block supports, with u at every angle in [u(1), u(-1)] (see :func:`_radius`)."""
+    of the block supports, with u at every angle in [u(1), u(-1)] (see :func:`_radius`).
+
+    Each block term is tested only on a band of columns and rows its conditions leave
+    possible: the XL term on rho < 2^(k-ka+1) and |xi - rho| < 2^(k+1), the LX term on
+    2^(k-1) < rho < 2^(k+1) and |xi - rho| < 2^(k-ka+1).  The band gets one grid step of
+    margin, far above the rounding of u = |xi - rho| (about 1e-8 (xi + rho)), so the mask
+    is the one the full grid gives.
+    """
     if sym.kind == "plain":
         return np.ones((grid.M, grid.M), dtype=bool)
-    xi, rho = grid.xi[:, None], grid.xi
-    lo, hi = _radius(xi, rho, 1.0), _radius(xi, rho, -1.0)
+    xi, ka = grid.xi, sym.params.k_alpha
     keep = np.zeros((grid.M, grid.M), dtype=bool)
     for k in _xl_blocks(sym.params, grid.resolved_k):
-        xl, lx = _block_support(k, sym.params.k_alpha, lo, hi, rho)
-        keep |= xl | lx if sym.conjugates_second else xl
+        low = 2.0 ** (k - ka + 1)
+        # (first column, end column, band half-width) of the XL term, then of the LX term
+        terms = [(0, np.searchsorted(xi, low), 2.0 ** (k + 1))]
+        if sym.conjugates_second:
+            terms.append((np.searchsorted(xi, 2.0 ** (k - 1), side="right"), np.searchsorted(xi, 2.0 ** (k + 1)), low))
+        for term, (j0, j1, width) in enumerate(terms):
+            # |m - j| <= w keeps every pair with |xi - rho| < width + dxi
+            w = min(int(width / grid.dxi) + 1, grid.M)
+            j = np.arange(j0, j1)[:, None]
+            m = j + np.arange(-w, w + 1)
+            on = (m >= 0) & (m < grid.M)
+            m, j = m[on], np.broadcast_to(j, m.shape)[on]
+            x, rho = xi[m], xi[j]
+            keep[m, j] |= _block_support(k, ka, _radius(x, rho, 1.0), _radius(x, rho, -1.0), rho)[term]
     return keep
 
 

@@ -16,6 +16,18 @@ setting:
 
 There is no zero frequency in the sine basis, so multipliers like 1/|xi|
 are total on every represented mode.
+
+The DST-I has two paths, chosen by M alone.  For M <= 256 with the largest
+prime factor of M+1 above M/2 (M+1 or (M+1)/2 prime), scipy's FFT has no
+fast radix for 2(M+1) and runs a generic prime-radix pass, so the transform
+is a product with the grid's dense sine matrix instead; every other size
+calls scipy's ``dst``.  Per call at M=256 (2 shared cores), FFT -> matrix:
+real (2, M) 55-80 -> 16-26 us, complex (2, M) 100-150 -> 19-28 us, complex
+(11, M) 500-550 -> 86-115 us.  The prime-factor condition keeps 2-smooth
+sizes such as M=255 on the FFT, which is faster there; the cap M=256 is the
+largest such size a benchmark workload measures, and near M=500 the dense
+product stops winning in any case.  On both paths each row is transformed on its own, so a
+row's result does not depend on the other rows in the call.
 """
 
 from __future__ import annotations
@@ -30,16 +42,33 @@ from numpy.typing import NDArray
 from scipy.fft import dst
 
 
-def _dst1(x: NDArray) -> NDArray:
-    """Unnormalized DST-I along the last axis, safe for complex input.
+_SINE_MATRIX_MAX_M = 256  # the largest size the dense DST-I path is benchmarked at (see the module docstring)
 
-    y_m = 2 * sum_j x_j sin(pi*j*m/(N+1)); self-inverse up to 2*(N+1).
-    Complex input (C-contiguous) goes through one real transform of its
-    interleaved (..., M, 2) float view.
+
+def _largest_prime_factor(n: int) -> int:
+    p, d = 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            p, n = d, n // d
+        d += 1
+    return max(p, n)
+
+
+def _dst1(grid: RadialGrid, x: NDArray) -> NDArray:
+    """Unnormalized DST-I along the last axis of (..., M) arrays, safe for complex input.
+
+    y_m = 2 * sum_j x_j sin(pi*j*m/(M+1)); self-inverse up to 2*(M+1).
+    Complex input (C-contiguous) is transformed as its interleaved (..., M, 2)
+    float view.  Where the grid has a :attr:`RadialGrid.sine_matrix` the
+    transform is one matrix product per row, otherwise one scipy FFT call; on
+    both paths a row's result does not depend on the other rows.
     """
+    S = grid.sine_matrix
     if np.iscomplexobj(x):
-        return dst(x.view(np.float64).reshape(*x.shape, 2), type=1, axis=-2).view(np.complex128)[..., 0]
-    return dst(x, type=1)
+        v = x.view(np.float64).reshape(*x.shape, 2)
+        y = dst(v, type=1, axis=-2) if S is None else np.matmul(S, v)
+        return y.view(np.complex128)[..., 0]
+    return dst(x, type=1) if S is None else np.matmul(S, x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +110,25 @@ class RadialGrid:
     @cached_property
     def xi(self) -> NDArray[np.float64]:
         out = self.dxi * np.arange(1, self.M + 1, dtype=float)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def sine_matrix(self) -> NDArray[np.float64] | None:
+        """The (M, M) DST-I matrix 2 sin(pi*j*m/(M+1)) where :func:`_dst1` uses it, else None.
+
+        Used for M <= 256 when the largest prime factor of M+1 exceeds M/2,
+        where the FFT falls back to a slow prime-radix pass.  The entries are
+        gathered from a 2(M+1)-point table by the reduced index j*m mod 2(M+1),
+        so every sine argument lies in [0, 2*pi).
+        """
+        M = self.M
+        if M > _SINE_MATRIX_MAX_M or 2 * _largest_prime_factor(M + 1) <= M:
+            return None
+        n = 2 * (M + 1)
+        table = 2.0 * np.sin(np.pi * np.arange(n) / (M + 1))
+        m = np.arange(1, M + 1)
+        out = table[np.outer(m, m) % n]
         out.flags.writeable = False
         return out
 
@@ -196,12 +244,12 @@ def _check_same_grid(a, b) -> None:
 
 def analyze(grid: RadialGrid, values: NDArray) -> NDArray:
     """c_m = (4*pi*dr/xi_m) sum_j r_j f_j sin(r_j xi_m) along the last axis of (..., M) samples."""
-    return (2.0 * np.pi * grid.dr / grid.xi) * _dst1(grid.r * values)
+    return (2.0 * np.pi * grid.dr / grid.xi) * _dst1(grid, grid.r * values)
 
 
 def synthesize(grid: RadialGrid, coeffs: NDArray) -> NDArray:
     """Inverse of :func:`analyze` on (..., M) coefficient arrays."""
-    return (grid.dxi / (4.0 * np.pi**2 * grid.r)) * _dst1(grid.xi * coeffs)
+    return (grid.dxi / (4.0 * np.pi**2 * grid.r)) * _dst1(grid, grid.xi * coeffs)
 
 
 def to_spectral(f: PhysField) -> SpectralField:

@@ -230,6 +230,12 @@ def test_zero_horizon_single_snapshot(grid):
     assert len(traj) == 1 and traj.times[0] == 0.0
 
 
+def test_config_has_one_grid():
+    cfg = SimConfig(ALPHA, 40.0, 256, dt=1e-3, T=0.0)
+    assert cfg.grid is cfg.grid
+    assert cfg.grid.sine_matrix is cfg.grid.sine_matrix
+
+
 @pytest.fixture(scope="module")
 def moving_traj(grid):
     init = random_real_state(grid, np.random.default_rng(3), amp=0.01)

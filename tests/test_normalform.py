@@ -9,8 +9,11 @@ from kgzsim.normalform import (
     SYMBOL_KINDS,
     BilinearOperator,
     BilinearSymbol,
+    _block_support,
     _pair_support,
+    _radius,
     _symbol_weight,
+    _xl_blocks,
     annulus_guard,
     dense_bilinear_reference,
     duhamel_residual,
@@ -134,6 +137,25 @@ def test_weight_vanishes_off_pair_support(alpha, M):
             rows = _symbol_weight(sym, grid, *_quadrature_geometry(grid, c, slice(lo, lo + 16)))
             hit[lo : lo + 16] = np.any(rows != 0.0, axis=-1)
         assert np.array_equal(hit, support), kind
+
+
+def _full_grid_support(sym, grid):
+    """The pair support as one formula: every block's conditions on the full (M, M) grid."""
+    xi, rho = grid.xi[:, None], grid.xi
+    lo, hi = _radius(xi, rho, 1.0), _radius(xi, rho, -1.0)
+    keep = np.zeros((grid.M, grid.M), dtype=bool)
+    for k in _xl_blocks(sym.params, grid.resolved_k):
+        xl, lx = _block_support(k, sym.params.k_alpha, lo, hi, rho)
+        keep |= xl | lx if sym.conjugates_second else xl
+    return keep
+
+
+@SUPPORT_GRIDS
+def test_pair_support_matches_full_grid(alpha, M):
+    grid, params = _grid_and_params(alpha, M)
+    for kind in SYMBOL_KINDS[1:]:
+        sym = BilinearSymbol(kind, params)
+        assert np.array_equal(_pair_support(sym, grid), _full_grid_support(sym, grid)), kind
 
 
 def _all_blocks_weight(sym, grid, xi_out, u, rho):

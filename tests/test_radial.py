@@ -59,8 +59,33 @@ def test_zero_transforms_to_zero(grid):
     assert np.all(to_spectral(z).coeffs == 0)
 
 
-@pytest.mark.parametrize("M", [255, 256, 512])
-def test_dst1_complex_is_one_real_transform(M, monkeypatch):
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_sine_matrix_rule():
+    for M in range(4, 600):
+        grid = RadialGrid(1.0, M)
+        dense = M <= 256 and (_is_prime(M + 1) or (M % 2 == 1 and _is_prime((M + 1) // 2)))
+        assert (grid.sine_matrix is not None) == dense, M
+    S = RadialGrid(1.0, 256).sine_matrix
+    assert S.shape == (256, 256) and not S.flags.writeable
+
+
+def _dst1_reference(x):
+    """The DST-I as a long double matrix product, the sine arguments reduced exactly in integers."""
+    M = x.shape[-1]
+    m = np.arange(1, M + 1)
+    pi = 4 * np.arctan(np.longdouble(1))
+    S = 2 * np.sin(pi * (np.outer(m, m) % (2 * (M + 1))) / (M + 1))
+    if np.iscomplexobj(x):
+        return x.real.astype(np.longdouble) @ S + 1j * (x.imag.astype(np.longdouble) @ S)
+    return x.astype(np.longdouble) @ S
+
+
+@pytest.mark.parametrize("M", [64, 126, 255, 256, 257, 512])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_dst1_paths(M, complex_input, monkeypatch):
     calls = []
 
     def counted(x, **kw):
@@ -68,13 +93,18 @@ def test_dst1_complex_is_one_real_transform(M, monkeypatch):
         return dst(x, **kw)
 
     monkeypatch.setattr(radial, "dst", counted)
+    grid = RadialGrid(40.0, M)
     rng = np.random.default_rng(M)
-    stack = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
-    for x in (stack, stack[1].copy()):
-        calls.clear()
-        y = radial._dst1(x)
-        assert calls == [x.shape + (2,)]
-        assert np.array_equal(y, dst(x.real, type=1) + 1j * dst(x.imag, type=1))
+    stack = rng.standard_normal((11, M))
+    if complex_input:
+        stack = stack + 1j * rng.standard_normal((11, M))
+    y = radial._dst1(grid, stack)
+    # M+1 = 127 and 257 are prime, so 126 and 256 take the sine matrix and the rest the FFT;
+    # complex input takes one transform of its interleaved (..., M, 2) view
+    assert calls == ([] if M in (126, 256) else [stack.shape + ((2,) if complex_input else ())])
+    assert np.abs(y - _dst1_reference(stack)).max() <= 2e-15 * np.abs(y).max()
+    # a row's result does not depend on the other rows of the call
+    assert np.array_equal(np.stack([radial._dst1(grid, row.copy()) for row in stack]), y)
 
 
 def test_gaussian_against_quadrature_oracle():
