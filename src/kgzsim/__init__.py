@@ -1,28 +1,9 @@
 """Radial pseudospectral simulator and analysis toolkit for the 3D
 Klein-Gordon-Zakharov system."""
 
-from .radial import (
-    PhysField,
-    RadialGrid,
-    SpectralField,
-    apply_multiplier,
-    besov_norm,
-    kg_propagate,
-    lebesgue_norm,
-    lp_project,
-    lp_project_le,
-    pointwise_product,
-    random_band_limited,
-    sobolev_norm,
-    spectral_l2,
-    to_physical,
-    to_spectral,
-    wave_propagate,
-)
+from .radial import RadialGrid, analyze, kg_propagate, synthesize, wave_propagate
 from .kgz import (
     BlowupError,
-    ComplexState,
-    RealState,
     SimConfig,
     Trajectory,
     energy,
@@ -38,7 +19,6 @@ from .resonance import (
     ResonanceParams,
     compute_params,
     decompose_bilinear,
-    dual_point,
     in_support,
     omega,
     omega_tilde,

@@ -3,7 +3,9 @@
 This module owns the text-output format.  All numeric CSV output uses 17
 significant digits so 64-bit floats round-trip losslessly, and every text
 file is written to a temporary name and renamed into place.  Binary ``.fld``
-snapshots are written by ``radial.write_field`` directly.
+snapshots hold the physical samples of U and N, written by
+``radial.write_field``: a ``<dQBB`` header (R, M, kind 0, complex flag 1),
+then M little-endian (re, im) float64 pairs.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import time
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .kgz import Trajectory
-from .radial import Field, SpectralField, to_physical, write_field
+from .radial import RadialGrid, synthesize, write_field
 
 FLOAT_FMT = "%.17g"
 
@@ -49,12 +54,9 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def field_to_csv(path: Path | str, field: Field) -> None:
-    """CSV export (r or xi, re, im) of a physical or spectral field."""
-    spectral = isinstance(field, SpectralField)
-    axis = field.grid.xi if spectral else field.grid.r
-    data = field.coeffs if spectral else field.values
-    write_csv(path, ["xi" if spectral else "r", "re", "im"], zip(axis, data.real, data.imag))
+def field_to_csv(path: Path | str, grid: RadialGrid, values: NDArray) -> None:
+    """CSV export (r, re, im) of (M,) physical samples."""
+    write_csv(path, ["r", "re", "im"], zip(grid.r, values.real, values.imag))
 
 
 def write_manifest(path: Path | str, resolved: Mapping[str, object], timestamp: bool = True) -> None:
@@ -77,12 +79,13 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
         grid = traj.config.grid
+        # one snapshot at a time, so the physical samples never hold the whole stack
         for i, (cu, cn) in enumerate(zip(traj.cU, traj.cN)):
-            U, N = to_physical(SpectralField(grid, cu)), to_physical(SpectralField(grid, cn))
-            write_field(snapdir / f"U_{i:06d}.fld", U)
-            write_field(snapdir / f"N_{i:06d}.fld", N)
-        field_to_csv(outdir / "final_U.csv", U)
-        field_to_csv(outdir / "final_N.csv", N)
+            U, N = synthesize(grid, np.stack([cu, cn]))
+            write_field(snapdir / f"U_{i:06d}.fld", grid, U)
+            write_field(snapdir / f"N_{i:06d}.fld", grid, N)
+        field_to_csv(outdir / "final_U.csv", grid, U)
+        field_to_csv(outdir / "final_N.csv", grid, N)
     write_csv(
         outdir / "diagnostics.csv",
         ["t", "energy", "u_norm_l2", "n_norm_l2"],

@@ -25,25 +25,13 @@ the free propagators and classical RK4 acts on the twisted nonlinearity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .radial import (
-    PhysField,
-    RadialGrid,
-    SpectralField,
-    analyze,
-    dealias_mask,
-    l2_norms,
-    map_rows,
-    sobolev_norms,
-    synthesize,
-    to_physical,
-    to_spectral,
-)
+from .radial import RadialGrid, analyze, dealias_mask, l2_norms, map_rows, sobolev_norms, synthesize
 
 MODELS = ("full", "simplified", "linear")
 
@@ -62,48 +50,12 @@ class BlowupError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# states and configuration
+# configuration and trajectories
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealState:
-    """Second-order variables (u, u_t, n, n_t) at time t; values are real."""
-
-    u: PhysField
-    u_dot: PhysField
-    n: PhysField
-    n_dot: PhysField
-    t: float = 0.0
-
-    def __post_init__(self):
-        g = self.u.grid.key()
-        for f in (self.u_dot, self.n, self.n_dot):
-            if f.grid.key() != g:
-                raise ValueError("all state fields must share one grid")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.u.grid
-
-
-@dataclass(frozen=True)
-class ComplexState:
-    """First-order complex pair (U, N) at time t."""
-
-    U: PhysField
-    N: PhysField
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.U.grid.key() != self.N.grid.key():
-            raise ValueError("U and N must share one grid")
-        if not (np.all(np.isfinite(self.U.values)) and np.all(np.isfinite(self.N.values))):
-            raise ValueError("state contains non-finite values")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.U.grid
-
+#
+# A second-order state is the (4, M) complex128 array of the samples of
+# (u, u_t, n, n_t) on a grid, with zero imaginary parts; a first-order state
+# is the (2, M) array (U, N), as samples or as sine coefficients.
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -158,7 +110,7 @@ class Trajectory:
     """Time-ordered snapshots of a run plus per-snapshot diagnostics.
 
     Snapshot i is stored as the sine coefficients ``cU[i]`` and ``cN[i]`` of
-    U and N at ``times[i]``; physical fields are built only on request.
+    U and N at ``times[i]``; ``synthesize(config.grid, cU[i])`` gives its samples.
     """
 
     times: NDArray[np.float64]
@@ -180,15 +132,6 @@ class Trajectory:
             raise ValueError(f"coefficient stacks {self.cU.shape}, {self.cN.shape} do not match {shape}")
         self.cU.flags.writeable = self.cN.flags.writeable = False
 
-    @property
-    def states(self) -> tuple[ComplexState, ...]:
-        """The snapshots as physical-space states, built on each access."""
-        g = self.config.grid
-        return tuple(
-            ComplexState(to_physical(SpectralField(g, u)), to_physical(SpectralField(g, n)), t=float(t))
-            for t, u, n in zip(self.times, self.cU, self.cN)
-        )
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -202,21 +145,17 @@ def _rates(g: RadialGrid, alpha: float) -> NDArray[np.float64]:
     return np.stack([np.sqrt(1.0 + g.xi**2), alpha * g.xi])
 
 
-def to_first_order(s: RealState, alpha: float) -> ComplexState:
-    """U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha."""
-    g = s.grid
-    c = analyze(g, np.stack([f.values for f in (s.u, s.n, s.u_dot, s.n_dot)]))
-    U, N = synthesize(g, c[:2] - 1j * c[2:] / _rates(g, alpha))
-    return ComplexState(PhysField(g, U), PhysField(g, N), t=s.t)
+def to_first_order(grid: RadialGrid, s: NDArray, alpha: float) -> NDArray:
+    """(2, M) samples of U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha from (4, M) (u, u_t, n, n_t)."""
+    c = analyze(grid, s[[0, 2, 1, 3]])
+    return synthesize(grid, c[:2] - 1j * c[2:] / _rates(grid, alpha))
 
 
-def from_first_order(c: ComplexState, alpha: float) -> RealState:
+def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
     """Inverse of :func:`to_first_order`: u = Re U, u_t = -<D> Im U, etc."""
-    g = c.grid
-    im = analyze(g, np.stack([c.U.values.imag, c.N.values.imag]))
-    u_dot, n_dot = synthesize(g, -_rates(g, alpha) * im)
-    u, n = (PhysField(g, f.values.real) for f in (c.U, c.N))
-    return RealState(u, PhysField(g, u_dot), n, PhysField(g, n_dot), t=c.t)
+    im = analyze(grid, c.imag)
+    u_dot, n_dot = synthesize(grid, -_rates(grid, alpha) * im)
+    return np.array([c[0].real, u_dot, c[1].real, n_dot], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +207,15 @@ class _Stepper:
 # energy
 # ---------------------------------------------------------------------------
 
-def energy(s: RealState, alpha: float) -> float:
-    """Conserved energy of the full system.
+def energy(grid: RadialGrid, s: NDArray, alpha: float) -> float:
+    """Conserved energy of the full system in the (4, M) state (u, u_t, n, n_t).
 
     E = int |u|^2 + |grad u|^2 + |u_t|^2 + (|D^{-1} n_t|^2/alpha^2 + |n|^2)/2
         - n u^2 dx,
 
     quadratic terms computed spectrally, the cubic term by radial quadrature.
     """
-    c = analyze(s.grid, np.stack([f.values for f in (s.u, s.u_dot, s.n, s.n_dot)]))
-    return float(_energy(s.grid, alpha, *c))
+    return float(_energy(grid, alpha, *analyze(grid, s)))
 
 
 def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> NDArray:
@@ -293,24 +231,27 @@ def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray,
 # simulation driver
 # ---------------------------------------------------------------------------
 
-def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
-    """Evolve from t=0 to T, recording snapshots every ``snapshot_stride`` steps.
+def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
+    """Evolve the (4, M) state ``init`` on ``config.grid`` from t=0 to T, recording
+    snapshots every ``snapshot_stride`` steps.
 
     Deterministic: identical config and data give a bit-identical trajectory.
-    Raises :class:`BlowupError` (with the failure time) on non-finite values,
-    when ||U||_2 exceeds 1e6 times its initial value, or when ||N||_2 exceeds
-    1e6 times the larger initial norm (N may start at zero and is then driven
-    by |u|^2).
+    Raises ValueError before the first step for data of another shape or with
+    a non-finite value.  Raises :class:`BlowupError` (with the failure time) on
+    non-finite values, when ||U||_2 exceeds 1e6 times its initial value, or
+    when ||N||_2 exceeds 1e6 times the larger initial norm (N may start at zero
+    and is then driven by |u|^2).
     """
-    if init.grid.key() != config.grid.key():
-        raise ValueError("initial data grid does not match config grid")
+    if np.shape(init) != (4, config.M):
+        raise ValueError(f"initial data of shape {np.shape(init)} is not a (4, M={config.M}) state")
+    if not np.all(np.isfinite(init)):
+        raise ValueError("initial data contains non-finite values")
     g = config.grid
     recorded = config.snapshot_steps
     n_steps = recorded[-1]
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
-    c0 = to_first_order(replace(init, t=0.0), config.alpha)
-    c = analyze(g, np.stack([c0.U.values, c0.N.values]))
+    c = analyze(g, to_first_order(g, init, config.alpha))
     u_norm0, n_norm0 = l2_norms(g, c)
     u_norm0 = max(u_norm0, 1e-300)
     limit = 1e6 * np.array([u_norm0, max(n_norm0, u_norm0)])
@@ -346,24 +287,33 @@ def run_simulation(config: SimConfig, init: RealState) -> Trajectory:
 # independent finite-difference oracle
 # ---------------------------------------------------------------------------
 
+def _sine_series(grid: RadialGrid, coeffs: NDArray, r_points: NDArray) -> NDArray:
+    """The sine series of (M,) coefficients at radii r > 0 (exact at the grid points):
+    f(r) = dxi/(2*pi^2*r) * sum_m xi_m c_m sin(r*xi_m)."""
+    v = grid.xi * coeffs
+    phases = np.sin(np.outer(r_points, grid.xi))
+    return (grid.dxi / (2.0 * np.pi**2)) * (phases @ v) / r_points
+
+
 def oracle_evolve(
-    s: RealState,
+    grid: RadialGrid,
+    s: NDArray,
     alpha: float,
     T: float,
     refine: int = 4,
     dt: float | None = None,
     safety: float = 0.9,
-) -> RealState:
+) -> NDArray:
     """Second-order finite-difference / leapfrog reference solution.
 
     Works on w = r*f (so the radial Laplacian is a plain second difference
     with Dirichlet w(0) = w(R) = 0) on a grid refined by ``refine`` relative
-    to the input state, and returns the state at t + T subsampled back onto
-    the original grid.  Rejects time steps violating dt <= dr/max(1, alpha).
+    to the grid of the (4, M) state ``s``, and returns the (4, M) state a time
+    T later, subsampled back onto that grid.  Rejects time steps violating
+    dt <= dr/max(1, alpha).
     """
-    g = s.grid
-    M_fd = refine * (g.M + 1) - 1
-    dr = g.R / (M_fd + 1)
+    M_fd = refine * (grid.M + 1) - 1
+    dr = grid.R / (M_fd + 1)
     r = dr * np.arange(1, M_fd + 1)
     dt_max = dr / max(1.0, alpha)
     if dt is not None and dt > dt_max:
@@ -373,13 +323,7 @@ def oracle_evolve(
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
 
-    def sample(f: PhysField) -> NDArray:
-        return (r * to_spectral(f).evaluate_at(r)).real
-
-    wu = sample(s.u)
-    wud = sample(s.u_dot)
-    wn = sample(s.n)
-    wnd = sample(s.n_dot)
+    wu, wud, wn, wnd = ((r * _sine_series(grid, analyze(grid, f), r)).real for f in s)
 
     def lap(w: NDArray) -> NDArray:
         out = np.empty_like(w)
@@ -408,22 +352,17 @@ def oracle_evolve(
     wud = (wu - wu_prev) / dt + 0.5 * dt * a_u
     wnd = (wn - wn_prev) / dt + 0.5 * dt * a_n
 
-    idx = refine * np.arange(1, g.M + 1) - 1
-    r0 = g.r
-
-    def back(w: NDArray) -> PhysField:
-        return PhysField(g, (w[idx] / r0).astype(np.complex128))
-
-    return RealState(back(wu), back(wud), back(wn), back(wnd), t=s.t + T)
+    idx = refine * np.arange(1, grid.M + 1) - 1
+    return np.array([w[idx] / grid.r for w in (wu, wud, wn, wnd)], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
 # canonical initial data
 # ---------------------------------------------------------------------------
 
-def gaussian_data(grid: RadialGrid, eps0: float, width: float = 1.0) -> RealState:
-    """Small Gaussian bump in u and n with zero velocities."""
+def gaussian_data(grid: RadialGrid, eps0: float, width: float = 1.0) -> NDArray:
+    """(4, M) state: a small Gaussian bump in u and n with zero velocities."""
     prof = eps0 * np.exp(-((grid.r / width) ** 2))
-    zero = PhysField(grid, np.zeros(grid.M, dtype=np.complex128))
-    bump = PhysField(grid, prof.astype(np.complex128))
-    return RealState(bump, zero, bump, zero, t=0.0)
+    s = np.zeros((4, grid.M), dtype=np.complex128)
+    s[[0, 2]] = prof
+    return s

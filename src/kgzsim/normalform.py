@@ -44,11 +44,8 @@ from scipy.integrate import simpson
 from . import export
 from .radial import (
     _CHUNK,
-    PhysField,
     RadialGrid,
-    SpectralField,
     analyze,
-    as_spectral,
     besov_norms,
     chi_k,
     chi_le,
@@ -57,7 +54,6 @@ from .radial import (
     lebesgue_norms,
     sobolev_norms,
     synthesize,
-    to_physical,
 )
 from .resonance import InteractionTag, ResonanceParams, decompose_bilinear
 from .kgz import Trajectory
@@ -294,24 +290,29 @@ class BilinearOperator:
         return out
 
 
+def _interp(grid: RadialGrid, coeffs: NDArray, xi_points: NDArray) -> NDArray:
+    """Linear interpolation of (M,) coefficients in xi, zero outside the band."""
+    re = np.interp(xi_points, grid.xi, coeffs.real, left=0.0, right=0.0)
+    im = np.interp(xi_points, grid.xi, coeffs.imag, left=0.0, right=0.0)
+    return re + 1j * im
+
+
 def dense_bilinear_reference(
     sym: BilinearSymbol,
-    f,
-    g,
+    grid: RadialGrid,
+    cf: NDArray,
+    cg: NDArray,
     refine: int = 4,
     n_angular: int = 256,
     rho_max: float | None = None,
-) -> PhysField:
-    """Straightforward dense-quadrature evaluation, used as an oracle.
+) -> NDArray:
+    """Straightforward dense-quadrature evaluation of (M,) coefficients, used as an oracle.
 
     Uniform radial nodes at ``refine`` times the grid density (optionally
     truncated at ``rho_max`` when ghat is band-limited) and a ``n_angular``
     point Gauss-Legendre rule; both inputs are linearly interpolated.
     """
-    grid = f.grid
-    cf, cg = as_spectral(f), as_spectral(g)
-    g_arr = np.conj(cg.coeffs) if sym.conjugates_second else cg.coeffs
-    g_field = SpectralField(grid, g_arr)
+    g_arr = np.conj(cg) if sym.conjugates_second else cg
     top = grid.xi[-1] if rho_max is None else min(rho_max, grid.xi[-1])
     n_r = int(np.ceil(refine * top / grid.dxi))
     rho = np.linspace(0.0, top, n_r + 1)[1:]
@@ -319,15 +320,15 @@ def dense_bilinear_reference(
     trap = np.ones_like(rho)
     trap[-1] = 0.5
     nodes, weights = np.polynomial.legendre.leggauss(n_angular)
-    gv = g_field.sample_at(rho)
+    gv = _interp(grid, g_arr, rho)
     out = np.empty(grid.M, dtype=np.complex128)
     for m, xm in enumerate(grid.xi):
         u = _radius(xm, rho[:, None], nodes[None, :])
         w = _symbol_weight(sym, grid, np.array(xm)[None, None], u, rho[:, None])
-        fv = cf.sample_at(u.ravel()).reshape(u.shape)
+        fv = _interp(grid, cf, u.ravel()).reshape(u.shape)
         kern = w * fv * weights[None, :]
         out[m] = (drho / (4.0 * np.pi**2)) * np.sum(kern.sum(axis=1) * gv * rho**2 * trap)
-    return to_physical(SpectralField(grid, out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +504,8 @@ class SweepReport:
         export.write_csv(path, ["estimate", "M", "trial", "value"], rows)
 
 
-def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> SpectralField:
-    """Two-cluster trial field: mass near xi ~ 0.1 and near xi ~ 4.
+def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> NDArray:
+    """(M,) coefficients of a two-cluster trial field: mass near xi ~ 0.1 and near xi ~ 4.
 
     The clusters sit k_alpha dyadic levels apart (so the non-resonant high-low
     symbols act on real mass) while products stay inside the coarsest sweep
@@ -520,8 +521,7 @@ def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> SpectralFie
     for _ in range(3):
         c, w = rng.uniform(3.2, 4.2), rng.uniform(0.3, 0.6)
         high += (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(-(((xi - c) / w) ** 2))
-    coeffs = low * eta0(xi / 0.15) + high * eta0(xi / 2.25)
-    return SpectralField(grid, coeffs)
+    return low * eta0(xi / 0.15) + high * eta0(xi / 2.25)
 
 
 def estimate_sweep(
@@ -554,8 +554,8 @@ def estimate_sweep(
         cN, cU = np.empty((2, trials, M), dtype=np.complex128)
         for trial in range(trials):
             rng = np.random.default_rng(seed + trial)
-            cN[trial] = sweep_trial_field(grid, rng).coeffs
-            cU[trial] = sweep_trial_field(grid, rng).coeffs
+            cN[trial] = sweep_trial_field(grid, rng)
+            cU[trial] = sweep_trial_field(grid, rng)
         nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3"), n_angular)
         c2 = nf["cubic_2"] / lxi
 
@@ -573,13 +573,13 @@ def estimate_sweep(
         )
 
         # the tagged products are the only work done one trial at a time
+        vN, vU, vUbar = synthesize(grid, np.stack([cN, cU, np.conj(cU)]))
         lh, hh, uhh = np.empty((3, trials, M), dtype=np.complex128)
         for trial in range(trials):
-            N, U = SpectralField(grid, cN[trial]), SpectralField(grid, cU[trial])
-            Ubar = SpectralField(grid, np.conj(cU[trial]))
-            lh[trial] = decompose_bilinear(N, U, InteractionTag.LH, params, dealiased=False).values
-            hh[trial] = decompose_bilinear(N, U, InteractionTag.HH, params, dealiased=False).values
-            uhh[trial] = decompose_bilinear(U, Ubar, InteractionTag.HH, params, dealiased=False).values
+            N, U, Ubar = vN[trial], vU[trial], vUbar[trial]
+            lh[trial] = decompose_bilinear(grid, N, U, InteractionTag.LH, params, dealiased=False)
+            hh[trial] = decompose_bilinear(grid, N, U, InteractionTag.HH, params, dealiased=False)
+            uhh[trial] = decompose_bilinear(grid, U, Ubar, InteractionTag.HH, params, dealiased=False)
 
         values = {
             "bd_U": sobolev_norms(grid, nf["bd_U"] / lxi, 1.0) / (n_l2 * u_h1),

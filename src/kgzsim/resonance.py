@@ -31,17 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import export
-from .radial import (
-    PhysField,
-    RadialGrid,
-    SpectralField,
-    as_physical,
-    chi_k,
-    chi_le,
-    dealias,
-    to_physical,
-    to_spectral,
-)
+from .radial import RadialGrid, analyze, chi_k, chi_le, dealias_mask, synthesize
 
 
 def _bracket(x):
@@ -80,19 +70,6 @@ def omega_tilde(j: int, xi, eta, cos_theta, alpha: float):
 
 #: sign s_j in the duality  w_j(xi -> eta - xi) = s_j * wt_j
 DUALITY_SIGNS = {1: -1.0, 2: 1.0, 3: -1.0, 4: 1.0}
-
-
-def dual_point(xi, eta, cos_theta):
-    """Image of (|xi|, |eta|, cos) under the substitution xi -> eta - xi.
-
-    Returns (|eta - xi|, |eta|, cos') where cos' is the cosine of the angle
-    between eta - xi and eta.  Requires |eta - xi| > 0.
-    """
-    d = interaction_distance(xi, eta, cos_theta)
-    if np.any(d == 0.0):
-        raise ValueError("dual point undefined at xi = eta")
-    cos_new = (np.asarray(eta, dtype=float) - np.asarray(xi) * np.asarray(cos_theta)) / d
-    return d, np.asarray(eta, dtype=float), np.clip(cos_new, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +284,31 @@ def in_support(tag: InteractionTag, k1: int, k2: int, params: ResonanceParams) -
 
 
 def decompose_bilinear(
-    f: PhysField,
-    g: PhysField,
+    grid: RadialGrid,
+    f: NDArray,
+    g: NDArray,
     tag: InteractionTag,
     params: ResonanceParams,
     dealiased: bool = True,
-) -> PhysField:
-    """Tagged part of the product f*g.
+) -> NDArray:
+    """Tagged part of the product f*g of (M,) physical samples, as (M,) samples.
 
     High-low tags sum P_k f * P_{<= k - k_alpha} g over resolved high blocks k
     (low-high mirrored); HH sums the nearly-diagonal block pairs.  Products
     are formed in physical space; with ``dealiased`` the inputs and the result
     are truncated by the 2/3 rule.
     """
-    fp, gp = as_physical(f), as_physical(g)
-    grid = fp.grid
-    if grid.key() != gp.grid.key():
-        raise ValueError("fields live on different grids")
-    cf = to_spectral(fp)
-    cg = to_spectral(gp)
+    cf, cg = analyze(grid, f), analyze(grid, g)
     if dealiased:
-        cf, cg = dealias(cf), dealias(cg)
+        cf, cg = cf * dealias_mask(grid), cg * dealias_mask(grid)
     ks = list(grid.resolved_k)
     ka = params.k_alpha
 
-    def block(c: SpectralField, k: int) -> NDArray:
-        return to_physical(SpectralField(grid, c.coeffs * chi_k(grid.xi, k))).values
+    def block(c: NDArray, k: int) -> NDArray:
+        return synthesize(grid, c * chi_k(grid.xi, k))
 
-    def low(c: SpectralField, k: int) -> NDArray:
-        return to_physical(SpectralField(grid, c.coeffs * chi_le(grid.xi, k))).values
+    def low(c: NDArray, k: int) -> NDArray:
+        return synthesize(grid, c * chi_le(grid.xi, k))
 
     acc = np.zeros(grid.M, dtype=np.complex128)
     if tag in (InteractionTag.HL, InteractionTag.AL, InteractionTag.XL):
@@ -362,10 +335,10 @@ def decompose_bilinear(
     else:
         raise ValueError(f"unknown tag {tag}")
 
-    out = SpectralField(grid, to_spectral(PhysField(grid, acc)).coeffs)
+    out = analyze(grid, acc)
     if dealiased:
-        out = dealias(out)
-    return to_physical(out)
+        out = out * dealias_mask(grid)
+    return synthesize(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,18 +24,15 @@ from . import export
 from .kgz import Trajectory
 from .radial import (
     RadialGrid,
-    SpectralField,
     besov_norms,
+    chi_k,
     chi_le,
     kg_propagate,
     l2_norms,
     lebesgue_norms,
-    lp_project,
     map_rows,
     random_band_limited,
-    sobolev_norm,
     sobolev_norms,
-    spectral_l2,
     synthesize,
     wave_propagate,
 )
@@ -97,25 +93,6 @@ def beta_exponent(q: float, r: float, flavor: str) -> BetaValue:
     return BetaValue(0.5 - ir, True)
 
 
-def beta_cases_agree_on_borderline(samples: Sequence[tuple[Fraction, Fraction]] | None = None) -> bool:
-    """Exact rational check that both case formulas coincide when 1/q + 2/r = 1."""
-    if samples is None:
-        samples = []
-        for denom in (3, 4, 5, 7, 9, 16):
-            ir = Fraction(1, denom)
-            iq = 1 - 2 * ir
-            if 0 <= iq <= Fraction(1, 2):
-                samples.append((iq, ir))
-    for iq, ir in samples:
-        if iq + 2 * ir != 1:
-            raise ValueError("sample not on the borderline")
-        low = Fraction(3, 2) - 3 * ir - iq
-        high = ir + iq - Fraction(1, 2)
-        if low != high:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class AdmissiblePair:
     """An admissible space-time exponent pair with its derived regularity."""
@@ -142,9 +119,10 @@ class AdmissiblePair:
 
 @dataclass(frozen=True)
 class FreeEvolution:
-    """Free flow of a fixed spectral profile under the chosen propagator."""
+    """Free flow of fixed (M,) profile coefficients on a grid under the chosen propagator."""
 
-    phi: SpectralField
+    grid: RadialGrid
+    coeffs: NDArray
     flavor: str  # "kg" or "wave"
     alpha: float = 1.0
 
@@ -167,13 +145,13 @@ def _series(source, window, component: str, times, min_samples: int):
         return ts[lo:hi], source.config.grid, getattr(source, "c" + component)[lo:hi]
     if isinstance(source, FreeEvolution):
         times = np.linspace(t0, t1, max(min_samples, 64)) if times is None else np.asarray(times, dtype=float)
-        grid = source.phi.grid
+        grid = source.grid
         # the phases of kg_propagate and wave_propagate at every sample time at once
         if source.flavor == "kg":
             phase = np.outer(times, np.sqrt(1.0 + grid.xi**2))
         else:
             phase = np.outer(source.alpha * times, grid.xi)
-        return times, grid, source.phi.coeffs * np.exp(1j * phase)
+        return times, grid, source.coeffs * np.exp(1j * phase)
     raise TypeError(f"unsupported source {type(source)!r}")
 
 
@@ -245,14 +223,14 @@ def strichartz_scan(
     alpha: float = 1.0,
     n_samples: int = 128,
     seed: int = 7,
-    profile: SpectralField | None = None,
+    profile: NDArray | None = None,
 ) -> ScanTable:
     """Fit log2 ||free flow of P_k phi||_{L^q_t L^r_x} against k.
 
     phi is a fixed random radial L^2 profile (white coefficients, fixed seed)
-    unless given; each block P_k phi is normalized to unit L^2 before
-    evolving.  A finite-domain reflection guard attaches a warning when
-    T * speed > R/2.
+    unless its (M,) coefficients are given; each block P_k phi is normalized
+    to unit L^2 before evolving.  A finite-domain reflection guard attaches a
+    warning when T * speed > R/2.
     """
     evol_flavor = "kg" if flavor == "schrodinger" else "wave"
     beta = beta_exponent(q, r, flavor).value
@@ -271,12 +249,11 @@ def strichartz_scan(
         profile = random_band_limited(grid, np.random.default_rng(seed))
     norms = []
     for k in ks:
-        block = lp_project(profile, k)
-        nb = spectral_l2(block)
+        block = profile * chi_k(grid.xi, k)
+        nb = l2_norms(grid, block)
         if nb == 0.0:
             raise ValueError(f"profile has no content in dyadic block {k}")
-        block = SpectralField(grid, block.coeffs / nb)
-        evol = FreeEvolution(block, evol_flavor, alpha)
+        evol = FreeEvolution(grid, block / nb, evol_flavor, alpha)
         norms.append(
             measure_spacetime_norm(evol, q, r, window, s=None, times=np.linspace(*window, n_samples))
         )
@@ -362,13 +339,11 @@ def sharpness_witness(
     xi_top = envelope_top * 2.0**k
     M = int(np.ceil(1.05 * xi_top * R / np.pi))
     grid = RadialGrid(R, M)
-    coeffs = (grid.xi <= xi_top).astype(np.complex128)
-    phi = SpectralField(grid, coeffs)
-    phi_norm = spectral_l2(phi)
+    phi = (grid.xi <= xi_top).astype(np.complex128)
+    phi_norm = float(l2_norms(grid, phi))
     if phi_norm == 0.0:
         raise ValueError("witness profile is empty")
-    block = lp_project(phi, k)
-    evol = FreeEvolution(block, "kg")
+    evol = FreeEvolution(grid, phi * chi_k(grid.xi, k), "kg")
     times = np.geomspace(t_lo, t_hi, n_samples)
     measured = measure_spacetime_norm(evol, q, r, (t_lo, t_hi), s=None, times=times)
     iq = 0.0 if np.isinf(q) else 1.0 / q
@@ -396,8 +371,8 @@ class CauchyRow:
 class ScatteringReport:
     checkpoints: tuple[float, ...]
     rows: tuple[CauchyRow, ...]
-    profiles_U: tuple[SpectralField, ...]
-    profiles_N: tuple[SpectralField, ...]
+    profiles_U: NDArray  # (C, M) coefficients, one row per checkpoint
+    profiles_N: NDArray
 
     def write_csv(self, path) -> None:
         export.write_csv(path, ["t1", "t2", "d_U_H1", "d_N_L2"], [(r.t1, r.t2, r.d_U, r.d_N) for r in self.rows])
@@ -435,8 +410,8 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
     check_horizon(cps, alpha, grid.R)
     profs_U, profs_N = [], []
     for i in checkpoint_indices(ts, cps, traj.config.dt):
-        profs_U.append(kg_propagate(SpectralField(grid, traj.cU[i]), -ts[i]))
-        profs_N.append(wave_propagate(SpectralField(grid, traj.cN[i]), -ts[i], alpha))
+        profs_U.append(kg_propagate(grid, traj.cU[i], -ts[i]))
+        profs_N.append(wave_propagate(grid, traj.cN[i], -ts[i], alpha))
     rows = []
     for (t1, v1, w1), (t2, v2, w2) in zip(
         zip(cps, profs_U, profs_N), zip(cps[1:], profs_U[1:], profs_N[1:])
@@ -445,11 +420,11 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
             CauchyRow(
                 t1,
                 t2,
-                sobolev_norm(v2 - v1, 1.0),
-                spectral_l2(w2 - w1),
+                float(sobolev_norms(grid, v2 - v1, 1.0)),
+                float(l2_norms(grid, w2 - w1)),
             )
         )
-    return ScatteringReport(cps, tuple(rows), tuple(profs_U), tuple(profs_N))
+    return ScatteringReport(cps, tuple(rows), np.array(profs_U), np.array(profs_N))
 
 
 # ---------------------------------------------------------------------------

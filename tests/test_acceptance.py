@@ -8,18 +8,15 @@ equation residuals (criterion 8) dominate.
 import numpy as np
 import pytest
 
-import kgzsim as kz
 from kgzsim.kgz import SimConfig, from_first_order, gaussian_data, oracle_evolve, run_simulation
 from kgzsim.normalform import duhamel_residual, estimate_sweep
 from kgzsim.radial import (
-    PhysField,
     RadialGrid,
-    SpectralField,
-    lebesgue_norm,
+    analyze,
+    l2_norms,
+    lebesgue_norms,
     random_band_limited,
-    spectral_l2,
-    to_physical,
-    to_spectral,
+    synthesize,
     wave_propagate,
 )
 from kgzsim.resonance import (
@@ -30,6 +27,7 @@ from kgzsim.resonance import (
     verify_profile_bound,
 )
 from kgzsim.strichartz import resolution_norm, scattering_profile, sharpness_witness, strichartz_scan
+from references import pointwise_product
 
 ALPHA = 0.5
 
@@ -48,11 +46,11 @@ def test_c01_transform_fidelity():
     worst_rt, worst_pv = 0.0, 0.0
     for _ in range(100):
         c = random_band_limited(grid, rng)
-        f = to_physical(c)
-        back = to_physical(to_spectral(f))
-        worst_rt = max(worst_rt, np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values)))
-        phys = lebesgue_norm(f, 2.0)
-        spec = spectral_l2(to_spectral(f))
+        f = synthesize(grid, c)
+        back = synthesize(grid, analyze(grid, f))
+        worst_rt = max(worst_rt, np.max(np.abs(back - f)) / np.max(np.abs(f)))
+        phys = lebesgue_norms(grid, f, 2.0)
+        spec = l2_norms(grid, analyze(grid, f))
         worst_pv = max(worst_pv, abs(phys**2 - spec**2) / phys**2)
     assert worst_rt < 1e-12
     assert worst_pv < 1e-10
@@ -66,19 +64,18 @@ def test_c01_transform_fidelity():
 def test_c02_exact_linear_dynamics():
     grid = RadialGrid(40.0, 256)
     m = 3
-    mode = PhysField(grid, np.sin(grid.xi[m - 1] * grid.r) / grid.r)
-    zero = PhysField(grid, np.zeros(grid.M))
+    init = np.zeros((4, grid.M), dtype=np.complex128)
+    init[[0, 2]] = np.sin(grid.xi[m - 1] * grid.r) / grid.r  # u = n = mode, zero velocities
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=10.0, model="linear", snapshot_stride=10**9)
-    traj = run_simulation(cfg, kz.RealState(mode, zero, mode, zero))
-    cU0 = to_spectral(traj.states[0].U).coeffs
-    cU = to_spectral(traj.states[-1].U).coeffs
+    traj = run_simulation(cfg, init)
+    # the coefficients of the first and last snapshots' samples
+    cU0, cU = (analyze(grid, synthesize(grid, c)) for c in traj.cU[[0, -1]])
     phase_kg = np.exp(1j * 10.0 * np.sqrt(1.0 + grid.xi[m - 1] ** 2))
     err_kg = abs(cU[m - 1] - phase_kg * cU0[m - 1]) / abs(cU0[m - 1])
-    cN0 = to_spectral(traj.states[0].N).coeffs
-    cN = to_spectral(traj.states[-1].N).coeffs
+    cN0, cN = (analyze(grid, synthesize(grid, c)) for c in traj.cN[[0, -1]])
     phase_w = np.exp(1j * ALPHA * 10.0 * grid.xi[m - 1])
     err_w = abs(cN[m - 1] - phase_w * cN0[m - 1]) / abs(cN0[m - 1])
-    direct = wave_propagate(SpectralField(grid, cN0), 10.0, ALPHA).coeffs
+    direct = wave_propagate(grid, cN0, 10.0, ALPHA)
     err_direct = abs(direct[m - 1] - phase_w * cN0[m - 1]) / abs(cN0[m - 1])
     assert err_kg < 1e-10 and err_w < 1e-10 and err_direct < 1e-13
     report("criterion 2", f"single-mode phase errors: KG {err_kg:.2e}, wave {err_w:.2e} (tol 1e-10)")
@@ -104,12 +101,13 @@ def test_c04_oracle_equivalence():
     grid = RadialGrid(40.0, 512)
     init = gaussian_data(grid, 0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=2e-3, T=1.0, model="full", snapshot_stride=10**9)
-    spec = from_first_order(run_simulation(cfg, init).states[-1], ALPHA)
-    fd = oracle_evolve(init, ALPHA, 1.0, refine=4)
+    traj = run_simulation(cfg, init)
+    spec = from_first_order(grid, synthesize(grid, np.stack([traj.cU[-1], traj.cN[-1]])), ALPHA)
+    fd = oracle_evolve(grid, init, ALPHA, 1.0, refine=4)
     num = den = 0.0
-    for name in ("u", "n"):
-        num += float(np.sum(np.abs(getattr(spec, name).values - getattr(fd, name).values) ** 2))
-        den += float(np.sum(np.abs(getattr(spec, name).values) ** 2))
+    for i in (0, 2):  # u and n
+        num += float(np.sum(np.abs(spec[i] - fd[i]) ** 2))
+        den += float(np.sum(np.abs(spec[i]) ** 2))
     rel = np.sqrt(num / den)
     assert rel < 1e-2
     report("criterion 4", f"spectral vs 4x finite-difference at T=1: {rel:.2e} (tol 1e-2)")
@@ -126,10 +124,10 @@ def test_c05_decomposition_algebra():
     rng = np.random.default_rng(2)
     worst_complete, worst_split = 0.0, 0.0
     for _ in range(50):
-        f = to_physical(random_band_limited(grid, rng, (1, 150)))
-        g = to_physical(random_band_limited(grid, rng, (1, 150)))
+        f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+        g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
         parts = {
-            tag: decompose_bilinear(f, g, tag, params)
+            tag: decompose_bilinear(grid, f, g, tag, params)
             for tag in (
                 InteractionTag.LH,
                 InteractionTag.HL,
@@ -138,14 +136,12 @@ def test_c05_decomposition_algebra():
                 InteractionTag.XL,
             )
         }
-        prod = kz.pointwise_product(f, g, dealiased=True)
-        den = spectral_l2(to_spectral(prod))
-        total = parts[InteractionTag.LH].values + parts[InteractionTag.HL].values + parts[InteractionTag.HH].values
-        worst_complete = max(
-            worst_complete, spectral_l2(to_spectral(PhysField(grid, total - prod.values))) / den
-        )
-        split = parts[InteractionTag.AL].values + parts[InteractionTag.XL].values - parts[InteractionTag.HL].values
-        worst_split = max(worst_split, spectral_l2(to_spectral(PhysField(grid, split))) / den)
+        prod = pointwise_product(grid, f, g, dealiased=True)
+        den = l2_norms(grid, analyze(grid, prod))
+        total = parts[InteractionTag.LH] + parts[InteractionTag.HL] + parts[InteractionTag.HH]
+        worst_complete = max(worst_complete, l2_norms(grid, analyze(grid, total - prod)) / den)
+        split = parts[InteractionTag.AL] + parts[InteractionTag.XL] - parts[InteractionTag.HL]
+        worst_split = max(worst_split, l2_norms(grid, analyze(grid, split)) / den)
     assert worst_complete < 1e-8
     assert worst_split < 1e-10
     report(

@@ -6,7 +6,6 @@ import pytest
 from kgzsim.export import export_trajectory
 from kgzsim.kgz import (
     BlowupError,
-    RealState,
     SimConfig,
     Trajectory,
     energy,
@@ -17,35 +16,27 @@ from kgzsim.kgz import (
     run_simulation,
     to_first_order,
 )
-from kgzsim.radial import (
-    PhysField,
-    RadialGrid,
-    SpectralField,
-    kg_propagate,
-    random_band_limited,
-    spectral_l2,
-    synthesize,
-    to_physical,
-    to_spectral,
-)
+from kgzsim.radial import RadialGrid, analyze, kg_propagate, l2_norms, random_band_limited, synthesize
+from references import read_field
 
 ALPHA = 0.5
 
 
 def eigenmode(grid, m, amp=1.0):
-    return PhysField(grid, amp * np.sin(grid.xi[m - 1] * grid.r) / grid.r)
+    return (amp * np.sin(grid.xi[m - 1] * grid.r) / grid.r).astype(np.complex128)
 
 
-def zero(grid):
-    return PhysField(grid, np.zeros(grid.M))
+def state(grid, u=0.0, u_dot=0.0, n=0.0, n_dot=0.0):
+    """The (4, M) complex state (u, u_t, n, n_t); a zero field may be given as 0.0."""
+    s = np.zeros((4, grid.M), dtype=np.complex128)
+    for i, f in enumerate((u, u_dot, n, n_dot)):
+        s[i] = f
+    return s
 
 
 def random_real_state(grid, rng, amp=0.1):
-    def rf(lo, hi):
-        f = to_physical(random_band_limited(grid, rng, (lo, hi)))
-        return PhysField(grid, amp * f.values.real.astype(complex))
-
-    return RealState(rf(1, 60), rf(1, 60), rf(1, 60), rf(1, 60))
+    rows = [amp * synthesize(grid, random_band_limited(grid, rng, (1, 60))).real for _ in range(4)]
+    return np.array(rows, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -53,29 +44,28 @@ def random_real_state(grid, rng, amp=0.1):
 # ---------------------------------------------------------------------------
 
 def test_zero_velocity_gives_real_pair(grid):
-    s = RealState(eigenmode(grid, 2), zero(grid), eigenmode(grid, 3), zero(grid))
-    c = to_first_order(s, ALPHA)
-    assert np.max(np.abs(c.U.values.imag)) < 1e-14
-    assert np.max(np.abs(c.N.values.imag)) < 1e-14
-    assert np.max(np.abs(c.U.values - s.u.values)) < 1e-13
+    s = state(grid, u=eigenmode(grid, 2), n=eigenmode(grid, 3))
+    U, N = to_first_order(grid, s, ALPHA)
+    assert np.max(np.abs(U.imag)) < 1e-14
+    assert np.max(np.abs(N.imag)) < 1e-14
+    assert np.max(np.abs(U - s[0])) < 1e-13
 
 
 def test_first_order_roundtrip(grid, rng):
     s = random_real_state(grid, rng)
-    back = from_first_order(to_first_order(s, ALPHA), ALPHA)
-    for name in ("u", "u_dot", "n", "n_dot"):
-        a = getattr(s, name).values
-        b = getattr(back, name).values
+    back = from_first_order(grid, to_first_order(grid, s, ALPHA), ALPHA)
+    assert back.shape == (4, grid.M) and back.dtype == np.complex128
+    for a, b in zip(s, back):  # u, u_t, n, n_t
         assert np.max(np.abs(a - b)) < 1e-12 * max(np.max(np.abs(a)), 1e-30)
 
 
 def test_velocity_only_mode(grid):
     a = 0.31
-    s = RealState(zero(grid), eigenmode(grid, 1, a), zero(grid), zero(grid))
-    c = to_first_order(s, ALPHA)
+    s = state(grid, u_dot=eigenmode(grid, 1, a))
+    U, _ = to_first_order(grid, s, ALPHA)
     expected = -1j * a / np.sqrt(1.0 + grid.xi[0] ** 2)
-    coeffs = to_spectral(c.U).coeffs
-    mode = to_spectral(eigenmode(grid, 1)).coeffs[0]
+    coeffs = analyze(grid, U)
+    mode = analyze(grid, eigenmode(grid, 1))[0]
     assert abs(coeffs[0] / mode - expected) < 1e-12
 
 
@@ -93,7 +83,7 @@ def test_rhs_zero_state(grid):
 def test_rhs_linear_single_mode(grid):
     # the linear generator i<xi>: one step of the linear model multiplies mode 4 by exp(i dt <xi_4>)
     dt = 0.1
-    cU = to_spectral(eigenmode(grid, 4)).coeffs
+    cU = analyze(grid, eigenmode(grid, 4))
     new_u = _Stepper(grid, dt, ALPHA, "linear", False).step(np.stack([cU, np.zeros(grid.M, dtype=complex)]))[0]
     expected = np.exp(1j * dt * np.sqrt(1.0 + grid.xi[3] ** 2))
     assert abs(new_u[3] / cU[3] - expected) < 1e-12
@@ -101,7 +91,7 @@ def test_rhs_linear_single_mode(grid):
 
 def test_full_equals_simplified_on_real_states(grid, rng):
     s = random_real_state(grid, rng)
-    c = np.stack([to_spectral(s.u).coeffs, to_spectral(s.n).coeffs])
+    c = analyze(grid, s[[0, 2]])
     dU_f, dN_f = _Stepper(grid, 1.0, ALPHA, "full", False).nonlinear(c)
     dU_s, dN_s = _Stepper(grid, 1.0, ALPHA, "simplified", False).nonlinear(c)
     assert np.max(np.abs(synthesize(grid, dU_f) - synthesize(grid, dU_s))) < 1e-12
@@ -115,9 +105,9 @@ def test_full_equals_simplified_on_real_states(grid, rng):
 def test_step_exact_on_linear_flow(grid, rng):
     U = random_band_limited(grid, rng, (1, 100))
     N = random_band_limited(grid, rng, (1, 100))
-    new_u = _Stepper(grid, 0.25, ALPHA, "linear", False).step(np.stack([U.coeffs, N.coeffs]))[0]
-    exact = kg_propagate(U, 0.25)
-    assert spectral_l2(SpectralField(grid, new_u) - exact) < 1e-13 * spectral_l2(exact)
+    new_u = _Stepper(grid, 0.25, ALPHA, "linear", False).step(np.stack([U, N]))[0]
+    exact = kg_propagate(grid, U, 0.25)
+    assert l2_norms(grid, new_u - exact) < 1e-13 * l2_norms(grid, exact)
 
 
 def test_integrator_fourth_order(grid):
@@ -125,10 +115,10 @@ def test_integrator_fourth_order(grid):
 
     def final(dt):
         cfg = SimConfig(ALPHA, grid.R, grid.M, dt=dt, T=1.0, model="full", snapshot_stride=10**9)
-        return to_spectral(run_simulation(cfg, init).states[-1].U)
+        return run_simulation(cfg, init).cU[-1]
 
     ref = final(1.0 / 1024)
-    errs = [spectral_l2(final(dt) - ref) for dt in (1.0 / 16, 1.0 / 32, 1.0 / 64)]
+    errs = [l2_norms(grid, final(dt) - ref) for dt in (1.0 / 16, 1.0 / 32, 1.0 / 64)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     assert all(12.0 <= r <= 20.0 for r in ratios), ratios
     orders = [np.log2(r) for r in ratios]
@@ -140,17 +130,16 @@ def test_integrator_fourth_order(grid):
 # ---------------------------------------------------------------------------
 
 def test_energy_zero_state(grid):
-    s = RealState(zero(grid), zero(grid), zero(grid), zero(grid))
-    assert energy(s, ALPHA) == 0.0
+    assert energy(grid, state(grid), ALPHA) == 0.0
 
 
 def test_energy_single_mode_closed_form(grid):
     # u = a sin(xi_1 r)/r alone: E = (1 + xi_1^2) a^2 ||mode||^2, and the grid
     # sum gives ||mode||^2 = 4 pi dr sum sin^2 = 2 pi R exactly
     a = 0.3
-    s = RealState(eigenmode(grid, 1, a), zero(grid), zero(grid), zero(grid))
+    s = state(grid, u=eigenmode(grid, 1, a))
     expected = (1.0 + grid.xi[0] ** 2) * a**2 * 2.0 * np.pi * grid.R
-    assert abs(energy(s, ALPHA) - expected) < 1e-10 * expected
+    assert abs(energy(grid, s, ALPHA) - expected) < 1e-10 * expected
 
 
 def test_energy_conserved_along_flow(grid):
@@ -184,39 +173,39 @@ def test_realness_preserved(grid):
 # ---------------------------------------------------------------------------
 
 def test_oracle_zero_data(grid):
-    s = RealState(zero(grid), zero(grid), zero(grid), zero(grid))
-    out = oracle_evolve(s, ALPHA, 0.5)
-    assert np.max(np.abs(out.u.values)) == 0.0
+    out = oracle_evolve(grid, state(grid), ALPHA, 0.5)
+    assert np.max(np.abs(out[0])) == 0.0
 
 
 def test_oracle_linear_mode_phase():
     # n = 0 keeps the u-equation linear Klein-Gordon; a single sine mode
     # oscillates with frequency sqrt(1 + xi^2) up to O(dr^2, dt^2)
     grid = RadialGrid(20.0, 128)
-    s = RealState(eigenmode(grid, 2, 1e-8), zero(grid), zero(grid), zero(grid))
+    s = state(grid, u=eigenmode(grid, 2, 1e-8))
     T = 1.0
-    out = oracle_evolve(s, ALPHA, T, refine=8)
+    out = oracle_evolve(grid, s, ALPHA, T, refine=8)
     freq = np.sqrt(1.0 + grid.xi[1] ** 2)
-    expected = np.cos(freq * T) * s.u.values
-    err = np.max(np.abs(out.u.values - expected)) / np.max(np.abs(s.u.values))
+    expected = np.cos(freq * T) * s[0]
+    err = np.max(np.abs(out[0] - expected)) / np.max(np.abs(s[0]))
     assert err < 5e-3
 
 
 def test_oracle_cfl_guard(grid):
     s = gaussian_data(grid, 0.01)
     with pytest.raises(ValueError, match="CFL"):
-        oracle_evolve(s, ALPHA, 0.5, refine=4, dt=1.0)
+        oracle_evolve(grid, s, ALPHA, 0.5, refine=4, dt=1.0)
 
 
 def test_oracle_matches_spectral(grid):
     init = gaussian_data(grid, 0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=2e-3, T=1.0, model="full", snapshot_stride=10**9)
-    spec = from_first_order(run_simulation(cfg, init).states[-1], ALPHA)
-    fd = oracle_evolve(init, ALPHA, 1.0, refine=4)
+    traj = run_simulation(cfg, init)
+    spec = from_first_order(grid, synthesize(grid, np.stack([traj.cU[-1], traj.cN[-1]])), ALPHA)
+    fd = oracle_evolve(grid, init, ALPHA, 1.0, refine=4)
     num = den = 0.0
-    for name in ("u", "n"):
-        num += np.sum(np.abs(getattr(spec, name).values - getattr(fd, name).values) ** 2)
-        den += np.sum(np.abs(getattr(spec, name).values) ** 2)
+    for i in (0, 2):  # u and n
+        num += np.sum(np.abs(spec[i] - fd[i]) ** 2)
+        den += np.sum(np.abs(spec[i]) ** 2)
     assert np.sqrt(num / den) < 1e-2
 
 
@@ -244,22 +233,13 @@ def moving_traj(grid):
 
 
 def test_trajectory_energies_match_states(moving_traj):
-    states = moving_traj.states
-    assert len(states) == len(moving_traj) == 5
-    for e, state in zip(moving_traj.energies, states):
-        ref = energy(from_first_order(state, ALPHA), ALPHA)
+    grid = moving_traj.config.grid
+    assert len(moving_traj) == 5
+    for e, cu, cn in zip(moving_traj.energies, moving_traj.cU, moving_traj.cN):
+        ref = energy(grid, from_first_order(grid, synthesize(grid, np.stack([cu, cn])), ALPHA), ALPHA)
         assert abs(e - ref) <= 1e-13 * abs(ref)
-    grid = moving_traj.config.grid
     for norms, stack in ((moving_traj.u_norms, moving_traj.cU), (moving_traj.n_norms, moving_traj.cN)):
-        assert np.array_equal(norms, [spectral_l2(SpectralField(grid, c)) for c in stack])
-
-
-def test_trajectory_states_are_views_of_coefficients(moving_traj):
-    grid = moving_traj.config.grid
-    for i, state in enumerate(moving_traj.states):
-        assert state.t == moving_traj.times[i]
-        assert np.array_equal(state.U.values, to_physical(SpectralField(grid, moving_traj.cU[i])).values)
-        assert np.array_equal(state.N.values, to_physical(SpectralField(grid, moving_traj.cN[i])).values)
+        assert np.array_equal(norms, [l2_norms(grid, c) for c in stack])
 
 
 def test_trajectory_rejects_misshapen_stacks(moving_traj):
@@ -276,9 +256,9 @@ def test_deterministic_repeat(grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-3, T=0.05, snapshot_stride=10)
     a = run_simulation(cfg, gaussian_data(grid, 0.01))
     b = run_simulation(cfg, gaussian_data(grid, 0.01))
-    for sa, sb in zip(a.states, b.states):
-        assert np.array_equal(sa.U.values, sb.U.values)
-        assert np.array_equal(sa.N.values, sb.N.values)
+    assert len(a) == len(b) == 6
+    assert np.array_equal(a.cU, b.cU)
+    assert np.array_equal(a.cN, b.cN)
     assert np.array_equal(a.energies, b.energies)
 
 
@@ -305,10 +285,33 @@ def test_blowup_guard_watches_each_norm(monkeypatch, which, growth):
     grid = RadialGrid(10.0, 64)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.01, T=1.0, snapshot_stride=10)
     init = gaussian_data(grid, 0.01)
+    init[2] *= 100.0
     with pytest.raises(BlowupError) as err:
-        run_simulation(cfg, replace(init, n=100.0 * init.n))
+        run_simulation(cfg, init)
     assert err.value.reason.startswith(f"||{which}||_2 exceeded")
     assert round(err.value.t / cfg.dt) in (6, 7)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda g: gaussian_data(RadialGrid(g.R, g.M + 1), 0.01), lambda g: gaussian_data(g, 0.01)[:2]],
+    ids=["other-M", "pair"],
+)
+def test_run_rejects_misshapen_data(bad, monkeypatch):
+    monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, c: pytest.fail("stepped"))
+    cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=0.1)
+    with pytest.raises(ValueError, match="not a \\(4, M=64\\) state"):
+        run_simulation(cfg, bad(cfg.grid))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "inf-imag"])
+def test_run_rejects_non_finite_data(value, monkeypatch):
+    monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, c: pytest.fail("stepped"))
+    cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=0.1)
+    init = gaussian_data(cfg.grid, 0.01)
+    init[3, 17] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        run_simulation(cfg, init)
 
 
 def test_snapshot_schedule():
@@ -342,3 +345,20 @@ def test_trajectory_export(tmp_path, grid):
     assert len(snaps) == len(traj)
     header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,energy,u_norm_l2,n_norm_l2"
+
+
+@pytest.mark.parametrize("M", [128, 256], ids=["fft", "sine-matrix"])
+def test_exported_files_hold_the_synthesized_snapshots(tmp_path, M):
+    cfg = SimConfig(ALPHA, 40.0, M, dt=1e-2, T=0.1, model="simplified", snapshot_stride=3)
+    traj = run_simulation(cfg, gaussian_data(cfg.grid, 0.01))
+    export_trajectory(traj, tmp_path)
+    for name, stack in (("U", traj.cU), ("N", traj.cN)):
+        files = sorted((tmp_path / "snapshots").glob(f"{name}_*.fld"))
+        assert [f.name for f in files] == [f"{name}_{i:06d}.fld" for i in range(len(traj))]
+        for path, c in zip(files, stack):
+            grid, kind, values = read_field(path)
+            assert grid == cfg.grid and kind == 0
+            assert np.array_equal(values, synthesize(cfg.grid, c))
+        rows = np.loadtxt(tmp_path / f"final_{name}.csv", delimiter=",", skiprows=1)
+        last = synthesize(cfg.grid, stack[-1])
+        assert np.array_equal(rows, np.column_stack([cfg.grid.r, last.real, last.imag]))

@@ -20,19 +20,9 @@ from kgzsim.normalform import (
     estimate_sweep,
     normal_form_terms,
 )
-from kgzsim.radial import (
-    _CHUNK,
-    RadialGrid,
-    SpectralField,
-    eta0,
-    pointwise_product,
-    smooth_random_field,
-    spectral_l2,
-    synthesize,
-    to_physical,
-    to_spectral,
-)
+from kgzsim.radial import _CHUNK, RadialGrid, analyze, eta0, l2_norms, synthesize
 from kgzsim.resonance import Branch, ResonanceParams, compute_params
+from references import pointwise_product, smooth_random_field
 
 ALPHA = 0.5
 
@@ -45,9 +35,10 @@ def params(grid):
 
 @pytest.fixture(scope="module")
 def smooth_pair(grid):
+    # the coefficients of two smooth fields, passed once through their samples
     rng = np.random.default_rng(99)
-    f = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
-    g = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
+    f = analyze(grid, synthesize(grid, smooth_random_field(grid, rng, xi_top=4.0)))
+    g = analyze(grid, synthesize(grid, smooth_random_field(grid, rng, xi_top=4.0)))
     return f, g
 
 
@@ -202,16 +193,15 @@ def test_weight_matches_all_blocks_formula(alpha, M):
 def test_zero_second_argument(grid, params, smooth_pair):
     f, _ = smooth_pair
     op = BilinearOperator(grid, BilinearSymbol("omega", params), 32)
-    out = op.apply_batch(to_spectral(f).coeffs, np.zeros(grid.M))
+    out = op.apply_batch(f, np.zeros(grid.M))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_bilinearity_exact(grid, params, smooth_pair):
-    f, g = smooth_pair
+    cf, cg = smooth_pair
     rng = np.random.default_rng(5)
-    h = to_physical(smooth_random_field(grid, rng, xi_top=4.0))
+    ch = analyze(grid, synthesize(grid, smooth_random_field(grid, rng, xi_top=4.0)))
     sym = BilinearSymbol("omega", params)
-    cf, cg, ch = (to_spectral(x).coeffs for x in (f, g, h))
     # 72 angular nodes: M^2 Q above 2^22 entries, where kernels once dropped to float32
     for n_angular in (32, 72):
         op = BilinearOperator(grid, sym, n_angular)
@@ -269,11 +259,11 @@ def test_apply_matches_loop_reference(kind):
 
 
 def test_plain_symbol_is_pointwise_product(grid, smooth_pair):
-    f, g = smooth_pair
-    got = BilinearOperator(grid, BilinearSymbol("plain")).apply_batch(to_spectral(f).coeffs, to_spectral(g).coeffs)
-    want = to_spectral(pointwise_product(f, g))
-    err = spectral_l2(SpectralField(grid, got[0]) - want)
-    assert err < 1e-3 * spectral_l2(want)
+    cf, cg = smooth_pair
+    got = BilinearOperator(grid, BilinearSymbol("plain")).apply_batch(cf, cg)
+    want = analyze(grid, pointwise_product(grid, synthesize(grid, cf), synthesize(grid, cg)))
+    err = l2_norms(grid, got[0] - want)
+    assert err < 1e-3 * l2_norms(grid, want)
 
 
 def test_support_violation_gives_zero(grid, params):
@@ -281,7 +271,7 @@ def test_support_violation_gives_zero(grid, params):
     cf = np.where((grid.xi >= 2.2) & (grid.xi <= 3.6), 1.0, 0.0).astype(complex)
     cg = np.where((grid.xi >= 1.1) & (grid.xi <= 1.9), 1.0, 0.0).astype(complex)
     out = BilinearOperator(grid, BilinearSymbol("omega", params), 32).apply_batch(cf, cg)
-    assert spectral_l2(SpectralField(grid, out[0])) < 1e-12
+    assert l2_norms(grid, out[0]) < 1e-12
 
 
 def test_against_dense_quadrature_oracle():
@@ -294,13 +284,12 @@ def test_against_dense_quadrature_oracle():
     cf[(grid.xi < 18.0) | (grid.xi > 60.0)] = 0.0
     cg = np.exp(-(((grid.xi - 1.1) / 0.3) ** 2)).astype(complex)
     cg[grid.xi > 1.9] = 0.0
-    f, g = to_physical(SpectralField(grid, cf)), to_physical(SpectralField(grid, cg))
     sym = BilinearSymbol("omega", params)
     op = BilinearOperator(grid, sym, 16)
     got = op.apply_batch(cf, cg)
-    oracle = dense_bilinear_reference(sym, f, g, refine=4, n_angular=64, rho_max=4.0)
-    n_got = spectral_l2(SpectralField(grid, got[0]))
-    n_oracle = spectral_l2(to_spectral(oracle))
+    oracle = dense_bilinear_reference(sym, grid, cf, cg, refine=4, n_angular=64, rho_max=4.0)
+    n_got = l2_norms(grid, got[0])
+    n_oracle = l2_norms(grid, oracle)
     assert n_oracle > 0
     assert abs(n_got - n_oracle) < 1e-3 * n_oracle
     # the apply's temporaries scale with the kernel's pairs, not with M^2:
@@ -320,8 +309,8 @@ def test_against_dense_quadrature_oracle():
 # ---------------------------------------------------------------------------
 
 def test_boundary_term_zero_cases(grid, params, smooth_pair):
-    _, U = smooth_pair
-    cU, z = to_spectral(U).coeffs, np.zeros(grid.M)
+    _, cU = smooth_pair
+    z = np.zeros(grid.M)
     out = normal_form_terms(grid, params, z, cU, ("bd_U",), 32)["bd_U"]
     assert np.max(np.abs(out)) == 0.0
     out = normal_form_terms(grid, params, z, z, ("bd_N",), 32)["bd_N"]
@@ -332,8 +321,8 @@ CUBIC = ("cubic_1", "cubic_2", "cubic_3")
 
 
 def test_cubic_dependence_structure(grid, params, smooth_pair):
-    N, U = smooth_pair
-    cN, cU, z = to_spectral(N).coeffs, to_spectral(U).coeffs, np.zeros(grid.M)
+    cN, cU = smooth_pair
+    z = np.zeros(grid.M)
     # rows: (N, 0), (0, U), (N, U); physical values, as the terms enter the equations
     nf = normal_form_terms(grid, params, [cN, z, cN], [z, cU, cU], CUBIC, 32)
     (t1, a1, b1), (t2, a2, _), (t3, a3, _) = (synthesize(grid, nf[k]) for k in CUBIC)
@@ -345,8 +334,8 @@ def test_cubic_dependence_structure(grid, params, smooth_pair):
 
 
 def test_cubic_trilinear_scaling(grid, params, smooth_pair):
-    _, U = smooth_pair
-    cU, z = to_spectral(U).coeffs, np.zeros(grid.M)
+    _, cU = smooth_pair
+    z = np.zeros(grid.M)
     one, eight = synthesize(grid, normal_form_terms(grid, params, [z, z], [cU, 2.0 * cU], CUBIC, 32)["cubic_1"])
     err = np.max(np.abs(eight - 8.0 * one))
     assert err < 1e-8 * np.max(np.abs(eight))

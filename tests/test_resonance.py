@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgzsim.radial import PhysField, RadialGrid, SpectralField, pointwise_product, spectral_l2, to_physical, to_spectral
+from kgzsim.radial import RadialGrid, analyze, l2_norms, random_band_limited, synthesize
 from kgzsim.resonance import (
     DUALITY_SIGNS,
     Branch,
@@ -12,13 +12,14 @@ from kgzsim.resonance import (
     ResonanceParams,
     compute_params,
     decompose_bilinear,
-    dual_point,
     in_support,
+    interaction_distance,
     omega,
     omega_tilde,
     verify_lemma_bounds,
     verify_profile_bound,
 )
+from references import pointwise_product
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,19 @@ def params_half(grid):
 # ---------------------------------------------------------------------------
 # phase functions
 # ---------------------------------------------------------------------------
+
+def dual_point(xi, eta, cos_theta):
+    """Image of (|xi|, |eta|, cos) under the substitution xi -> eta - xi.
+
+    Returns (|eta - xi|, |eta|, cos') where cos' is the cosine of the angle
+    between eta - xi and eta.  Requires |eta - xi| > 0.
+    """
+    d = interaction_distance(xi, eta, cos_theta)
+    if np.any(d == 0.0):
+        raise ValueError("dual point undefined at xi = eta")
+    cos_new = (np.asarray(eta, dtype=float) - np.asarray(xi) * np.asarray(cos_theta)) / d
+    return d, np.asarray(eta, dtype=float), np.clip(cos_new, -1.0, 1.0)
+
 
 def test_resonance_zero_at_critical_radius():
     # alpha = 1/2: c = 4/3 and w1(4/3, 0, .) = -5/3 + 2/3 + 1 = 0
@@ -178,33 +192,32 @@ def test_resonant_annulus_blocks_alpha_half(params_half):
 # tagged decompositions
 # ---------------------------------------------------------------------------
 
-def test_decomposition_completeness(grid, rng, params_half):
-    from kgzsim.radial import random_band_limited
-    from kgzsim.resonance import compute_params
+def spectral_l2(grid, values):
+    """L^2 norm of (M,) samples from their coefficients."""
+    return l2_norms(grid, analyze(grid, values))
 
+
+def test_decomposition_completeness(grid, rng, params_half):
     params = compute_params(0.5, band=(grid.k_min, grid.k_max))
-    f = to_physical(random_band_limited(grid, rng, (1, 150)))
-    g = to_physical(random_band_limited(grid, rng, (1, 150)))
+    f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+    g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
     total = np.zeros(grid.M, dtype=complex)
     for tag in (InteractionTag.LH, InteractionTag.HL, InteractionTag.HH):
-        total += decompose_bilinear(f, g, tag, params).values
-    prod = pointwise_product(f, g, dealiased=True)
-    err = spectral_l2(to_spectral(PhysField(grid, total - prod.values)))
-    assert err < 1e-8 * spectral_l2(to_spectral(prod))
+        total += decompose_bilinear(grid, f, g, tag, params)
+    prod = pointwise_product(grid, f, g, dealiased=True)
+    err = spectral_l2(grid, total - prod)
+    assert err < 1e-8 * spectral_l2(grid, prod)
 
 
 def test_hl_splits_into_al_xl(grid, rng):
-    from kgzsim.radial import random_band_limited
-    from kgzsim.resonance import compute_params
-
     params = compute_params(0.5, band=(grid.k_min, grid.k_max))
-    f = to_physical(random_band_limited(grid, rng, (1, 150)))
-    g = to_physical(random_band_limited(grid, rng, (1, 150)))
-    hl = decompose_bilinear(f, g, InteractionTag.HL, params)
-    al = decompose_bilinear(f, g, InteractionTag.AL, params)
-    xl = decompose_bilinear(f, g, InteractionTag.XL, params)
-    err = spectral_l2(to_spectral(PhysField(grid, al.values + xl.values - hl.values)))
-    assert err < 1e-10 * max(spectral_l2(to_spectral(hl)), 1e-30)
+    f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+    g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+    hl = decompose_bilinear(grid, f, g, InteractionTag.HL, params)
+    al = decompose_bilinear(grid, f, g, InteractionTag.AL, params)
+    xl = decompose_bilinear(grid, f, g, InteractionTag.XL, params)
+    err = spectral_l2(grid, al + xl - hl)
+    assert err < 1e-10 * max(spectral_l2(grid, hl), 1e-30)
 
 
 def test_single_pair_support():
@@ -214,15 +227,14 @@ def test_single_pair_support():
     cf = np.where((grid.xi >= 160) & (grid.xi <= 480), 1.0, 0.0).astype(complex)
     cg = np.zeros(grid.M, dtype=complex)
     cg[0] = 1.0  # xi = 1, inside block 0
-    f = to_physical(SpectralField(grid, cf))
-    g = to_physical(SpectralField(grid, cg))
-    prod = pointwise_product(f, g, dealiased=True)
-    hl = decompose_bilinear(f, g, InteractionTag.HL, params)
-    scale = spectral_l2(to_spectral(prod))
-    assert spectral_l2(to_spectral(hl) - to_spectral(prod)) < 1e-10 * scale
+    f, g = synthesize(grid, cf), synthesize(grid, cg)
+    prod = pointwise_product(grid, f, g, dealiased=True)
+    hl = decompose_bilinear(grid, f, g, InteractionTag.HL, params)
+    scale = spectral_l2(grid, prod)
+    assert l2_norms(grid, analyze(grid, hl) - analyze(grid, prod)) < 1e-10 * scale
     for tag in (InteractionTag.LH, InteractionTag.HH, InteractionTag.AL):
-        part = decompose_bilinear(f, g, tag, params)
-        assert spectral_l2(to_spectral(part)) < 1e-10 * scale
+        part = decompose_bilinear(grid, f, g, tag, params)
+        assert spectral_l2(grid, part) < 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
-from kgzsim.radial import RadialGrid, SpectralField, random_band_limited, spectral_l2
+from kgzsim.radial import RadialGrid, l2_norms, random_band_limited
 from kgzsim.strichartz import (
     AdmissiblePair,
     FreeEvolution,
     GuardError,
-    beta_cases_agree_on_borderline,
     beta_exponent,
     measure_spacetime_norm,
     resolution_norm,
@@ -56,6 +57,25 @@ def test_beta_rejections_name_inequality():
         beta_exponent(2.0, 5.0, "other")
 
 
+def beta_cases_agree_on_borderline(samples=None) -> bool:
+    """Exact rational check that both case formulas coincide when 1/q + 2/r = 1."""
+    if samples is None:
+        samples = []
+        for denom in (3, 4, 5, 7, 9, 16):
+            ir = Fraction(1, denom)
+            iq = 1 - 2 * ir
+            if 0 <= iq <= Fraction(1, 2):
+                samples.append((iq, ir))
+    for iq, ir in samples:
+        if iq + 2 * ir != 1:
+            raise ValueError("sample not on the borderline")
+        low = Fraction(3, 2) - 3 * ir - iq
+        high = ir + iq - Fraction(1, 2)
+        if low != high:
+            return False
+    return True
+
+
 def test_borderline_continuity_symbolic():
     assert beta_cases_agree_on_borderline()
 
@@ -72,21 +92,21 @@ def test_admissible_pair_dataclass():
 # ---------------------------------------------------------------------------
 
 def test_zero_field_norm(grid):
-    evol = FreeEvolution(SpectralField(grid, np.zeros(grid.M)), "kg")
+    evol = FreeEvolution(grid, np.zeros(grid.M, dtype=np.complex128), "kg")
     assert measure_spacetime_norm(evol, 2.0, 4.0, (0.0, 1.0)) == 0.0
 
 
 def test_free_flow_l2_constancy(grid, rng):
     phi = random_band_limited(grid, rng, (1, 150))
-    evol = FreeEvolution(phi, "kg")
+    evol = FreeEvolution(grid, phi, "kg")
     sup = measure_spacetime_norm(evol, np.inf, 2.0, (0.0, 5.0))
-    assert abs(sup - spectral_l2(phi)) < 1e-10 * spectral_l2(phi)
+    assert abs(sup - l2_norms(grid, phi)) < 1e-10 * l2_norms(grid, phi)
 
 
 def test_norm_homogeneity(grid, rng):
     phi = random_band_limited(grid, rng, (1, 150))
-    one = measure_spacetime_norm(FreeEvolution(phi, "kg"), 2.0, 4.0, (0.0, 2.0))
-    two = measure_spacetime_norm(FreeEvolution(2.0 * phi, "kg"), 2.0, 4.0, (0.0, 2.0))
+    one = measure_spacetime_norm(FreeEvolution(grid, phi, "kg"), 2.0, 4.0, (0.0, 2.0))
+    two = measure_spacetime_norm(FreeEvolution(grid, 2.0 * phi, "kg"), 2.0, 4.0, (0.0, 2.0))
     assert abs(two - 2.0 * one) < 1e-10 * two
 
 
@@ -170,7 +190,8 @@ def test_zero_data_profiles(grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=4.0, snapshot_stride=100)
     traj = run_simulation(cfg, gaussian_data(grid, 0.0))
     rep = scattering_profile(traj, ALPHA, [2.0, 4.0])
-    assert all(spectral_l2(p) == 0.0 for p in rep.profiles_U)
+    assert rep.profiles_U.shape == (2, grid.M)
+    assert np.all(l2_norms(grid, rep.profiles_U) == 0.0)
 
 
 def test_profile_horizon_guard(grid):
