@@ -35,7 +35,6 @@ from .normalform import (
 )
 from .strichartz import (
     AdmissiblePair,
-    FreeEvolution,
     GuardError,
     ResolutionNorms,
     beta_exponent,

@@ -202,7 +202,7 @@ def _initial_data(cfg: dict, grid: RadialGrid):
     profile = cfg.get("data.profile", "gaussian")
     if profile != "gaussian":
         raise ConfigError(f"unknown data profile {profile!r}")
-    return gaussian_data(grid, eps0=cfg["data.eps0"], width=cfg["data.width"])
+    return _check("data.eps0, data.width", gaussian_data, grid, cfg["data.eps0"], cfg["data.width"])
 
 
 # ---------------------------------------------------------------------------

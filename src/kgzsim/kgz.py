@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -76,18 +77,19 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not self.alpha > 0 or abs(self.alpha - 1.0) <= 1e-6:
-            raise ValueError(f"alpha must be positive with |alpha-1| > 1e-6, got {self.alpha}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0) or abs(self.alpha - 1.0) <= 1e-6:
+            raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {self.alpha}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"T must be nonnegative and finite, got {self.T}")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        self.grid  # built here, so that the grid's checks on R and M run with the ones above
 
     @cached_property
     def grid(self) -> RadialGrid:
@@ -142,7 +144,7 @@ class Trajectory:
 
 def _rates(g: RadialGrid, alpha: float) -> NDArray[np.float64]:
     """(2, M) frequencies of the pair: <xi> for U, alpha*xi for N."""
-    return np.stack([np.sqrt(1.0 + g.xi**2), alpha * g.xi])
+    return np.stack([g.lxi, alpha * g.xi])
 
 
 def to_first_order(grid: RadialGrid, s: NDArray, alpha: float) -> NDArray:
@@ -173,7 +175,7 @@ class _Stepper:
         self.grid = grid
         self.dt = dt
         self.model = model
-        lxi = np.sqrt(1.0 + grid.xi**2)
+        lxi = grid.lxi
         self.half = np.stack([np.exp(0.5j * dt * lxi), np.exp(0.5j * dt * alpha * grid.xi)])
         self.full = np.stack([np.exp(1j * dt * lxi), np.exp(1j * dt * alpha * grid.xi)])
         self.factor = np.stack([-1j / lxi, -1j * alpha * grid.xi])
@@ -287,12 +289,12 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
 # independent finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _sine_series(grid: RadialGrid, coeffs: NDArray, r_points: NDArray) -> NDArray:
-    """The sine series of (M,) coefficients at radii r > 0 (exact at the grid points):
-    f(r) = dxi/(2*pi^2*r) * sum_m xi_m c_m sin(r*xi_m)."""
-    v = grid.xi * coeffs
+def _sine_series(grid: RadialGrid, coeffs: Sequence[NDArray], r_points: NDArray) -> list[NDArray]:
+    """The sine series of each (M,) coefficient row at radii r > 0 (exact at the grid points):
+    f(r) = dxi/(2*pi^2*r) * sum_m xi_m c_m sin(r*xi_m).  The rows share one sine matrix,
+    and each is its own matrix-vector product."""
     phases = np.sin(np.outer(r_points, grid.xi))
-    return (grid.dxi / (2.0 * np.pi**2)) * (phases @ v) / r_points
+    return [(grid.dxi / (2.0 * np.pi**2)) * (phases @ (grid.xi * c)) / r_points for c in coeffs]
 
 
 def oracle_evolve(
@@ -323,7 +325,7 @@ def oracle_evolve(
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
 
-    wu, wud, wn, wnd = ((r * _sine_series(grid, analyze(grid, f), r)).real for f in s)
+    wu, wud, wn, wnd = ((r * f).real for f in _sine_series(grid, [analyze(grid, f) for f in s], r))
 
     def lap(w: NDArray) -> NDArray:
         out = np.empty_like(w)
@@ -362,6 +364,10 @@ def oracle_evolve(
 
 def gaussian_data(grid: RadialGrid, eps0: float, width: float = 1.0) -> NDArray:
     """(4, M) state: a small Gaussian bump in u and n with zero velocities."""
+    if not math.isfinite(eps0):
+        raise ValueError(f"amplitude eps0 must be finite, got {eps0}")
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be positive and finite, got {width}")
     prof = eps0 * np.exp(-((grid.r / width) ** 2))
     s = np.zeros((4, grid.M), dtype=np.complex128)
     s[[0, 2]] = prof

@@ -50,12 +50,21 @@ from .radial import (
     chi_k,
     chi_le,
     eta0,
+    kg_propagate,
     l2_norms,
     lebesgue_norms,
     sobolev_norms,
     synthesize,
+    wave_propagate,
 )
-from .resonance import InteractionTag, ResonanceParams, decompose_bilinear
+from .resonance import (
+    InteractionTag,
+    ResonanceParams,
+    _block_resonant,
+    decompose_bilinear,
+    interaction_distance,
+    phase_at_distance,
+)
 from .kgz import Trajectory
 from .strichartz import resolution_exponents
 
@@ -90,28 +99,17 @@ class BilinearSymbol:
     def conjugates_second(self) -> bool:
         return self.kind in ("omega_tilde", "xl_lx_mask")
 
+    def phase(self, xi_out: NDArray, u: NDArray, rho: NDArray, on: NDArray) -> NDArray:
+        """The phase an omega kind divides by, w1 for omega and wt1 for omega_tilde, on the
+        entries ``on`` of u = |xi - eta|, with xi_out and rho broadcast against u."""
+        xi_out, u, rho = (np.broadcast_to(a, u.shape)[on] for a in (xi_out, u, rho))
+        return phase_at_distance(1, xi_out, rho, u, self.params.alpha, tilde=self.kind == "omega_tilde")
+
 
 def annulus_guard(u: NDArray, params: ResonanceParams, fraction: float = 0.5) -> NDArray:
     """Smooth complement bump: 0 on [c - f*delta, c + f*delta], 1 off the annulus."""
     d = np.abs(np.asarray(u, dtype=float) - params.c_alpha)
     return 1.0 - eta0(d / (fraction * params.delta_alpha))
-
-
-def _xl_blocks(params: ResonanceParams, ks: Sequence[int]) -> list[int]:
-    return [k for k in ks if abs(2.0**k - params.c_alpha) > params.delta_alpha]
-
-
-def _phase(sym: BilinearSymbol, xi_out: NDArray, u: NDArray, rho: NDArray, on: NDArray) -> NDArray:
-    """The phase on the entries ``on`` of u, with xi_out and rho broadcast against u."""
-    xi_out, rho, u = np.broadcast_to(xi_out, u.shape)[on], np.broadcast_to(rho, u.shape)[on], u[on]
-    if sym.kind == "omega":
-        return -np.sqrt(1.0 + xi_out**2) + sym.params.alpha * u + np.sqrt(1.0 + rho**2)
-    return np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - sym.params.alpha * xi_out
-
-
-def _radius(xi_out: NDArray, rho: NDArray, cos: NDArray | float) -> NDArray:
-    """u = |xi - eta| at angle cosine ``cos``; each operation rounds monotonically, so u is monotone in cos."""
-    return np.sqrt(np.maximum(xi_out**2 + rho**2 - 2.0 * xi_out * rho * cos, 0.0))
 
 
 def _block_support(k: int, ka: int, lo: NDArray, hi: NDArray, rho: NDArray) -> tuple[NDArray, NDArray]:
@@ -124,7 +122,7 @@ def _block_support(k: int, ka: int, lo: NDArray, hi: NDArray, rho: NDArray) -> t
 
 def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
     """(M, M) mask of the pairs (xi_m, rho_j) where the weight can be nonzero: the union
-    of the block supports, with u at every angle in [u(1), u(-1)] (see :func:`_radius`).
+    of the block supports, with u at every angle in [u(1), u(-1)] (see :func:`interaction_distance`).
 
     Each block term is tested only on a band of columns and rows its conditions leave
     possible: the XL term on rho < 2^(k-ka+1) and |xi - rho| < 2^(k+1), the LX term on
@@ -136,7 +134,9 @@ def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
         return np.ones((grid.M, grid.M), dtype=bool)
     xi, ka = grid.xi, sym.params.k_alpha
     keep = np.zeros((grid.M, grid.M), dtype=bool)
-    for k in _xl_blocks(sym.params, grid.resolved_k):
+    for k in grid.resolved_k:
+        if _block_resonant(k, sym.params):
+            continue
         low = 2.0 ** (k - ka + 1)
         # (first column, end column, band half-width) of the XL term, then of the LX term
         terms = [(0, np.searchsorted(xi, low), 2.0 ** (k + 1))]
@@ -150,7 +150,8 @@ def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
             on = (m >= 0) & (m < grid.M)
             m, j = m[on], np.broadcast_to(j, m.shape)[on]
             x, rho = xi[m], xi[j]
-            keep[m, j] |= _block_support(k, ka, _radius(x, rho, 1.0), _radius(x, rho, -1.0), rho)[term]
+            lo, hi = interaction_distance(x, rho, 1.0), interaction_distance(x, rho, -1.0)
+            keep[m, j] |= _block_support(k, ka, lo, hi, rho)[term]
     return keep
 
 
@@ -175,7 +176,9 @@ def _symbol_weight(
     rho = np.broadcast_to(rho, shape[:-1] + (1,)).reshape(-1, 1)
     lo, hi = u.min(axis=1), u.max(axis=1)
     num, lx = np.zeros(u.shape), np.zeros(u.shape) if sym.conjugates_second else 0.0
-    for k in _xl_blocks(p, grid.resolved_k):
+    for k in grid.resolved_k:
+        if _block_resonant(k, p):
+            continue
         on_xl, on_lx = (np.flatnonzero(on) for on in _block_support(k, ka, lo, hi, rho[:, 0]))
         if on_xl.size:
             num[on_xl] += chi_k(u[on_xl], k) * chi_le(rho[on_xl], k - ka)
@@ -186,7 +189,7 @@ def _symbol_weight(
     num += lx
     if sym.kind in ("omega", "omega_tilde"):
         on = num != 0.0
-        num[on] /= _phase(sym, np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1, 1), u, rho, on)
+        num[on] /= sym.phase(np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1, 1), u, rho, on)
     return num.reshape(shape)
 
 
@@ -261,13 +264,13 @@ class BilinearOperator:
         """Quadrature weights and interpolation tables on the pairs (xi_m, rho_j), axes (pair, angle)."""
         xi_out = self.grid.xi[m][:, None]
         rho = self.grid.xi[j][:, None]
-        u = _radius(xi_out, rho, self._cos)
+        u = interaction_distance(xi_out, rho, self._cos)
         w = _symbol_weight(self.symbol, self.grid, xi_out, u, rho)
         if not np.all(np.isfinite(w)):
             raise RuntimeError(f"bilinear symbol {self.symbol.kind!r} is not finite on its support")
         self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
         if self.min_abs_phase is not None:
-            den = _phase(self.symbol, xi_out, u, rho, w != 0.0)
+            den = self.symbol.phase(xi_out, u, rho, w != 0.0)
             self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
         G = w * (self._base[j][:, None] * self._glw)
         idx, frc = _interp_tables(self.grid, u)
@@ -323,7 +326,7 @@ def dense_bilinear_reference(
     gv = _interp(grid, g_arr, rho)
     out = np.empty(grid.M, dtype=np.complex128)
     for m, xm in enumerate(grid.xi):
-        u = _radius(xm, rho[:, None], nodes[None, :])
+        u = interaction_distance(xm, rho[:, None], nodes[None, :])
         w = _symbol_weight(sym, grid, np.array(xm)[None, None], u, rho[:, None])
         fv = _interp(grid, cf, u.ravel()).reshape(u.shape)
         kern = w * fv * weights[None, :]
@@ -367,7 +370,7 @@ def normal_form_terms(
     cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
     vN, vU = synthesize(grid, cN), synthesize(grid, cU)
     out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
-    factors = {"N": cN, "U": cU, "aux": out["NU"] / np.sqrt(1.0 + grid.xi**2), "D|U|^2": grid.xi * out["UU"]}
+    factors = {"N": cN, "U": cU, "aux": out["NU"] / grid.lxi, "D|U|^2": grid.xi * out["UU"]}
     kinds = dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names)  # distinct, in order of first use
     ops = {kind: BilinearOperator(grid, BilinearSymbol(kind, params), n_angular) for kind in kinds}
     for name in names:
@@ -402,48 +405,48 @@ def duhamel_residual(
     grid = cfg.grid
     times = traj.times
     t = float(times[-1])
-    lxi = np.sqrt(1.0 + grid.xi**2)
-    xi = grid.xi
+    alpha = cfg.alpha
+    lxi, xi = grid.lxi, grid.xi
+
+    def flow(c: NDArray, s: float | NDArray) -> NDArray:
+        """The free flow of the compared component over time s."""
+        return kg_propagate(grid, c, s) if which == "U" else wave_propagate(grid, c, s, alpha)
 
     cU, cN = traj.cU, traj.cN
-    target = cU[-1] if which == "U" else cN[-1]
+    c0, target = (cU[0], cU[-1]) if which == "U" else (cN[0], cN[-1])
     den = l2_norms(grid, target)
 
     if cfg.model == "linear":
-        c0 = cU[0] if which == "U" else cN[0]
-        phase = np.exp(1j * t * lxi) if which == "U" else np.exp(1j * cfg.alpha * t * xi)
-        num = l2_norms(grid, phase * c0 - target)
+        num = l2_norms(grid, flow(c0, t) - target)
         return 0.0 if den == 0.0 else num / den
 
     if cfg.model != "simplified":
         raise ValueError("transformed-equation residuals require a simplified-model trajectory")
-    if cfg.alpha >= 1.0:
+    if alpha >= 1.0:
         raise ValueError("the transformed equations are assembled for alpha < 1")
     if cfg.dealias:
         raise ValueError("residual checking needs a trajectory run without dealiasing")
-    if params is None or abs(params.alpha - cfg.alpha) > 0.0:
+    if params is None or abs(params.alpha - alpha) > 0.0:
         raise ValueError("resonance parameters must match the trajectory's alpha")
     if len(times) < 3:
         raise ValueError("need at least three snapshots for Simpson quadrature")
 
-    alpha = cfg.alpha
     if which == "U":
         nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "cubic_1", "cubic_2", "nonres_U"), n_angular)
         rest = nf["NU"] - nf["nonres_U"]
         total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
-        integrand = np.exp(1j * np.outer(t - times, lxi)) * total
         b0, bt = nf["bd_U"][[0, -1]] / lxi
-        free = np.exp(1j * t * lxi) * (cU[0] + b0)
     else:
         nf = normal_form_terms(grid, params, cN, cU, ("bd_N", "cubic_3", "cubic_3b", "nonres_N"), n_angular)
         rest = nf["UU"] - nf["nonres_N"]
         # the second cubic term enters with the opposite sign: the conjugate
         # factor twists with phase exp(+i s <eta>)
         total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
-        integrand = np.exp(1j * alpha * np.outer(t - times, xi)) * total
         b0, bt = alpha * xi * nf["bd_N"][[0, -1]]
-        free = np.exp(1j * alpha * t * xi) * (cN[0] + b0)
 
+    # each snapshot's integrand flows over the remaining time t - s
+    integrand = flow(total, t - times)
+    free = flow(c0 + b0, t)
     rhs = free - bt + simpson(integrand, x=times, axis=0)
     num = l2_norms(grid, rhs - target)
     return 0.0 if den == 0.0 else num / den
@@ -550,7 +553,7 @@ def estimate_sweep(
     rows: list[SweepRow] = []
     for M in sizes:
         grid = RadialGrid(R, M)
-        xi, lxi, low = grid.xi, np.sqrt(1.0 + grid.xi**2), chi_le(grid.xi, -1)
+        xi, lxi, low = grid.xi, grid.lxi, chi_le(grid.xi, -1)
         cN, cU = np.empty((2, trials, M), dtype=np.complex128)
         for trial in range(trials):
             rng = np.random.default_rng(seed + trial)

@@ -89,8 +89,8 @@ class RadialGrid:
     M: int
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"domain radius must be positive, got R={self.R}")
+        if not (np.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"domain radius must be positive and finite, got R={self.R}")
         if self.M < 4:
             raise ValueError(f"need at least 4 modes, got M={self.M}")
 
@@ -111,6 +111,13 @@ class RadialGrid:
     @cached_property
     def xi(self) -> NDArray[np.float64]:
         out = self.dxi * np.arange(1, self.M + 1, dtype=float)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def lxi(self) -> NDArray[np.float64]:
+        """The Klein-Gordon frequencies <xi_m> = sqrt(1 + xi_m^2)."""
+        out = np.sqrt(1.0 + self.xi**2)
         out.flags.writeable = False
         return out
 
@@ -166,15 +173,18 @@ def synthesize(grid: RadialGrid, coeffs: NDArray) -> NDArray:
 # propagators
 # ---------------------------------------------------------------------------
 
-def kg_propagate(grid: RadialGrid, coeffs: NDArray, t: float) -> NDArray:
+# Both take a time or a 1-D array of S times.  An array gives the (S, M)
+# phases, one row per time, and the coefficients broadcast against them: an
+# (M,) profile flows to every time, an (S, M) stack row by row.
+
+def kg_propagate(grid: RadialGrid, coeffs: NDArray, t: float | NDArray) -> NDArray:
     """Free Klein-Gordon half-wave flow of (..., M) coefficients: multiply by exp(i*t*<xi>)."""
-    lxi = np.sqrt(1.0 + grid.xi**2)
-    return coeffs * np.exp(1j * t * lxi)
+    return coeffs * np.exp(1j * np.multiply.outer(t, grid.lxi))
 
 
-def wave_propagate(grid: RadialGrid, coeffs: NDArray, t: float, alpha: float) -> NDArray:
+def wave_propagate(grid: RadialGrid, coeffs: NDArray, t: float | NDArray, alpha: float) -> NDArray:
     """Free half-wave flow at speed alpha of (..., M) coefficients: multiply by exp(i*alpha*t*|xi|)."""
-    return coeffs * np.exp(1j * alpha * t * grid.xi)
+    return coeffs * np.exp(1j * np.multiply.outer(alpha * t, grid.xi))
 
 
 # ---------------------------------------------------------------------------

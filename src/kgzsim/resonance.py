@@ -40,7 +40,12 @@ def _bracket(x):
 
 
 def interaction_distance(xi, eta, cos_theta):
-    """|xi - eta| from the two radii and the cosine of the enclosed angle."""
+    """|xi - eta| from the two radii and the cosine of the enclosed angle.
+
+    Each operation rounds monotonically, so in floating point the distance is
+    monotone in the cosine: at every angle it lies between its values at
+    cos = 1 and cos = -1.
+    """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     cos_theta = np.asarray(cos_theta, dtype=float)
@@ -48,24 +53,27 @@ def interaction_distance(xi, eta, cos_theta):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def omega(j: int, xi, eta, cos_theta, alpha: float):
-    """Resonance phase w_j of the Klein-Gordon-output interaction."""
+def phase_at_distance(j: int, xi, eta, d, alpha: float, tilde: bool = False):
+    """The phase w_j (wt_j with ``tilde``) from the radii |xi|, |eta| and the distance d = |xi - eta|."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"index must be 1..4, got {j}")
-    d = interaction_distance(xi, eta, cos_theta)
+    xi, d = np.asarray(xi, dtype=float), np.asarray(d, dtype=float)
     s_mid = 1.0 if j in (1, 3) else -1.0
+    if tilde:
+        s_eta = -1.0 if j in (1, 4) else 1.0
+        return s_mid * _bracket(d) + s_eta * _bracket(eta) - alpha * xi
     s_eta = 1.0 if j in (1, 2) else -1.0
     return -_bracket(xi) + s_mid * alpha * d + s_eta * _bracket(eta)
 
 
+def omega(j: int, xi, eta, cos_theta, alpha: float):
+    """Resonance phase w_j of the Klein-Gordon-output interaction."""
+    return phase_at_distance(j, xi, eta, interaction_distance(xi, eta, cos_theta), alpha)
+
+
 def omega_tilde(j: int, xi, eta, cos_theta, alpha: float):
     """Resonance phase wt_j of the acoustic-output interaction."""
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"index must be 1..4, got {j}")
-    d = interaction_distance(xi, eta, cos_theta)
-    s_mid = 1.0 if j in (1, 3) else -1.0
-    s_eta = -1.0 if j in (1, 4) else 1.0
-    return -alpha * np.asarray(xi, dtype=float) + s_mid * _bracket(d) + s_eta * _bracket(eta)
+    return phase_at_distance(j, xi, eta, interaction_distance(xi, eta, cos_theta), alpha, tilde=True)
 
 
 #: sign s_j in the duality  w_j(xi -> eta - xi) = s_j * wt_j

@@ -3,12 +3,12 @@
 Radial symmetry enlarges the admissible exponent range for space-time
 integrability of the free Klein-Gordon and wave flows.  This module exposes
 the admissibility/regularity bookkeeping (``beta_exponent``), discrete
-L^q_t L^r_x / Besov space-time norms on trajectories or free evolutions,
-dyadic scaling scans that fit the decay exponent of frequency-localized free
-waves, an explicit frequency-indicator witness showing the fitted exponents
-are not improvable, and the pullback profiles V(t) = K(-t) U(t),
-W(t) = W_alpha(-t) N(t) whose Cauchy convergence is the numerical face of
-scattering.
+L^q_t L^r_x norms of sampled free flows, dyadic scaling scans that fit the
+decay exponent of frequency-localized free waves, an explicit
+frequency-indicator witness showing the fitted exponents are not
+improvable, the pullback profiles V(t) = K(-t) U(t), W(t) = W_alpha(-t) N(t)
+whose Cauchy convergence is the numerical face of scattering, and the
+resolution-space norm of a trajectory.
 """
 
 from __future__ import annotations
@@ -114,72 +114,19 @@ class AdmissiblePair:
 
 
 # ---------------------------------------------------------------------------
-# time series sources and space-time norms
+# space-time norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeEvolution:
-    """Free flow of fixed (M,) profile coefficients on a grid under the chosen propagator."""
+def measure_spacetime_norm(grid: RadialGrid, coeffs: NDArray, times: NDArray, q: float, r: float) -> float:
+    """Discrete L^q_t L^r_x norm of an (S, M) coefficient stack sampled at ``times``.
 
-    grid: RadialGrid
-    coeffs: NDArray
-    flavor: str  # "kg" or "wave"
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.flavor not in ("kg", "wave"):
-            raise ValueError("flavor must be 'kg' or 'wave'")
-
-
-def _series(source, window, component: str, times, min_samples: int):
-    """Sample times, grid and (S, M) coefficients (a slice for a trajectory) of a source."""
-    t0, t1 = window
-    if isinstance(source, Trajectory):
-        ts = source.times
-        if t1 > ts[-1] + 1e-12 or t0 < ts[0] - 1e-12:
-            raise GuardError(f"window [{t0}, {t1}] exceeds trajectory range [{ts[0]}, {ts[-1]}]")
-        lo = int(np.searchsorted(ts, t0 - 1e-12, side="left"))
-        hi = int(np.searchsorted(ts, t1 + 1e-12, side="right"))
-        if hi - lo < min_samples:
-            raise GuardError(f"only {hi - lo} snapshots in window; need >= {min_samples}")
-        return ts[lo:hi], source.config.grid, getattr(source, "c" + component)[lo:hi]
-    if isinstance(source, FreeEvolution):
-        times = np.linspace(t0, t1, max(min_samples, 64)) if times is None else np.asarray(times, dtype=float)
-        grid = source.grid
-        # the phases of kg_propagate and wave_propagate at every sample time at once
-        if source.flavor == "kg":
-            phase = np.outer(times, np.sqrt(1.0 + grid.xi**2))
-        else:
-            phase = np.outer(source.alpha * times, grid.xi)
-        return times, grid, source.coeffs * np.exp(1j * phase)
-    raise TypeError(f"unsupported source {type(source)!r}")
-
-
-def measure_spacetime_norm(
-    source,
-    q: float,
-    r: float,
-    window: tuple[float, float],
-    s: float | None = None,
-    homogeneous: bool = True,
-    component: str = "U",
-    times: NDArray | None = None,
-    min_samples: int = 64,
-) -> float:
-    """Discrete L^q in time of a spatial norm over a window.
-
-    The spatial norm is L^r when ``s`` is None, otherwise the Besov norm of
-    regularity s with integrability r.  Time integration uses the trapezoid
-    rule on the sample times (supremum for q = inf).
+    The spatial norm is the L^r norm of each row's samples; time integration
+    uses the trapezoid rule on the sample times (supremum for q = inf).
     """
-    ts, grid, coeffs = _series(source, window, component, times, min_samples)
-    if s is None:
-        vals = map_rows(lambda c: lebesgue_norms(grid, synthesize(grid, c), r), grid.M, coeffs)
-    else:
-        vals = besov_norms(grid, coeffs, s, r, homogeneous)
+    vals = map_rows(lambda c: lebesgue_norms(grid, synthesize(grid, c), r), grid.M, coeffs)
     if np.isinf(q):
         return float(vals.max())
-    return float(np.trapezoid(vals**q, ts) ** (1.0 / q))
+    return float(np.trapezoid(vals**q, times) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +179,30 @@ def strichartz_scan(
     to unit L^2 before evolving.  A finite-domain reflection guard attaches a
     warning when T * speed > R/2.
     """
-    evol_flavor = "kg" if flavor == "schrodinger" else "wave"
+    kg = flavor == "schrodinger"
     beta = beta_exponent(q, r, flavor).value
     check_samples(n_samples)
     # per-block norm growth 2^(k * slope) for unit-L^2 blocks: the estimate's
     # Besov weight contributes 2^(-s k) with s the stored regularity
-    predicted = beta if flavor == "schrodinger" else -beta
-    speed = 1.0 if evol_flavor == "kg" else alpha
+    predicted = beta if kg else -beta
+    speed = 1.0 if kg else alpha
     warning = None
-    if window[1] * max(1.0, speed) > grid.R / 2.0:
+    if _past_horizon(window[1], speed, grid.R):
         warning = (
             f"window end {window[1]} times speed {speed} exceeds R/2 = {grid.R / 2}; "
             "boundary reflections may contaminate the fit"
         )
     if profile is None:
         profile = random_band_limited(grid, np.random.default_rng(seed))
+    ts = np.linspace(*window, n_samples)
     norms = []
     for k in ks:
         block = profile * chi_k(grid.xi, k)
         nb = l2_norms(grid, block)
         if nb == 0.0:
             raise ValueError(f"profile has no content in dyadic block {k}")
-        evol = FreeEvolution(grid, block / nb, evol_flavor, alpha)
-        norms.append(
-            measure_spacetime_norm(evol, q, r, window, s=None, times=np.linspace(*window, n_samples))
-        )
+        flow = kg_propagate(grid, block / nb, ts) if kg else wave_propagate(grid, block / nb, ts, alpha)
+        norms.append(measure_spacetime_norm(grid, flow, ts, q, r))
     ks_arr = np.asarray(ks, dtype=float)
     logs = np.log2(np.asarray(norms))
     slope, intercept = np.polyfit(ks_arr, logs, 1)
@@ -308,7 +254,7 @@ def witness_window(k: int, R: float) -> tuple[float, float]:
     if k < 1:
         raise ValueError("witness needs k >= 1")
     t_hi = 2.0 ** (k - 1)
-    if t_hi > R / 2.0:
+    if _past_horizon(t_hi, 1.0, R):
         raise GuardError(f"window end 2^(k-1) = {t_hi} exceeds the reflection-safe horizon R/2 = {R / 2}")
     return 2.0 ** (1 - k), t_hi
 
@@ -343,9 +289,8 @@ def sharpness_witness(
     phi_norm = float(l2_norms(grid, phi))
     if phi_norm == 0.0:
         raise ValueError("witness profile is empty")
-    evol = FreeEvolution(grid, phi * chi_k(grid.xi, k), "kg")
     times = np.geomspace(t_lo, t_hi, n_samples)
-    measured = measure_spacetime_norm(evol, q, r, (t_lo, t_hi), s=None, times=times)
+    measured = measure_spacetime_norm(grid, kg_propagate(grid, phi * chi_k(grid.xi, k), times), times, q, r)
     iq = 0.0 if np.isinf(q) else 1.0 / q
     ir = 0.0 if np.isinf(r) else 1.0 / r
     if abs(iq + 2.0 * ir - 1.0) < 1e-12:
@@ -389,9 +334,15 @@ def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) 
     return out
 
 
+def _past_horizon(t: float, speed: float, R: float) -> bool:
+    """Whether time t lies beyond the reflection-safe horizon R/(2 max(1, speed)): the
+    fastest of the Klein-Gordon flow (speed 1) and a flow at ``speed`` reaches R/2."""
+    return t * max(1.0, speed) > R / 2.0
+
+
 def check_horizon(checkpoints: Sequence[float], alpha: float, R: float) -> None:
     """GuardError unless every checkpoint lies within the reflection-safe horizon R/(2 max(1, alpha))."""
-    if max(checkpoints) * max(1.0, alpha) > R / 2.0:
+    if _past_horizon(max(checkpoints), alpha, R):
         raise GuardError(
             f"checkpoint {max(checkpoints)} is beyond the reflection-safe horizon R/(2 max(1, alpha))"
         )
@@ -473,12 +424,27 @@ def resolution_exponents(eps: float) -> tuple[float, float]:
     return q_eps, q_meps
 
 
+def _window(traj: Trajectory, window: tuple[float, float]) -> slice:
+    """The snapshots of ``traj`` in ``window``: GuardError if the window leaves the
+    run's time range or holds fewer than 64 snapshots."""
+    t0, t1 = window
+    ts = traj.times
+    if t1 > ts[-1] + 1e-12 or t0 < ts[0] - 1e-12:
+        raise GuardError(f"window [{t0}, {t1}] exceeds trajectory range [{ts[0]}, {ts[-1]}]")
+    lo = int(np.searchsorted(ts, t0 - 1e-12, side="left"))
+    hi = int(np.searchsorted(ts, t1 + 1e-12, side="right"))
+    if hi - lo < 64:
+        raise GuardError(f"only {hi - lo} snapshots in window; need >= 64")
+    return slice(lo, hi)
+
+
 def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, float] | None = None) -> ResolutionNorms:
     q_eps, q_meps = resolution_exponents(eps)
     if window is None:
         window = (float(traj.times[0]), float(traj.times[-1]))
-    ts, grid, cU = _series(traj, window, "U", None, 64)
-    _, _, cN = _series(traj, window, "N", None, 64)
+    rows = _window(traj, window)
+    ts, cU, cN = traj.times[rows], traj.cU[rows], traj.cN[rows]
+    grid = traj.config.grid
     low = chi_le(grid.xi, -1)
     high = 1.0 - low
     # the low and high parts of U exist only a chunk of rows at a time

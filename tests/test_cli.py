@@ -96,6 +96,27 @@ def test_invalid_sim_config_rejected(tmp_path):
     assert run(["simulate", "--out", str(tmp_path / "b"), "--set", "sim.T=1.0", "--set", "sim.dt=0.3"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("grid.R=inf", "domain radius must be positive and finite"),
+        ("sim.alpha=inf", "alpha must be positive and finite"),
+        ("sim.dt=inf", "dt must be positive and finite"),
+        ("sim.T=inf", "T must be nonnegative and finite"),
+        ("sim.T=nan", "T must be nonnegative and finite"),
+        ("data.eps0=inf", "data.eps0, data.width: amplitude eps0 must be finite"),
+        ("data.width=0", "data.eps0, data.width: width must be positive and finite"),
+    ],
+    ids=["R-inf", "alpha-inf", "dt-inf", "T-inf", "T-nan", "eps0-inf", "width-0"],
+)
+def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, setting, message):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    assert run(["simulate", "--out", str(tmp_path), "--set", setting]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file(tmp_path):
     assert run(["simulate", "--out", str(tmp_path), "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 

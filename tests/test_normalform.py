@@ -11,9 +11,7 @@ from kgzsim.normalform import (
     BilinearSymbol,
     _block_support,
     _pair_support,
-    _radius,
     _symbol_weight,
-    _xl_blocks,
     annulus_guard,
     dense_bilinear_reference,
     duhamel_residual,
@@ -21,7 +19,7 @@ from kgzsim.normalform import (
     normal_form_terms,
 )
 from kgzsim.radial import _CHUNK, RadialGrid, analyze, eta0, l2_norms, synthesize
-from kgzsim.resonance import Branch, ResonanceParams, compute_params
+from kgzsim.resonance import Branch, ResonanceParams, _block_resonant, compute_params, interaction_distance
 from references import pointwise_product, smooth_random_field
 
 ALPHA = 0.5
@@ -133,9 +131,9 @@ def test_weight_vanishes_off_pair_support(alpha, M):
 def _full_grid_support(sym, grid):
     """The pair support as one formula: every block's conditions on the full (M, M) grid."""
     xi, rho = grid.xi[:, None], grid.xi
-    lo, hi = _radius(xi, rho, 1.0), _radius(xi, rho, -1.0)
+    lo, hi = interaction_distance(xi, rho, 1.0), interaction_distance(xi, rho, -1.0)
     keep = np.zeros((grid.M, grid.M), dtype=bool)
-    for k in _xl_blocks(sym.params, grid.resolved_k):
+    for k in (k for k in grid.resolved_k if not _block_resonant(k, sym.params)):
         xl, lx = _block_support(k, sym.params.k_alpha, lo, hi, rho)
         keep |= xl | lx if sym.conjugates_second else xl
     return keep

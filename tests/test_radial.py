@@ -167,6 +167,23 @@ def test_propagator_unitarity(grid, rng):
     assert abs(l2_norms(grid, wave_propagate(grid, c, 7.3, 1.8)) - n0) < 1e-13 * n0
 
 
+@pytest.mark.parametrize("flow", ["kg", "wave"])
+def test_propagators_take_arrays_of_times(grid, rng, flow):
+    def prop(c, t):
+        return kg_propagate(grid, c, t) if flow == "kg" else wave_propagate(grid, c, t, 0.7)
+
+    ts = np.linspace(-2.0, 3.0, 7)
+    c = random_band_limited(grid, rng)
+    rows = prop(c, ts)
+    assert rows.shape == (len(ts), grid.M)
+    # an (S, M) stack flows row by row, each row over its own time
+    stack = np.stack([random_band_limited(grid, rng) for _ in ts])
+    paired = prop(stack, ts)
+    for i, t in enumerate(ts):
+        assert np.array_equal(rows[i], prop(c, t))
+        assert np.array_equal(paired[i], prop(stack[i], t))
+
+
 def test_propagate_forward_backward(grid, rng):
     c = random_band_limited(grid, rng)
     back = kg_propagate(grid, kg_propagate(grid, c, 11.0), -11.0)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
-from kgzsim.radial import RadialGrid, l2_norms, random_band_limited
+from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limited
 from kgzsim.strichartz import (
     AdmissiblePair,
-    FreeEvolution,
     GuardError,
     beta_exponent,
+    check_horizon,
     measure_spacetime_norm,
     resolution_norm,
     scattering_profile,
@@ -91,22 +91,26 @@ def test_admissible_pair_dataclass():
 # space-time norms
 # ---------------------------------------------------------------------------
 
+def kg_norm(grid, phi, q, r, window):
+    """L^q_t L^r_x norm of the free Klein-Gordon flow of phi over 64 sample times in the window."""
+    ts = np.linspace(*window, 64)
+    return measure_spacetime_norm(grid, kg_propagate(grid, phi, ts), ts, q, r)
+
+
 def test_zero_field_norm(grid):
-    evol = FreeEvolution(grid, np.zeros(grid.M, dtype=np.complex128), "kg")
-    assert measure_spacetime_norm(evol, 2.0, 4.0, (0.0, 1.0)) == 0.0
+    assert kg_norm(grid, np.zeros(grid.M, dtype=np.complex128), 2.0, 4.0, (0.0, 1.0)) == 0.0
 
 
 def test_free_flow_l2_constancy(grid, rng):
     phi = random_band_limited(grid, rng, (1, 150))
-    evol = FreeEvolution(grid, phi, "kg")
-    sup = measure_spacetime_norm(evol, np.inf, 2.0, (0.0, 5.0))
+    sup = kg_norm(grid, phi, np.inf, 2.0, (0.0, 5.0))
     assert abs(sup - l2_norms(grid, phi)) < 1e-10 * l2_norms(grid, phi)
 
 
 def test_norm_homogeneity(grid, rng):
     phi = random_band_limited(grid, rng, (1, 150))
-    one = measure_spacetime_norm(FreeEvolution(grid, phi, "kg"), 2.0, 4.0, (0.0, 2.0))
-    two = measure_spacetime_norm(FreeEvolution(grid, 2.0 * phi, "kg"), 2.0, 4.0, (0.0, 2.0))
+    one = kg_norm(grid, phi, 2.0, 4.0, (0.0, 2.0))
+    two = kg_norm(grid, 2.0 * phi, 2.0, 4.0, (0.0, 2.0))
     assert abs(two - 2.0 * one) < 1e-10 * two
 
 
@@ -114,9 +118,9 @@ def test_trajectory_window_guards(grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, model="linear", snapshot_stride=1)
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     with pytest.raises(GuardError, match="window"):
-        measure_spacetime_norm(traj, 2.0, 4.0, (0.0, 3.0))
+        resolution_norm(traj, window=(0.0, 3.0))
     with pytest.raises(GuardError, match="snapshots"):
-        measure_spacetime_norm(traj, 2.0, 4.0, (0.0, 0.2))
+        resolution_norm(traj, window=(0.0, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,20 @@ def test_scan_reflection_warning():
     grid = RadialGrid(8.0, 256)
     table = strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, 6.0), n_samples=64)
     assert table.warning is not None
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_scan_warning_and_horizon_guard_share_the_edge(alpha):
+    # on R = 8 the wave flow at speed alpha reaches R/2 = 4 at the window end 4/alpha exactly
+    grid = RadialGrid(8.0, 256)
+    for end, beyond in ((4.0 / alpha, False), (np.nextafter(4.0 / alpha, np.inf), True)):
+        table = strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, end), alpha=alpha, n_samples=8)
+        assert (table.warning is not None) == beyond, end
+        if beyond:
+            with pytest.raises(GuardError, match="horizon"):
+                check_horizon([end], alpha, grid.R)
+        else:
+            check_horizon([end], alpha, grid.R)
 
 
 def test_scan_needs_two_sample_times():
