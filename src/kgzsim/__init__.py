@@ -40,6 +40,7 @@ from .strichartz import (
     beta_exponent,
     measure_spacetime_norm,
     resolution_norm,
+    resolution_norms,
     scattering_profile,
     sharpness_witness,
     strichartz_scan,

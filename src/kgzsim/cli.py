@@ -27,7 +27,7 @@ from .strichartz import (
     check_samples,
     checkpoint_indices,
     resolution_exponents,
-    resolution_norm,
+    resolution_norms,
     scattering_profile,
     sharpness_witness,
     strichartz_scan,
@@ -280,7 +280,8 @@ def _run_scan(cfg: dict, out: Path) -> None:
     _check("scan.q, scan.r, scan.flavor", beta_exponent, q, r, flavor)
     _check("scan.samples", check_samples, cfg["scan.samples"])
     # strichartz_scan's reflection rule: the wave flow moves at scan.alpha, Klein-Gordon at 1
-    check_horizon([cfg["scan.window"]], 1.0 if flavor == "schrodinger" else cfg["scan.alpha"], grid.R)
+    speed = 1.0 if flavor == "schrodinger" else cfg["scan.alpha"]
+    _check("scan.window", check_horizon, [cfg["scan.window"]], speed, grid.R)
     table = strichartz_scan(
         grid,
         ks,
@@ -301,6 +302,7 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
     q, r, R = cfg["sharp.q"], cfg["sharp.r"], cfg["sharp.R"]
     _check("sharp.q, sharp.r", beta_exponent, q, r, "schrodinger")
     _check("sharp.samples", check_samples, cfg["sharp.samples"])
+    _check("sharp.R", RadialGrid, R, 4)  # the witness grid's radius; its size depends on k
     for k in ks:
         _check("sharp.k_min", witness_window, k, R)
     reports = [sharpness_witness(k, q, r, R=R, n_samples=cfg["sharp.samples"]) for k in ks]
@@ -318,11 +320,12 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
     _check("scatter.checkpoints", checkpoint_indices, sim.snapshot_times, cps, sim.dt)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
-    check_horizon(cps, sim.alpha, sim.R)
+    _check("scatter.checkpoints", check_horizon, cps, sim.alpha, sim.R)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)
     # the resolution-space norm over [0, t2] for each Cauchy row
-    norms = [(r.t2, resolution_norm(traj, cfg["scatter.eps"], window=(0.0, r.t2))) for r in report.rows]
+    windows = [(0.0, r.t2) for r in report.rows]
+    norms = zip(report.rows, resolution_norms(traj, cfg["scatter.eps"], windows))
     report.write_csv(out / "cauchy.csv")
     write_csv(
         out / "cauchy_plot.csv",
@@ -333,8 +336,8 @@ def _run_scatter(cfg: dict, out: Path) -> None:
         out / "resolution_norms.csv",
         ["window", "x_linf_l2", "x_l2_besov", "y_linf_h1", "y_l2_besov", "n_linf_l2", "n_l2_besov", "total"],
         [
-            (t, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
-            for t, n in norms
+            (r.t2, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
+            for r, n in norms
         ],
     )
     export_trajectory(traj, out, fields=False)

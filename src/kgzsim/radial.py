@@ -268,23 +268,29 @@ def lebesgue_norms(grid: RadialGrid, values: NDArray, p: float) -> NDArray:
     return map_rows(lambda v: (scale * np.sum(np.abs(v) ** p * grid.r**2, axis=-1)) ** (1.0 / p), grid.M, values)
 
 
-def besov_norms(grid: RadialGrid, coeffs: NDArray, s: float, p: float, homogeneous: bool = True) -> NDArray:
-    """Besov norms of (..., M) coefficient arrays: l^2 over resolved dyadic k of
-    weighted ||P_k f||_p, weight 2^(s*k) in the homogeneous case, <2^k>^s otherwise.
+def besov_norms(
+    grid: RadialGrid, coeffs: NDArray, s: float, p: float, homogeneous: bool = True, multiplier: NDArray | float = 1.0
+) -> NDArray:
+    """Besov norms of the (..., M) coefficient arrays times the Fourier ``multiplier``:
+    l^2 over resolved dyadic k of weighted ||P_k f||_p, weight 2^(s*k) in the
+    homogeneous case, <2^k>^s otherwise.
 
-    Every dyadic block of a chunk of rows goes through one synthesize.
+    The blocks of a chunk of rows go through one synthesize.  A block whose bump
+    shares no nonzero mode with the multiplier has norm 0 and is skipped.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    ks = grid.resolved_k
-    chi = np.stack([chi_k(grid.xi, k) for k in ks])[:, None, :]
-    weights = [2.0 ** (s * k) if homogeneous else (1.0 + 4.0**k) ** (s / 2.0) for k in ks]
+    ks = np.array(grid.resolved_k)
+    chi = chi_k(grid.xi, ks[:, None])
+    live = np.any((chi != 0) & (multiplier != 0), axis=1)
+    ks, chi = ks[live], chi[live, None]
+    weights = [2.0 ** (s * k) if homogeneous else (1.0 + 4.0**k) ** (s / 2.0) for k in ks.tolist()]
 
     def norm(c: NDArray) -> NDArray:
-        blocks = lebesgue_norms(grid, synthesize(grid, chi * c), p)
+        blocks = lebesgue_norms(grid, synthesize(grid, chi * (c * multiplier)), p)
         return np.sqrt(sum((w * nb) ** 2 for w, nb in zip(weights, blocks)))
 
-    return map_rows(norm, len(ks) * grid.M, coeffs)
+    return map_rows(norm, max(len(ks), 1) * grid.M, coeffs)
 
 
 # ---------------------------------------------------------------------------

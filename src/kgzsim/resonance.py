@@ -179,8 +179,8 @@ def compute_params(
     that the band supports at least three separated high blocks; a warning is
     issued when the cap binds.
     """
-    if not alpha > 0 or abs(alpha - 1.0) <= 1e-6:
-        raise ValueError(f"alpha must be positive with |alpha-1| > 1e-6, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
+        raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {alpha}")
 
     if alpha < 1.0:
         c = 2.0 * alpha / (1.0 - alpha**2)

@@ -182,6 +182,8 @@ def strichartz_scan(
     kg = flavor == "schrodinger"
     beta = beta_exponent(q, r, flavor).value
     check_samples(n_samples)
+    if not all(map(math.isfinite, window)):
+        raise ValueError(f"window {window} is not finite")
     # per-block norm growth 2^(k * slope) for unit-L^2 blocks: the estimate's
     # Besov weight contributes 2^(-s k) with s the stored regularity
     predicted = beta if kg else -beta
@@ -253,6 +255,8 @@ def witness_window(k: int, R: float) -> tuple[float, float]:
     """
     if k < 1:
         raise ValueError("witness needs k >= 1")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"witness needs a positive finite R, got R={R}")
     t_hi = 2.0 ** (k - 1)
     if _past_horizon(t_hi, 1.0, R):
         raise GuardError(f"window end 2^(k-1) = {t_hi} exceeds the reflection-safe horizon R/2 = {R / 2}")
@@ -324,28 +328,29 @@ class ScatteringReport:
 
 
 def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) -> list[int]:
-    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2."""
+    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2 (or it is not finite)."""
     out = []
     for cp in checkpoints:
         i = int(np.argmin(np.abs(times - cp)))
-        if abs(times[i] - cp) > 0.5 * dt + 1e-12:
+        if not abs(times[i] - cp) <= 0.5 * dt + 1e-12:
             raise ValueError(f"no snapshot near checkpoint t={cp} (closest {times[i]})")
         out.append(i)
     return out
 
 
 def _past_horizon(t: float, speed: float, R: float) -> bool:
-    """Whether time t lies beyond the reflection-safe horizon R/(2 max(1, speed)): the
-    fastest of the Klein-Gordon flow (speed 1) and a flow at ``speed`` reaches R/2."""
+    """Whether time t lies beyond the reflection-safe horizon R/(2 max(1, speed)), where the faster of
+    the Klein-Gordon flow and a flow at ``speed`` reaches R/2; ValueError for a t that is not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t={t} is not finite")
     return t * max(1.0, speed) > R / 2.0
 
 
 def check_horizon(checkpoints: Sequence[float], alpha: float, R: float) -> None:
     """GuardError unless every checkpoint lies within the reflection-safe horizon R/(2 max(1, alpha))."""
-    if _past_horizon(max(checkpoints), alpha, R):
-        raise GuardError(
-            f"checkpoint {max(checkpoints)} is beyond the reflection-safe horizon R/(2 max(1, alpha))"
-        )
+    for t in checkpoints:
+        if _past_horizon(t, alpha, R):
+            raise GuardError(f"checkpoint {t} is beyond the reflection-safe horizon R/(2 max(1, alpha))")
 
 
 def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[float]) -> ScatteringReport:
@@ -359,23 +364,13 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
     ts = traj.times
     grid = traj.config.grid
     check_horizon(cps, alpha, grid.R)
-    profs_U, profs_N = [], []
-    for i in checkpoint_indices(ts, cps, traj.config.dt):
-        profs_U.append(kg_propagate(grid, traj.cU[i], -ts[i]))
-        profs_N.append(wave_propagate(grid, traj.cN[i], -ts[i], alpha))
-    rows = []
-    for (t1, v1, w1), (t2, v2, w2) in zip(
-        zip(cps, profs_U, profs_N), zip(cps[1:], profs_U[1:], profs_N[1:])
-    ):
-        rows.append(
-            CauchyRow(
-                t1,
-                t2,
-                float(sobolev_norms(grid, v2 - v1, 1.0)),
-                float(l2_norms(grid, w2 - w1)),
-            )
-        )
-    return ScatteringReport(cps, tuple(rows), np.array(profs_U), np.array(profs_N))
+    idx = checkpoint_indices(ts, cps, traj.config.dt)
+    profs_U, profs_N = kg_propagate(grid, traj.cU[idx], -ts[idx]), wave_propagate(grid, traj.cN[idx], -ts[idx], alpha)
+    rows = [
+        CauchyRow(t1, t2, float(sobolev_norms(grid, v2 - v1, 1.0)), float(l2_norms(grid, w2 - w1)))
+        for t1, t2, v1, v2, w1, w2 in zip(cps, cps[1:], profs_U, profs_U[1:], profs_N, profs_N[1:])
+    ]
+    return ScatteringReport(cps, tuple(rows), profs_U, profs_N)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +421,10 @@ def resolution_exponents(eps: float) -> tuple[float, float]:
 
 def _window(traj: Trajectory, window: tuple[float, float]) -> slice:
     """The snapshots of ``traj`` in ``window``: GuardError if the window leaves the
-    run's time range or holds fewer than 64 snapshots."""
+    run's time range (a NaN end lies in no range) or holds fewer than 64 snapshots."""
     t0, t1 = window
     ts = traj.times
-    if t1 > ts[-1] + 1e-12 or t0 < ts[0] - 1e-12:
+    if not (ts[0] - 1e-12 <= t0 and t1 <= ts[-1] + 1e-12):
         raise GuardError(f"window [{t0}, {t1}] exceeds trajectory range [{ts[0]}, {ts[-1]}]")
     lo = int(np.searchsorted(ts, t0 - 1e-12, side="left"))
     hi = int(np.searchsorted(ts, t1 + 1e-12, side="right"))
@@ -438,25 +433,37 @@ def _window(traj: Trajectory, window: tuple[float, float]) -> slice:
     return slice(lo, hi)
 
 
-def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, float] | None = None) -> ResolutionNorms:
+def resolution_norms(traj: Trajectory, eps: float, windows: Sequence[tuple[float, float]]) -> list[ResolutionNorms]:
+    """The resolution norms over each window.
+
+    The six per-snapshot norms are tabulated once, over the snapshots that the
+    windows span, and each window takes a max or a trapezoid over its rows.
+    """
     q_eps, q_meps = resolution_exponents(eps)
-    if window is None:
-        window = (float(traj.times[0]), float(traj.times[-1]))
-    rows = _window(traj, window)
-    ts, cU, cN = traj.times[rows], traj.cU[rows], traj.cN[rows]
-    grid = traj.config.grid
+    ts, grid = traj.times, traj.config.grid
+    rows = [_window(traj, w) for w in windows]
+    lo, hi = min(r.start for r in rows), max(r.stop for r in rows)
+    cU, cN = traj.cU[lo:hi], traj.cN[lo:hi]
     low = chi_le(grid.xi, -1)
     high = 1.0 - low
-    # the low and high parts of U exist only a chunk of rows at a time
-    split = (
-        lambda u: l2_norms(grid, u * low),
-        lambda u: besov_norms(grid, u * low, 0.25 + eps, q_eps, True),
-        lambda u: sobolev_norms(grid, u * high, 1.0),
-        lambda u: besov_norms(grid, u * high, 2.0 / 3.0, q_eps, False),
-    )
-    cols = [map_rows(norm, grid.M, cU) for norm in split]
-    cols += [l2_norms(grid, cN), besov_norms(grid, cN, -0.25 - eps, q_meps, True)]
-    # the columns alternate L^inf_t and L^2_t norms
-    vals = np.stack(cols, axis=1)
-    linf, l2t = vals.max(axis=0), np.sqrt(np.trapezoid(vals**2, ts, axis=0))
-    return ResolutionNorms(eps, linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5])
+    # the columns alternate L^inf_t and L^2_t norms; the L^2 and H^1 parts of U
+    # exist only a chunk of rows at a time
+    table = np.stack([
+        map_rows(lambda u: l2_norms(grid, u * low), grid.M, cU),
+        besov_norms(grid, cU, 0.25 + eps, q_eps, True, low),
+        map_rows(lambda u: sobolev_norms(grid, u * high, 1.0), grid.M, cU),
+        besov_norms(grid, cU, 2.0 / 3.0, q_eps, False, high),
+        l2_norms(grid, cN),
+        besov_norms(grid, cN, -0.25 - eps, q_meps, True),
+    ], axis=1)
+    out = []
+    for r in rows:
+        vals = table[r.start - lo : r.stop - lo]
+        linf, l2t = vals.max(axis=0), np.sqrt(np.trapezoid(vals**2, ts[r], axis=0))
+        out.append(ResolutionNorms(eps, linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5]))
+    return out
+
+
+def resolution_norm(traj: Trajectory, eps: float = 0.05, window: tuple[float, float] | None = None) -> ResolutionNorms:
+    """The resolution norm over one window, by default the whole run."""
+    return resolution_norms(traj, eps, [window or (float(traj.times[0]), float(traj.times[-1]))])[0]

@@ -26,7 +26,7 @@ from kgzsim.resonance import (
     verify_lemma_bounds,
     verify_profile_bound,
 )
-from kgzsim.strichartz import resolution_norm, scattering_profile, sharpness_witness, strichartz_scan
+from kgzsim.strichartz import resolution_norms, scattering_profile, sharpness_witness, strichartz_scan
 from references import pointwise_product
 
 ALPHA = 0.5
@@ -270,8 +270,7 @@ def test_c11a_profile_cauchy_contraction(scattering_run):
 
 
 def test_c11b_resolution_norm_bounded(scattering_run):
-    n10 = resolution_norm(scattering_run, 0.05, window=(0.0, 10.0))
-    n20 = resolution_norm(scattering_run, 0.05, window=(0.0, 20.0))
+    n10, n20 = resolution_norms(scattering_run, 0.05, [(0.0, 10.0), (0.0, 20.0)])
     assert np.isfinite(n20.total) and n20.total > 0
     assert n20.total <= 2.0 * n10.total
     report(

@@ -117,6 +117,26 @@ def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "subcommand, entry, settings, message",
+    [
+        ("scatter-diag", "run_simulation", SCATTER_ARGS + ["--set", "scatter.checkpoints=2,nan,8"], "no snapshot near checkpoint t=nan"),
+        ("strichartz-scan", "strichartz_scan", SCAN_ARGS + ["--set", "scan.window=nan"], "scan.window: time t=nan is not finite"),
+        ("sharpness", "sharpness_witness", ["--set", "sharp.R=inf"], "sharp.R: domain radius must be positive and finite"),
+        ("resonance", "verify_lemma_bounds", ["--set", "resonance.alpha=inf"], "resonance.alpha: alpha must be positive and finite"),
+        ("params", None, ["--set", "resonance.alpha=inf"], "resonance.alpha: alpha must be positive and finite"),
+    ],
+    ids=["checkpoint-nan", "scan-window-nan", "sharp-R-inf", "resonance-alpha-inf", "params-alpha-inf"],
+)
+def test_non_finite_analysis_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, subcommand, entry, settings, message):
+    if entry is not None:
+        monkeypatch.setattr(cli, entry, no_run)
+    assert run([subcommand, "--out", str(tmp_path)] + settings) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file(tmp_path):
     assert run(["simulate", "--out", str(tmp_path), "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 

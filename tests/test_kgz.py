@@ -16,7 +16,7 @@ from kgzsim.kgz import (
     run_simulation,
     to_first_order,
 )
-from kgzsim.radial import RadialGrid, analyze, kg_propagate, l2_norms, random_band_limited, synthesize
+from kgzsim.radial import RadialGrid, analyze, dealias_mask, kg_propagate, l2_norms, random_band_limited, synthesize
 from references import read_field
 
 ALPHA = 0.5
@@ -87,6 +87,35 @@ def test_rhs_linear_single_mode(grid):
     new_u = _Stepper(grid, dt, ALPHA, "linear", False).step(np.stack([cU, np.zeros(grid.M, dtype=complex)]))[0]
     expected = np.exp(1j * dt * np.sqrt(1.0 + grid.xi[3] ** 2))
     assert abs(new_u[3] / cU[3] - expected) < 1e-12
+
+
+def _nonlinear_reference(grid, c, alpha, model, dealias):
+    """The stage as synthesize -> product -> analyze, each scaling applied where it belongs."""
+    if model == "linear":
+        return np.zeros_like(c)
+    mask = dealias_mask(grid) if dealias else np.ones(grid.M)
+    u, n = synthesize(grid, (c.real if model == "full" else c) * mask)
+    q = np.stack([n * u, u**2 if model == "full" else u * np.conj(u)])
+    return np.stack([-1j / grid.lxi, -1j * alpha * grid.xi]) * analyze(grid, q) * mask
+
+
+@pytest.mark.parametrize("M, dense", [(256, True), (512, False)], ids=["sine-matrix-256", "fft-512"])
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "aliased"])
+@pytest.mark.parametrize("model", ["full", "simplified", "linear"])
+def test_fused_stage_matches_the_transform_composition(model, dealias, M, dense):
+    grid = RadialGrid(40.0, M)
+    assert (grid.sine_matrix is not None) == dense  # both DST-I paths are covered
+    rng = np.random.default_rng(M)
+    c = np.stack([random_band_limited(grid, rng), random_band_limited(grid, rng)])
+    got = _Stepper(grid, 1e-3, ALPHA, model, dealias).nonlinear(c)
+    want = _nonlinear_reference(grid, c, ALPHA, model, dealias)
+    assert got.shape == want.shape == (2, M)
+    if model == "linear":
+        assert np.all(got == 0)
+        return
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if dealias:
+        assert np.all(got[:, dealias_mask(grid) == 0] == 0)
 
 
 def test_full_equals_simplified_on_real_states(grid, rng):
@@ -290,6 +319,32 @@ def test_blowup_guard_watches_each_norm(monkeypatch, which, growth):
         run_simulation(cfg, init)
     assert err.value.reason.startswith(f"||{which}||_2 exceeded")
     assert round(err.value.t / cfg.dt) in (6, 7)
+
+
+@pytest.mark.parametrize(
+    "row, value, reason",
+    [
+        (0, np.nan, "non-finite values in state"),
+        (1, complex(0.0, np.inf), "non-finite values in state"),
+        # finite, but its square overflows the guard's sum of squares
+        (0, 1e200, "||U||_2 exceeded"),
+        (1, 1e200, "||N||_2 exceeded"),
+    ],
+    ids=["nan-U", "inf-imag-N", "overflow-U", "overflow-N"],
+)
+def test_blowup_guard_on_one_entry(monkeypatch, row, value, reason):
+    # the first step puts one entry in the state; the guard names the fault at that step
+    def step(self, c):
+        c = c.copy()
+        c[row, 17] = value
+        return c
+
+    monkeypatch.setattr("kgzsim.kgz._Stepper.step", step)
+    cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=1.0, snapshot_stride=10)
+    with pytest.raises(BlowupError) as err:
+        run_simulation(cfg, gaussian_data(cfg.grid, 0.01))
+    assert err.value.reason.startswith(reason)
+    assert err.value.t == cfg.dt
 
 
 @pytest.mark.parametrize(

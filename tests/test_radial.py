@@ -333,6 +333,30 @@ def test_array_norms_match_field_norms_row_by_row(norm_stack):
             besov_norms(grid, stack, 0.0, p)
 
 
+def test_besov_multiplier_skips_the_blocks_it_vanishes_on(monkeypatch):
+    # the resolution norm's low and high parts on the scattering grid: the low
+    # part meets 6 of the 11 dyadic blocks, the high part 7
+    grid = RadialGrid(100.0, 512)
+    rng = np.random.default_rng(5)
+    stack = (rng.standard_normal((5, grid.M)) + 1j * rng.standard_normal((5, grid.M))) * np.exp(-grid.xi)
+    low = radial.chi_le(grid.xi, -1)
+    blocks = []
+    real_synthesize = radial.synthesize
+
+    def counting(g, c):
+        blocks.append(c.shape[0])
+        return real_synthesize(g, c)
+
+    monkeypatch.setattr(radial, "synthesize", counting)
+    for multiplier, live in ((low, 6), (1.0 - low, 7), (1.0, len(grid.resolved_k))):
+        for s, p, homogeneous in ((0.3, 3.5, True), (2.0 / 3.0, 3.5, False)):
+            blocks.clear()
+            got = besov_norms(grid, stack, s, p, homogeneous, multiplier)
+            assert set(blocks) == {live}
+            assert np.array_equal(got, besov_norms(grid, stack * multiplier, s, p, homogeneous))
+    assert np.all(besov_norms(grid, stack, 0.3, 3.5, multiplier=np.zeros(grid.M)) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------

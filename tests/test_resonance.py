@@ -144,6 +144,9 @@ def test_alpha_near_one_rejected():
         compute_params(1.0000001)
     with pytest.raises(ValueError):
         compute_params(-0.5)
+    for alpha in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            compute_params(alpha)
 
 
 def test_band_cap_warns(grid):

@@ -5,13 +5,16 @@ import pytest
 
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limited
+from kgzsim import strichartz
 from kgzsim.strichartz import (
     AdmissiblePair,
     GuardError,
     beta_exponent,
     check_horizon,
+    checkpoint_indices,
     measure_spacetime_norm,
     resolution_norm,
+    resolution_norms,
     scattering_profile,
     sharpness_witness,
     strichartz_scan,
@@ -119,6 +122,9 @@ def test_trajectory_window_guards(grid):
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     with pytest.raises(GuardError, match="window"):
         resolution_norm(traj, window=(0.0, 3.0))
+    for window in ((0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(GuardError, match="exceeds trajectory range"):
+            resolution_norm(traj, window=window)
     with pytest.raises(GuardError, match="snapshots"):
         resolution_norm(traj, window=(0.0, 0.2))
 
@@ -156,6 +162,22 @@ def test_scan_warning_and_horizon_guard_share_the_edge(alpha):
             check_horizon([end], alpha, grid.R)
 
 
+@pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 2.0), (0.0, np.inf)], ids=["end-nan", "start-nan", "end-inf"])
+def test_scan_rejects_a_non_finite_window(window):
+    grid = RadialGrid(16.0, 256)
+    with pytest.raises(ValueError, match="not finite"):
+        strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", window, n_samples=8)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_horizon_and_checkpoints_reject_non_finite_times(t):
+    # NaN compares false with every bound, so it must be caught before the comparison
+    with pytest.raises(ValueError, match="not finite"):
+        check_horizon([0.5, t, 2.0], ALPHA, 40.0)
+    with pytest.raises(ValueError, match="no snapshot near checkpoint"):
+        checkpoint_indices(np.linspace(0.0, 2.0, 201), [0.5, t, 2.0], 0.01)
+
+
 def test_scan_needs_two_sample_times():
     grid = RadialGrid(16.0, 512)
     with pytest.raises(ValueError, match="at least 2 sample times"):
@@ -182,6 +204,9 @@ def test_witness_preconditions():
         sharpness_witness(8, 2.0, 4.0, R=64.0)
     with pytest.raises(ValueError, match="at least 2 sample times"):
         sharpness_witness(2, 2.0, 4.0, n_samples=1)
+    for R in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="positive finite R"):
+            sharpness_witness(2, 2.0, 4.0, R=R)
 
 
 def test_witness_ratio_positive_and_stable():
@@ -266,6 +291,17 @@ def test_resolution_norm_window_monotone(short_traj):
     assert b.x_l2_besov >= a.x_l2_besov
     assert b.y_l2_besov >= a.y_l2_besov
     assert b.n_l2_besov >= a.n_l2_besov
+
+
+def test_windows_are_slices_of_one_table(short_traj, monkeypatch):
+    windows = [(0.0, 1.0), (0.5, 2.0), (0.0, 2.0), (1.0, 1.7)]
+    each = [resolution_norm(short_traj, 0.1, w) for w in windows]
+    calls = []
+    real_besov = strichartz.besov_norms
+    monkeypatch.setattr(strichartz, "besov_norms", lambda g, c, *a: calls.append(len(c)) or real_besov(g, c, *a))
+    assert resolution_norms(short_traj, 0.1, windows) == each  # every field bit for bit
+    # the three Besov columns once each, over the snapshots that the windows span
+    assert calls == [len(short_traj)] * 3
 
 
 def test_resolution_norm_eps_validation(short_traj):
