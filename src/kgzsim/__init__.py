@@ -34,7 +34,6 @@ from .normalform import (
     normal_form_terms,
 )
 from .strichartz import (
-    AdmissiblePair,
     GuardError,
     ResolutionNorms,
     beta_exponent,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .export import _fmt, atomic_write_text, write_csv, write_manifest, export_trajectory
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
-from .normalform import duhamel_residual, estimate_sweep
+from .normalform import check_count, duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
@@ -31,6 +31,7 @@ from .strichartz import (
     scattering_profile,
     sharpness_witness,
     strichartz_scan,
+    window_slice,
     witness_window,
 )
 
@@ -52,7 +53,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "sim.model": "full",
         "sim.dealias": True,
         "sim.snapshot_stride": 10,
-        "data.profile": "gaussian",
         "data.eps0": 0.01,
         "data.width": 1.0,
     },
@@ -199,9 +199,6 @@ def _k_range(cfg: dict, section: str) -> range:
 
 
 def _initial_data(cfg: dict, grid: RadialGrid):
-    profile = cfg.get("data.profile", "gaussian")
-    if profile != "gaussian":
-        raise ConfigError(f"unknown data profile {profile!r}")
     return _check("data.eps0, data.width", gaussian_data, grid, cfg["data.eps0"], cfg["data.width"])
 
 
@@ -251,9 +248,11 @@ def _run_normalform(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg, model_override="simplified", dealias_override=False)
     listed = str(cfg["sweep.sizes"]).split(",")
     sizes = _check("sweep.sizes", lambda: tuple(RadialGrid(sim.R, int(s)).M for s in listed))
+    n_ang = cfg["quad.n_angular"]
+    _check("quad.n_angular", check_count, "n_angular", n_ang)
+    _check("sweep.trials", check_count, "trials", cfg["sweep.trials"])
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     params = compute_params(sim.alpha, band=sim.grid)
-    n_ang = cfg["quad.n_angular"]
     rows = []
     for which in ("U", "N"):
         res = duhamel_residual(traj, params, which, n_angular=n_ang)
@@ -321,10 +320,12 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     _check("scatter.checkpoints", checkpoint_indices, sim.snapshot_times, cps, sim.dt)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
     _check("scatter.checkpoints", check_horizon, cps, sim.alpha, sim.R)
+    # the resolution-space norm over [0, t2] for each Cauchy row (t1, t2)
+    windows = [(0.0, t2) for t2 in cps[1:]]
+    for window in windows:
+        _check("scatter.checkpoints", window_slice, sim.snapshot_times, window)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)
-    # the resolution-space norm over [0, t2] for each Cauchy row
-    windows = [(0.0, r.t2) for r in report.rows]
     norms = zip(report.rows, resolution_norms(traj, cfg["scatter.eps"], windows))
     report.write_csv(out / "cauchy.csv")
     write_csv(

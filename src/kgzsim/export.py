@@ -59,11 +59,10 @@ def field_to_csv(path: Path | str, grid: RadialGrid, values: NDArray) -> None:
     write_csv(path, ["r", "re", "im"], zip(grid.r, values.real, values.imag))
 
 
-def write_manifest(path: Path | str, resolved: Mapping[str, object], timestamp: bool = True) -> None:
-    """key=value dump of every parameter the run consumed."""
+def write_manifest(path: Path | str, resolved: Mapping[str, object]) -> None:
+    """key=value dump of every parameter the run consumed, then the time of writing."""
     lines = [f"{k}={_fmt(v)}" for k, v in sorted(resolved.items())]
-    if timestamp:
-        lines.append(f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}")
+    lines.append(f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

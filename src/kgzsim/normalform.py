@@ -60,8 +60,8 @@ from .radial import (
 from .resonance import (
     InteractionTag,
     ResonanceParams,
-    _block_resonant,
     decompose_bilinear,
+    in_support,
     interaction_distance,
     phase_at_distance,
 )
@@ -85,15 +85,12 @@ class BilinearSymbol:
 
     kind: str
     params: ResonanceParams | None = None
-    guard_fraction: float = 0.5
 
     def __post_init__(self):
         if self.kind not in SYMBOL_KINDS:
             raise ValueError(f"kind must be one of {SYMBOL_KINDS}, got {self.kind!r}")
         if self.kind != "plain" and self.params is None:
             raise ValueError(f"symbol kind {self.kind!r} needs resonance parameters")
-        if not 0.0 < self.guard_fraction < 1.0:
-            raise ValueError("guard_fraction must lie in (0, 1)")
 
     @property
     def conjugates_second(self) -> bool:
@@ -106,10 +103,13 @@ class BilinearSymbol:
         return phase_at_distance(1, xi_out, rho, u, self.params.alpha, tilde=self.kind == "omega_tilde")
 
 
-def annulus_guard(u: NDArray, params: ResonanceParams, fraction: float = 0.5) -> NDArray:
-    """Smooth complement bump: 0 on [c - f*delta, c + f*delta], 1 off the annulus."""
+GUARD_FRACTION = 0.5  # the excised annulus core is [c - f*delta, c + f*delta] with f this fraction
+
+
+def annulus_guard(u: NDArray, params: ResonanceParams) -> NDArray:
+    """Smooth complement bump: 0 on the core [c - f*delta, c + f*delta], 1 off the annulus."""
     d = np.abs(np.asarray(u, dtype=float) - params.c_alpha)
-    return 1.0 - eta0(d / (fraction * params.delta_alpha))
+    return 1.0 - eta0(d / (GUARD_FRACTION * params.delta_alpha))
 
 
 def _block_support(k: int, ka: int, lo: NDArray, hi: NDArray, rho: NDArray) -> tuple[NDArray, NDArray]:
@@ -135,7 +135,8 @@ def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
     xi, ka = grid.xi, sym.params.k_alpha
     keep = np.zeros((grid.M, grid.M), dtype=bool)
     for k in grid.resolved_k:
-        if _block_resonant(k, sym.params):
+        # block k has XL pairs exactly where its mirror has LX pairs
+        if not in_support(InteractionTag.XL, k, k - ka, sym.params):
             continue
         low = 2.0 ** (k - ka + 1)
         # (first column, end column, band half-width) of the XL term, then of the LX term
@@ -177,7 +178,7 @@ def _symbol_weight(
     lo, hi = u.min(axis=1), u.max(axis=1)
     num, lx = np.zeros(u.shape), np.zeros(u.shape) if sym.conjugates_second else 0.0
     for k in grid.resolved_k:
-        if _block_resonant(k, p):
+        if not in_support(InteractionTag.XL, k, k - ka, p):
             continue
         on_xl, on_lx = (np.flatnonzero(on) for on in _block_support(k, ka, lo, hi, rho[:, 0]))
         if on_xl.size:
@@ -185,7 +186,7 @@ def _symbol_weight(
         if on_lx.size and sym.conjugates_second:
             lx[on_lx] += chi_le(u[on_lx], k - ka) * chi_k(rho[on_lx], k)
     on = num != 0.0
-    num[on] *= annulus_guard(u[on], p, sym.guard_fraction)
+    num[on] *= annulus_guard(u[on], p)
     num += lx
     if sym.kind in ("omega", "omega_tilde"):
         on = num != 0.0
@@ -198,6 +199,12 @@ def _symbol_weight(
 # ---------------------------------------------------------------------------
 
 _ROWS = 8  # output frequencies per kernel-build chunk
+
+
+def check_count(name: str, n: int) -> None:
+    """ValueError unless the count ``name`` (angular nodes, sweep trials) is at least 1."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
@@ -229,6 +236,7 @@ class BilinearOperator:
     def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64):
         self.grid = grid
         self.symbol = symbol
+        check_count("n_angular", n_angular)
         self.n_angular = int(n_angular)
         self._cos, self._glw = np.polynomial.legendre.leggauss(self.n_angular)
         M = grid.M
@@ -545,6 +553,7 @@ def estimate_sweep(
     """
     from .resonance import compute_params
 
+    check_count("trials", trials)
     sizes = tuple(sorted(sizes))
     coarse = RadialGrid(R, sizes[0])
     params = compute_params(alpha, band=coarse)
@@ -575,14 +584,10 @@ def estimate_sweep(
             grid, cU - cU * low, 2.0 / 3.0, q_eps, homogeneous=False
         )
 
-        # the tagged products are the only work done one trial at a time
         vN, vU, vUbar = synthesize(grid, np.stack([cN, cU, np.conj(cU)]))
-        lh, hh, uhh = np.empty((3, trials, M), dtype=np.complex128)
-        for trial in range(trials):
-            N, U, Ubar = vN[trial], vU[trial], vUbar[trial]
-            lh[trial] = decompose_bilinear(grid, N, U, InteractionTag.LH, params, dealiased=False)
-            hh[trial] = decompose_bilinear(grid, N, U, InteractionTag.HH, params, dealiased=False)
-            uhh[trial] = decompose_bilinear(grid, U, Ubar, InteractionTag.HH, params, dealiased=False)
+        lh = decompose_bilinear(grid, vN, vU, InteractionTag.LH, params, dealiased=False)
+        hh = decompose_bilinear(grid, vN, vU, InteractionTag.HH, params, dealiased=False)
+        uhh = decompose_bilinear(grid, vU, vUbar, InteractionTag.HH, params, dealiased=False)
 
         values = {
             "bd_U": sobolev_norms(grid, nf["bd_U"] / lxi, 1.0) / (n_l2 * u_h1),

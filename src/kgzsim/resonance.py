@@ -157,42 +157,37 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def compute_params(
-    alpha: float,
-    band: tuple[int, int] | RadialGrid | None = None,
-    theta: float = 0.25,
-    safety: float = 0.9,
-    sweep_points: int = 20001,
-) -> ResonanceParams:
+_THETA = 0.25  # alpha < 1: the annulus half-width delta = theta * c
+_SAFETY = 0.9  # alpha < 1: rho is the off-annulus minimum of |f(r)|/r shrunk by this factor
+
+
+def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonanceParams:
     """Derive the interaction-split constants for a given speed ratio.
 
-    alpha < 1: the annulus half-width is delta = theta * c (theta = 1/4 keeps
-    c(1-theta) above the profile maximizer r0 = alpha/sqrt(1-alpha^2) for every
-    alpha in (0,1)); rho is a certified dense-grid minimum of |f(r)|/r off the
-    annulus, shrunk by ``safety``.
+    alpha < 1: the annulus half-width is delta = theta * c with theta = 1/4,
+    which keeps c(1-theta) above the profile maximizer r0 = alpha/sqrt(1-alpha^2)
+    for every alpha in (0,1); rho is the minimum of |f(r)|/r off the annulus
+    over 20001 points of [0, 10 c], shrunk by a safety factor 0.9.
 
     alpha > 1: the crossings of |g(r)| with (alpha-1) r / 2 are found by
     bisection; delta is the larger distance of the crossings from c and
     rho = (alpha-1)/2.
 
-    ``band`` (a grid or a (k_min, k_max) pair) caps the dyadic separation so
-    that the band supports at least three separated high blocks; a warning is
-    issued when the cap binds.
+    ``band`` (a grid) caps the dyadic separation so that the grid's band
+    supports at least three separated high blocks; a warning is issued when
+    the cap binds.
     """
     if not (np.isfinite(alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
         raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {alpha}")
 
     if alpha < 1.0:
         c = 2.0 * alpha / (1.0 - alpha**2)
-        r0 = alpha / np.sqrt(1.0 - alpha**2)
-        delta = theta * c
-        if not (r0 < c * (1.0 - theta) < c):
-            raise ValueError(f"theta={theta} violates c(1-theta) in (r0, c)")
-        r = np.linspace(0.0, 10.0 * c, sweep_points)
+        delta = _THETA * c
+        r = np.linspace(0.0, 10.0 * c, 20001)
         outside = (r < c - delta) | (r > c + delta)
         ratios = _profile_over_r(np.where(r == 0.0, 1e-12, r), alpha)
         ratios[r == 0.0] = alpha  # limit of f(r)/r at the origin
-        rho = safety * float(ratios[outside].min())
+        rho = _SAFETY * float(ratios[outside].min())
         floors = [5.0, abs(np.log2(rho)) + 5.0, abs(np.log2(1.0 - alpha)) + 5.0]
         branch = Branch.ALPHA_LT_1
     else:
@@ -216,12 +211,11 @@ def compute_params(
 
     k_sep = int(np.ceil(max(floors)))
     if band is not None:
-        k_lo, k_hi = (band.k_min, band.k_max) if isinstance(band, RadialGrid) else band
-        cap = (k_hi - k_lo) - 2
+        cap = (band.k_max - band.k_min) - 2
         if cap < k_sep:
             warnings.warn(
                 f"dyadic separation {k_sep} exceeds the grid band "
-                f"[{k_lo}, {k_hi}]; capped to {max(cap, 5)}",
+                f"[{band.k_min}, {band.k_max}]; capped to {max(cap, 5)}",
                 stacklevel=2,
             )
             k_sep = max(cap, 5)
@@ -233,13 +227,13 @@ def compute_params(
     return params
 
 
-def verify_profile_bound(params: ResonanceParams, n_points: int = 10001, span: float = 10.0) -> tuple[bool, float]:
-    """Dense 1D re-verification of |profile(r)| >= rho * r off the annulus.
+def verify_profile_bound(params: ResonanceParams) -> tuple[bool, float]:
+    """Dense 1D re-verification of |profile(r)| >= rho * r off the annulus, at 10001 points of (0, 10 c].
 
     Returns (ok, worst margin) where margin = min(|profile|/r - rho).
     """
     c, d = params.c_alpha, params.delta_alpha
-    r = np.linspace(1e-9, span * c, n_points)
+    r = np.linspace(1e-9, 10.0 * c, 10001)
     outside = (r < c - d) | (r > c + d)
     ratios = _profile_over_r(r, params.alpha)
     margin = float((ratios[outside] - params.rho).min())
@@ -299,18 +293,20 @@ def decompose_bilinear(
     params: ResonanceParams,
     dealiased: bool = True,
 ) -> NDArray:
-    """Tagged part of the product f*g of (M,) physical samples, as (M,) samples.
+    """Tagged part of the product f*g of (..., M) physical samples, as (..., M) samples.
 
-    High-low tags sum P_k f * P_{<= k - k_alpha} g over resolved high blocks k
-    (low-high mirrored); HH sums the nearly-diagonal block pairs.  Products
-    are formed in physical space; with ``dealiased`` the inputs and the result
-    are truncated by the 2/3 rule.
+    The block pairs are the ones :func:`in_support` gives the tag.  A
+    high-low pair is summed with the others of its resolved high block k, as
+    P_k f * P_{<= k - k_alpha} g where the tag holds at (k, k - k_alpha)
+    (low-high mirrored); an HH pair is summed block by block.  Products are
+    formed in physical space; with ``dealiased`` the inputs and the result
+    are truncated by the 2/3 rule.  Each row of a stack comes out as it
+    would alone.
     """
     cf, cg = analyze(grid, f), analyze(grid, g)
     if dealiased:
         cf, cg = cf * dealias_mask(grid), cg * dealias_mask(grid)
-    ks = list(grid.resolved_k)
-    ka = params.k_alpha
+    ks, ka = grid.resolved_k, params.k_alpha
 
     def block(c: NDArray, k: int) -> NDArray:
         return synthesize(grid, c * chi_k(grid.xi, k))
@@ -318,30 +314,22 @@ def decompose_bilinear(
     def low(c: NDArray, k: int) -> NDArray:
         return synthesize(grid, c * chi_le(grid.xi, k))
 
-    acc = np.zeros(grid.M, dtype=np.complex128)
-    if tag in (InteractionTag.HL, InteractionTag.AL, InteractionTag.XL):
-        for k in ks:
-            if tag is InteractionTag.AL and not _block_resonant(k, params):
-                continue
-            if tag is InteractionTag.XL and _block_resonant(k, params):
-                continue
+    acc = np.zeros(np.broadcast_shapes(cf.shape, cg.shape), dtype=np.complex128)
+    for k in ks:
+        if in_support(tag, k, k - ka, params):
             acc += block(cf, k) * low(cg, k - ka)
-    elif tag in (InteractionTag.LH, InteractionTag.LA, InteractionTag.LX):
-        for k in ks:
-            if tag is InteractionTag.LA and not _block_resonant(k, params):
-                continue
-            if tag is InteractionTag.LX and _block_resonant(k, params):
-                continue
+        if in_support(tag, k - ka, k, params):
             acc += low(cf, k - ka) * block(cg, k)
-    elif tag is InteractionTag.HH:
-        fb = {k: block(cf, k) for k in ks}
-        gb = {k: block(cg, k) for k in ks}
-        for k1 in ks:
-            for k2 in ks:
-                if abs(k1 - k2) < ka:
-                    acc += fb[k1] * gb[k2]
-    else:
-        raise ValueError(f"unknown tag {tag}")
+    near = [
+        (k1, k2)
+        for k1 in ks
+        for k2 in ks
+        if in_support(tag, k1, k2, params) and in_support(InteractionTag.HH, k1, k2, params)
+    ]
+    if near:
+        fb, gb = {k: block(cf, k) for k in ks}, {k: block(cg, k) for k in ks}
+        for k1, k2 in near:
+            acc += fb[k1] * gb[k2]
 
     out = analyze(grid, acc)
     if dealiased:

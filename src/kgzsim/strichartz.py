@@ -2,7 +2,7 @@
 
 Radial symmetry enlarges the admissible exponent range for space-time
 integrability of the free Klein-Gordon and wave flows.  This module exposes
-the admissibility/regularity bookkeeping (``beta_exponent``), discrete
+the admissibility test and regularity exponent of a pair (``beta_exponent``), discrete
 L^q_t L^r_x norms of sampled free flows, dyadic scaling scans that fit the
 decay exponent of frequency-localized free waves, an explicit
 frequency-indicator witness showing the fitted exponents are not
@@ -91,26 +91,6 @@ def beta_exponent(q: float, r: float, flavor: str) -> BetaValue:
     if line > 1.0:
         return BetaValue(ir + iq - 0.5, False)
     return BetaValue(0.5 - ir, True)
-
-
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """An admissible space-time exponent pair with its derived regularity."""
-
-    q: float
-    r: float
-    flavor: str
-
-    def __post_init__(self):
-        beta_exponent(self.q, self.r, self.flavor)  # raises when inadmissible
-
-    @property
-    def beta(self) -> float:
-        return beta_exponent(self.q, self.r, self.flavor).value
-
-    @property
-    def eps_augmented(self) -> bool:
-        return beta_exponent(self.q, self.r, self.flavor).eps_augmented
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +243,10 @@ def witness_window(k: int, R: float) -> tuple[float, float]:
     return 2.0 ** (1 - k), t_hi
 
 
-def sharpness_witness(
-    k: int,
-    q: float,
-    r: float,
-    R: float = 64.0,
-    envelope_top: float = 10.0,
-    n_samples: int = 128,
-) -> WitnessReport:
+_ENVELOPE_TOP = 10.0  # the witness data is the indicator of |xi| <= this times 2^k
+
+
+def sharpness_witness(k: int, q: float, r: float, R: float = 64.0, n_samples: int = 128) -> WitnessReport:
     """Lower-bound witness for the Klein-Gordon block estimate at scale 2^k.
 
     The data is a frequency indicator: phihat = 1 up to 10 * 2^k.  The block
@@ -286,7 +262,7 @@ def sharpness_witness(
     t_lo, t_hi = witness_window(k, R)
     beta = beta_exponent(q, r, "schrodinger").value  # rejects an inadmissible (q, r) before any work
     check_samples(n_samples)
-    xi_top = envelope_top * 2.0**k
+    xi_top = _ENVELOPE_TOP * 2.0**k
     M = int(np.ceil(1.05 * xi_top * R / np.pi))
     grid = RadialGrid(R, M)
     phi = (grid.xi <= xi_top).astype(np.complex128)
@@ -419,11 +395,13 @@ def resolution_exponents(eps: float) -> tuple[float, float]:
     return q_eps, q_meps
 
 
-def _window(traj: Trajectory, window: tuple[float, float]) -> slice:
-    """The snapshots of ``traj`` in ``window``: GuardError if the window leaves the
-    run's time range (a NaN end lies in no range) or holds fewer than 64 snapshots."""
+def window_slice(ts: NDArray, window: tuple[float, float]) -> slice:
+    """The snapshots at times ``ts`` in ``window``: GuardError if the window leaves the
+    run's time range (a NaN end lies in no range) or holds fewer than 64 snapshots.
+
+    A trajectory's times are its config's ``snapshot_times``, so a window can be
+    checked before the run."""
     t0, t1 = window
-    ts = traj.times
     if not (ts[0] - 1e-12 <= t0 and t1 <= ts[-1] + 1e-12):
         raise GuardError(f"window [{t0}, {t1}] exceeds trajectory range [{ts[0]}, {ts[-1]}]")
     lo = int(np.searchsorted(ts, t0 - 1e-12, side="left"))
@@ -441,7 +419,7 @@ def resolution_norms(traj: Trajectory, eps: float, windows: Sequence[tuple[float
     """
     q_eps, q_meps = resolution_exponents(eps)
     ts, grid = traj.times, traj.config.grid
-    rows = [_window(traj, w) for w in windows]
+    rows = [window_slice(ts, w) for w in windows]
     lo, hi = min(r.start for r in rows), max(r.stop for r in rows)
     cU, cN = traj.cU[lo:hi], traj.cN[lo:hi]
     low = chi_le(grid.xi, -1)

@@ -289,6 +289,32 @@ def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("sweep.trials=-1", "sweep.trials: trials must be at least 1, got -1"),
+        ("sweep.trials=0", "sweep.trials: trials must be at least 1, got 0"),
+        ("quad.n_angular=0", "quad.n_angular: n_angular must be at least 1, got 0"),
+    ],
+)
+def test_normalform_check_rejects_counts_before_the_run(tmp_path, monkeypatch, capsys, setting, message):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    code = run(["normalform-check", "--out", str(tmp_path), "--set", "sweep.enabled=true", "--set", setting])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    # snapshots every 0.01: the window [0, 0.4] holds 41 of them, fewer than the 64 a norm needs
+    args = ["--set", "grid.M=64", "--set", "sim.T=4", "--set", "scatter.checkpoints=0.2,0.4,4"]
+    code = run(["scatter-diag", "--out", str(tmp_path)] + args)
+    assert code == EXIT_GUARD
+    assert "only 41 snapshots in window" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "subcommand, entry, settings, message",
     [
         ("strichartz-scan", "strichartz_scan", ["scan.k_min=5", "scan.k_max=4"], "scan.k_min=5 exceeds scan.k_max=4"),

@@ -6,6 +6,7 @@ import pytest
 
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
+    GUARD_FRACTION,
     SYMBOL_KINDS,
     BilinearOperator,
     BilinearSymbol,
@@ -51,6 +52,13 @@ def test_symbol_validation(params):
         BilinearSymbol("omega")
     assert BilinearSymbol("omega", params).conjugates_second is False
     assert BilinearSymbol("omega_tilde", params).conjugates_second is True
+
+
+def test_counts_rejected_before_any_work(params):
+    with pytest.raises(ValueError, match="n_angular must be at least 1, got 0"):
+        BilinearOperator(RadialGrid(40.0, 64), BilinearSymbol("omega", params), n_angular=0)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        estimate_sweep(trials=0)
 
 
 def test_annulus_guard_profile(params):
@@ -154,7 +162,7 @@ def _all_blocks_weight(sym, grid, xi_out, u, rho):
     num = np.zeros(np.broadcast_shapes(u.shape, rho.shape))
     for k in xl:
         num = num + (eta0(u / 2.0**k) - eta0(u / 2.0 ** (k - 1))) * eta0(rho / 2.0 ** (k - ka))
-    num = num * annulus_guard(u, p, sym.guard_fraction)
+    num = num * (1.0 - eta0(np.abs(u - p.c_alpha) / (GUARD_FRACTION * p.delta_alpha)))
     if sym.conjugates_second:
         lx = np.zeros_like(num)
         for k in xl:

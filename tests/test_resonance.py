@@ -201,7 +201,7 @@ def spectral_l2(grid, values):
 
 
 def test_decomposition_completeness(grid, rng, params_half):
-    params = compute_params(0.5, band=(grid.k_min, grid.k_max))
+    params = compute_params(0.5, band=grid)
     f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
     g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
     total = np.zeros(grid.M, dtype=complex)
@@ -213,7 +213,7 @@ def test_decomposition_completeness(grid, rng, params_half):
 
 
 def test_hl_splits_into_al_xl(grid, rng):
-    params = compute_params(0.5, band=(grid.k_min, grid.k_max))
+    params = compute_params(0.5, band=grid)
     f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
     g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
     hl = decompose_bilinear(grid, f, g, InteractionTag.HL, params)
@@ -221,6 +221,17 @@ def test_hl_splits_into_al_xl(grid, rng):
     xl = decompose_bilinear(grid, f, g, InteractionTag.XL, params)
     err = spectral_l2(grid, al + xl - hl)
     assert err < 1e-10 * max(spectral_l2(grid, hl), 1e-30)
+
+
+@pytest.mark.parametrize("dealiased", [True, False])
+def test_decomposition_of_a_stack_is_row_by_row(grid, rng, dealiased):
+    params = compute_params(0.5, band=grid)
+    f = synthesize(grid, np.stack([random_band_limited(grid, rng, (1, 150)) for _ in range(3)]))
+    g = synthesize(grid, np.stack([random_band_limited(grid, rng, (1, 150)) for _ in range(3)]))
+    for tag in InteractionTag:
+        stack = decompose_bilinear(grid, f, g, tag, params, dealiased)
+        rows = [decompose_bilinear(grid, fr, gr, tag, params, dealiased) for fr, gr in zip(f, g)]
+        assert np.array_equal(stack, np.stack(rows)), tag
 
 
 def test_single_pair_support():

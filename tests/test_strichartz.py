@@ -7,7 +7,6 @@ from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limited
 from kgzsim import strichartz
 from kgzsim.strichartz import (
-    AdmissiblePair,
     GuardError,
     beta_exponent,
     check_horizon,
@@ -43,6 +42,8 @@ def test_beta_high_line_case():
 def test_beta_wave_pair():
     out = beta_exponent(2.0, 5.0, "wave")
     assert out.value == pytest.approx(0.5 + 0.6 - 1.5, abs=1e-12)
+    # the same pair lies below the line 1/q + 2/r = 1, where the Klein-Gordon beta is 3/2 - 3/r - 1/q
+    assert beta_exponent(2.0, 5.0, "schrodinger").value == pytest.approx(1.5 - 3.0 / 5.0 - 0.5)
 
 
 def test_beta_borderline_marker():
@@ -54,6 +55,8 @@ def test_beta_borderline_marker():
 def test_beta_rejections_name_inequality():
     with pytest.raises(ValueError, match="2/q \\+ 5/r"):
         beta_exponent(2.0, 3.0, "schrodinger")
+    with pytest.raises(ValueError, match="2/q \\+ 5/r"):
+        beta_exponent(2.0, 10.0 / 3.0, "schrodinger")  # on the edge 2/q + 5/r = 5/2
     with pytest.raises(ValueError, match="1/q \\+ 2/r"):
         beta_exponent(2.0, 3.5, "wave")
     with pytest.raises(ValueError, match="flavor"):
@@ -81,13 +84,6 @@ def beta_cases_agree_on_borderline(samples=None) -> bool:
 
 def test_borderline_continuity_symbolic():
     assert beta_cases_agree_on_borderline()
-
-
-def test_admissible_pair_dataclass():
-    pair = AdmissiblePair(2.0, 5.0, "schrodinger")
-    assert pair.beta == pytest.approx(1.5 - 3.0 / 5.0 - 0.5)
-    with pytest.raises(ValueError):
-        AdmissiblePair(2.0, 10.0 / 3.0, "schrodinger")
 
 
 # ---------------------------------------------------------------------------
