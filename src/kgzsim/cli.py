@@ -18,7 +18,7 @@ import numpy as np
 
 from .export import _fmt, atomic_write_text, write_csv, write_manifest, export_trajectory
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
-from .normalform import check_count, duhamel_residual, estimate_sweep
+from .normalform import check_count, check_sizes, duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
@@ -248,6 +248,7 @@ def _run_normalform(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg, model_override="simplified", dealias_override=False)
     listed = str(cfg["sweep.sizes"]).split(",")
     sizes = _check("sweep.sizes", lambda: tuple(RadialGrid(sim.R, int(s)).M for s in listed))
+    _check("sweep.sizes", check_sizes, sizes)
     n_ang = cfg["quad.n_angular"]
     _check("quad.n_angular", check_count, "n_angular", n_ang)
     _check("sweep.trials", check_count, "trials", cfg["sweep.trials"])
@@ -317,6 +318,7 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
     # settle the analysis settings first: the library would reject them only after the run
     cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
+    _check("scatter.checkpoints", check_samples, len(cps))
     _check("scatter.checkpoints", checkpoint_indices, sim.snapshot_times, cps, sim.dt)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
     _check("scatter.checkpoints", check_horizon, cps, sim.alpha, sim.R)

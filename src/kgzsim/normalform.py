@@ -39,7 +39,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 from scipy import sparse
-from scipy.integrate import simpson
 
 from . import export
 from .radial import (
@@ -391,6 +390,36 @@ def normal_form_terms(
 # Duhamel residuals of the transformed integral equations
 # ---------------------------------------------------------------------------
 
+def _simpson(y: NDArray, x: NDArray) -> NDArray:
+    """Simpson's rule over axis 0 of ``y`` at three or more increasing points ``x``.
+
+    The float operations, in their order, are those of scipy 1.11+'s
+    ``simpson(y, x=x, axis=0)``: composite Simpson on irregular spacing over
+    pairs of intervals, and for an even count Cartwright's correction of the
+    last interval.
+    """
+    n = len(x)
+    h = np.diff(np.asarray(x, dtype=np.float64)).reshape((n - 1,) + (1,) * (y.ndim - 1))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+            + y[2 : stop + 2 : 2] * (2.0 - ratio)
+        ),
+        axis=0,
+    )
+    if n % 2 == 0:
+        h0, h1 = h[-2, ...], h[-1, ...]  # arrays, not scalars, even for a 1-D y, as in scipy
+        a = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        b = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        c = h1**3 / (6 * h0 * (h0 + h1))
+        result += a * y[-1] + b * y[-2] - c * y[-3]
+    return result
+
+
 def duhamel_residual(
     traj: Trajectory,
     params: ResonanceParams | None,
@@ -403,9 +432,10 @@ def duhamel_residual(
     and t, the two cubic Duhamel integrals, and the untransformed remainder
     (the full quadratic term minus its guarded non-resonant part), each
     propagated exactly and integrated over the stored snapshots by composite
-    Simpson.  Requires a ``simplified``-model trajectory without dealiasing
-    and alpha < 1; a ``linear`` trajectory is compared against the free term
-    alone.
+    Simpson, with Cartwright's correction of the last interval for an even
+    snapshot count (:func:`_simpson`).  Requires a ``simplified``-model
+    trajectory without dealiasing and alpha < 1; a ``linear`` trajectory is
+    compared against the free term alone.
     """
     if which not in ("U", "N"):
         raise ValueError("which must be 'U' or 'N'")
@@ -455,7 +485,7 @@ def duhamel_residual(
     # each snapshot's integrand flows over the remaining time t - s
     integrand = flow(total, t - times)
     free = flow(c0 + b0, t)
-    rhs = free - bt + simpson(integrand, x=times, axis=0)
+    rhs = free - bt + _simpson(integrand, times)
     num = l2_norms(grid, rhs - target)
     return 0.0 if den == 0.0 else num / den
 
@@ -535,6 +565,12 @@ def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> NDArray:
     return low * eta0(xi / 0.15) + high * eta0(xi / 2.25)
 
 
+def check_sizes(sizes: Sequence[int]) -> None:
+    """ValueError unless a sweep's grid sizes hold two distinct values: one size compares no refinement."""
+    if len(set(sizes)) < 2:
+        raise ValueError(f"a sweep needs at least two distinct sizes, got {tuple(sizes)}")
+
+
 def estimate_sweep(
     alpha: float = 2.0,
     sizes: Sequence[int] = (128, 256, 512),
@@ -554,6 +590,7 @@ def estimate_sweep(
     from .resonance import compute_params
 
     check_count("trials", trials)
+    check_sizes(sizes)
     sizes = tuple(sorted(sizes))
     coarse = RadialGrid(R, sizes[0])
     params = compute_params(alpha, band=coarse)

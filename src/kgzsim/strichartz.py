@@ -223,7 +223,8 @@ class WitnessReport:
 
 
 def check_samples(n: int) -> None:
-    """ValueError unless there are at least two sample times: a one-point trapezoid is zero."""
+    """ValueError unless there are at least two sample times: a one-point trapezoid is zero,
+    and one checkpoint has no Cauchy difference."""
     if n < 2:
         raise ValueError(f"need at least 2 sample times, got {n}")
 
@@ -416,7 +417,10 @@ def resolution_norms(traj: Trajectory, eps: float, windows: Sequence[tuple[float
 
     The six per-snapshot norms are tabulated once, over the snapshots that the
     windows span, and each window takes a max or a trapezoid over its rows.
+    ValueError for an empty window list.
     """
+    if not windows:
+        raise ValueError("resolution norms need at least one window, got none")
     q_eps, q_meps = resolution_exponents(eps)
     ts, grid = traj.times, traj.config.grid
     rows = [window_slice(ts, w) for w in windows]

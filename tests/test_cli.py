@@ -259,6 +259,8 @@ def test_scatter_diag_outputs(tmp_path):
         ("scatter.eps=0.2", "exponent chain"),
         ("scatter.checkpoints=2,4.003,8", "no snapshot near checkpoint t=4.003"),
         ("scatter.checkpoints=2,x", "could not convert"),
+        # one checkpoint gives no Cauchy row and so no resolution-norm window
+        ("scatter.checkpoints=8", "scatter.checkpoints: need at least 2 sample times, got 1"),
     ],
 )
 def test_scatter_diag_rejects_analysis_settings_before_the_run(tmp_path, monkeypatch, capsys, setting, message):
@@ -279,7 +281,16 @@ def test_scatter_diag_checks_the_horizon_before_the_run(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("sizes, message", [("64,1x", "invalid literal for int()"), ("64,2", "need at least 4 modes")])
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("64,1x", "invalid literal for int()"),
+        ("64,2", "need at least 4 modes"),
+        # one size compares no refinement: every stability ratio would read 1
+        ("128", "a sweep needs at least two distinct sizes, got (128,)"),
+        ("128,128", "a sweep needs at least two distinct sizes, got (128, 128)"),
+    ],
+)
 def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypatch, capsys, sizes, message):
     monkeypatch.setattr(cli, "run_simulation", no_run)
     code = run(["normalform-check", "--out", str(tmp_path), "--set", "sweep.enabled=true", "--set", f"sweep.sizes={sizes}"])
@@ -461,7 +472,7 @@ def test_text_outputs_written_atomically(tmp_path, monkeypatch):
             "--set",
             "sweep.enabled=true",
             "--set",
-            "sweep.sizes=64",
+            "sweep.sizes=64,128",
             "--set",
             "sweep.trials=2",
         ],

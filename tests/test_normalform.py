@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgzsim import normalform
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
     GUARD_FRACTION,
@@ -12,6 +17,7 @@ from kgzsim.normalform import (
     BilinearSymbol,
     _block_support,
     _pair_support,
+    _simpson,
     _symbol_weight,
     annulus_guard,
     dense_bilinear_reference,
@@ -348,6 +354,54 @@ def test_cubic_trilinear_scaling(grid, params, smooth_pair):
 
 
 # ---------------------------------------------------------------------------
+# Simpson rule
+# ---------------------------------------------------------------------------
+
+def _simpson_mismatches(rule) -> list[tuple[int, str, tuple[int, ...]]]:
+    """The cases in which ``rule(y, x)`` differs in any bit from scipy's ``simpson(y, x=x, axis=0)``."""
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(7)
+    out = []
+    for n in range(3, 13):
+        spacings = {"uniform": np.linspace(0.0, 2.0, n), "non-uniform": np.cumsum(rng.uniform(0.1, 1.0, n))}
+        for label, x in spacings.items():
+            for shape in [(n,), (n, 5), (n, 3, 64)]:
+                y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got, want = np.asarray(rule(y, x)), np.asarray(simpson(y, x=x, axis=0))
+                if got.shape != want.shape or got.tobytes() != want.tobytes():
+                    out.append((n, label, shape))
+    return out
+
+
+def test_simpson_matches_scipy_bit_for_bit():
+    assert _simpson_mismatches(_simpson) == []
+
+
+def test_simpson_oracle_catches_a_missing_even_count_correction():
+    def without_correction(y, x):
+        # scipy < 1.11's even="first": Simpson on the first n-1 points, a trapezoid on the last interval
+        if len(x) % 2:
+            return _simpson(y, x)
+        return _simpson(y[:-1], x[:-1]) + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+
+    missed = _simpson_mismatches(without_correction)
+    assert {n for n, _, _ in missed} == {4, 6, 8, 10, 12}
+    assert len(missed) == 5 * 2 * 3
+
+
+def test_package_import_leaves_out_unused_scipy_subpackages():
+    # scipy.integrate alone brings scipy.optimize, scipy.linalg and scipy.spatial: ~23 MB and ~0.3 s per process
+    src = str(Path(normalform.__file__).parents[1])
+    code = "import sys, kgzsim, kgzsim.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "kgzsim.cli" in loaded
+    assert loaded & {"scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.spatial"} == set()
+
+
+# ---------------------------------------------------------------------------
 # transformed-equation residuals
 # ---------------------------------------------------------------------------
 
@@ -410,8 +464,18 @@ def test_estimate_sweep_smoke():
 
 
 def test_sweep_report_csv(tmp_path):
-    report = estimate_sweep(2.0, sizes=(64,), trials=2, n_angular=16)
+    report = estimate_sweep(2.0, sizes=(64, 128), trials=2, n_angular=16)
     report.write_csv(tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "estimate,M,trial,value"
     assert len(lines) == 1 + len(report.rows)
+
+
+@pytest.mark.parametrize("sizes", [(128,), (128, 128)])
+def test_estimate_sweep_needs_two_distinct_sizes(sizes, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the sweep built a grid")
+
+    monkeypatch.setattr(normalform, "RadialGrid", no_grid)
+    with pytest.raises(ValueError, match="at least two distinct sizes"):
+        estimate_sweep(2.0, sizes=sizes, trials=2)

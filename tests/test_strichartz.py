@@ -300,6 +300,11 @@ def test_windows_are_slices_of_one_table(short_traj, monkeypatch):
     assert calls == [len(short_traj)] * 3
 
 
+def test_resolution_norms_need_a_window(short_traj):
+    with pytest.raises(ValueError, match="at least one window"):
+        resolution_norms(short_traj, 0.05, [])
+
+
 def test_resolution_norm_eps_validation(short_traj):
     with pytest.raises(ValueError):
         resolution_norm(short_traj, eps=0.5)
