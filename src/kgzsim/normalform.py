@@ -17,6 +17,16 @@ product f * g.  Each operator stores the whole quadrature as a float64
 pair-list kernel, at every grid size and angular order, and applies it in
 O(nnz) per coefficient pair.
 
+The kernel is built in one pass over the support pairs, in chunks of at most
+``_ENTRIES`` (pair, angle node) entries, so the build's temporaries do not
+grow with the angular order.  The dyadic cutoffs cost one bump per node:
+every radius u > 0 lies in one shell [2^(K-1), 2^K), where, with
+s = eta0(u / 2^(K-1)), chi_K(u) = 1 - s, chi_(K-1)(u) = s and every other
+chi_k(u) is exactly 0.0.  These are the float operations of the
+block-by-block sum, so the weights are bit-identical to it.  Along the angle
+u is monotone, so the interpolation columns of a pair form one band, and a
+bincount into the bands sums the terms into CSR rows that are already sorted.
+
 The boundary and cubic terms of the normal form come from one batched
 assembly, :func:`normal_form_terms`, which forms the interior products N U
 and |U|^2 without dealiasing.  It builds the operators it needs and drops
@@ -46,7 +56,6 @@ from .radial import (
     RadialGrid,
     analyze,
     besov_norms,
-    chi_k,
     chi_le,
     eta0,
     kg_propagate,
@@ -95,10 +104,8 @@ class BilinearSymbol:
     def conjugates_second(self) -> bool:
         return self.kind in ("omega_tilde", "xl_lx_mask")
 
-    def phase(self, xi_out: NDArray, u: NDArray, rho: NDArray, on: NDArray) -> NDArray:
-        """The phase an omega kind divides by, w1 for omega and wt1 for omega_tilde, on the
-        entries ``on`` of u = |xi - eta|, with xi_out and rho broadcast against u."""
-        xi_out, u, rho = (np.broadcast_to(a, u.shape)[on] for a in (xi_out, u, rho))
+    def phase(self, xi_out: NDArray, u: NDArray, rho: NDArray) -> NDArray:
+        """The phase an omega kind divides by, w1 for omega and wt1 for omega_tilde, at u = |xi - eta|."""
         return phase_at_distance(1, xi_out, rho, u, self.params.alpha, tilde=self.kind == "omega_tilde")
 
 
@@ -155,6 +162,18 @@ def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
     return keep
 
 
+def _shells(x: NDArray) -> tuple[NDArray, NDArray]:
+    """(K, s) for radii x > 0, with x in the shell [2^(K-1), 2^K) and s = eta0(x / 2^(K-1)).
+
+    Then chi_K(x) = 1 - s, chi_(K-1)(x) = s, and every other chi_k(x) is 0.0, with the float
+    operations of :func:`chi_k`: x / 2^(K-1) = 2 m for the frexp mantissa m is exact and lies in
+    [1, 2), where eta0 is its formula alone (exp(0) = 1 at the shell's lower edge).
+    """
+    mant, K = np.frexp(x)
+    y = 2.0 * mant - 1.0
+    return K, np.exp(1.0 - 1.0 / (1.0 - y * y))
+
+
 def _symbol_weight(
     sym: BilinearSymbol,
     grid: RadialGrid,
@@ -164,32 +183,72 @@ def _symbol_weight(
 ) -> NDArray:
     """Evaluate the weight on broadcastable (xi_out, u, rho) arrays, the angle on the last axis.
 
-    Each row (xi_out, rho) gets only the block terms :func:`_block_support` allows on its range of u,
-    and the phase only where the numerator is nonzero; every term skipped is exactly 0.0.
+    The XL term, the sum over XL blocks k of chi_k(u) eta0(rho / 2^(k - k_alpha)), has at most two
+    nonzero blocks at each node, K - 1 and K of u's shell (:func:`_shells`): one bump per node and
+    two rho factors from a per-row table.  It is evaluated only on the rows whose rho is below
+    2^(k + 1 - k_alpha) for some XL block.  The LX term takes the same identity in rho, and is
+    evaluated only where u < 2^(K + 1 - k_alpha) for rho's shell K.  The guard and the phase act
+    only where the numerator is nonzero.  Every term skipped is exactly 0.0, and every term kept
+    takes the float operations, in their order, of the block-by-block sum.
     """
     shape = np.broadcast_shapes(xi_out.shape, u.shape, rho.shape)
     if sym.kind == "plain":
         return np.ones(shape)
 
     p, ka = sym.params, sym.params.k_alpha
+    ks = [k for k in grid.resolved_k if in_support(InteractionTag.XL, k, k - ka, p)]
     u = np.broadcast_to(u, shape).reshape(-1, shape[-1])
-    rho = np.broadcast_to(rho, shape[:-1] + (1,)).reshape(-1, 1)
-    lo, hi = u.min(axis=1), u.max(axis=1)
-    num, lx = np.zeros(u.shape), np.zeros(u.shape) if sym.conjugates_second else 0.0
-    for k in grid.resolved_k:
-        if not in_support(InteractionTag.XL, k, k - ka, p):
-            continue
-        on_xl, on_lx = (np.flatnonzero(on) for on in _block_support(k, ka, lo, hi, rho[:, 0]))
-        if on_xl.size:
-            num[on_xl] += chi_k(u[on_xl], k) * chi_le(rho[on_xl], k - ka)
-        if on_lx.size and sym.conjugates_second:
-            lx[on_lx] += chi_le(u[on_lx], k - ka) * chi_k(rho[on_lx], k)
-    on = num != 0.0
-    num[on] *= annulus_guard(u[on], p)
-    num += lx
-    if sym.kind in ("omega", "omega_tilde"):
-        on = num != 0.0
-        num[on] /= sym.phase(np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1, 1), u, rho, on)
+    rho = np.broadcast_to(rho, shape[:-1] + (1,)).reshape(-1)
+    num = np.zeros(u.shape)
+    if not ks:
+        return num.reshape(shape)
+    xi_out = np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1)
+    divide = sym.kind in ("omega", "omega_tilde")
+    # 1.0 on the XL blocks among ks[0] - 2 .. ks[-1] + 2; a shell index clipped into the padding reads 0.0
+    blocks = np.arange(ks[0] - 2, ks[-1] + 3)
+    on_block = np.zeros(len(blocks))
+    on_block[np.subtract(ks, blocks[0])] = 1.0
+
+    lx = None
+    if sym.conjugates_second:
+        # chi_(K-1)(rho) and chi_K(rho) where those blocks are XL blocks; the term is 0.0 for u >= 2^(K + 1 - ka)
+        K, s = _shells(rho)
+        col = np.clip(K, blocks[1], blocks[-1]) - blocks[0]
+        a1, a2 = s * on_block[col - 1], (1.0 - s) * on_block[col]
+        reach = np.where((a1 != 0.0) | (a2 != 0.0), np.ldexp(1.0, K + 1 - ka), 0.0)
+        r, q = np.nonzero(u < reach[:, None])
+        z = np.ldexp(u[r, q], ka - K[r])  # u / 2^(K - ka)
+        lx = eta0(2.0 * z) * a1[r] + eta0(z) * a2[r]
+
+    rows = np.flatnonzero(rho < np.ldexp(1.0, ks[-1] + 1 - ka))
+    if rows.size:
+        ur = u if rows.size == len(u) else u[rows]
+        # the rho factors eta0(rho / 2^(k - ka)) of the blocks: 1.0 for k - ka >= K_rho, s_rho for
+        # k - ka = K_rho - 1, 0.0 below; u = 0 lies below every block
+        K, s = _shells(rho[rows, None])
+        table = (np.where(blocks - ka >= K, 1.0, np.where(blocks - ka == K - 1, s, 0.0)) * on_block).ravel()
+        K, s = _shells(np.maximum(ur, np.finfo(float).tiny))
+        col = np.clip(K, blocks[1], blocks[-1]) + (len(blocks) * np.arange(len(rows))[:, None] - blocks[0])
+        xl = s * table[col - 1]
+        xl += (1.0 - s) * table[col]
+        # the guard is exactly 1.0 where |u - c| >= 2 f delta, since eta0(x) = 0.0 for x >= 2
+        on = np.flatnonzero((np.abs(ur - p.c_alpha) < 2.0 * GUARD_FRACTION * p.delta_alpha) & (xl != 0.0))
+        xl.ravel()[on] *= annulus_guard(ur.ravel()[on], p)
+        if lx is not None:
+            # the LX terms on these rows join the guarded XL term before the division
+            at = np.full(len(u), -1)
+            at[rows] = np.arange(len(rows))
+            mine = at[r] >= 0
+            xl[at[r[mine]], q[mine]] += lx[mine]
+            r, q, lx = r[~mine], q[~mine], lx[~mine]
+        if divide:
+            np.divide(xl, sym.phase(xi_out[rows, None], ur, rho[rows, None]), out=xl, where=xl != 0.0)
+        num[rows] = xl
+
+    if lx is not None:
+        if divide:
+            np.divide(lx, sym.phase(xi_out[r], u[r, q], rho[r]), out=lx, where=lx != 0.0)
+        num[r, q] = lx
     return num.reshape(shape)
 
 
@@ -197,7 +256,7 @@ def _symbol_weight(
 # quadrature operator
 # ---------------------------------------------------------------------------
 
-_ROWS = 8  # output frequencies per kernel-build chunk
+_ENTRIES = 2**15  # (pair, angle node) entries per kernel-build chunk, at least one pair
 
 
 def check_count(name: str, n: int) -> None:
@@ -218,6 +277,33 @@ def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
     return idx, frc
 
 
+def _bands(p: NDArray, idx: NDArray, v0: NDArray, v1: NDArray, M: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """Sum v0 into columns idx and v1 into idx + 1 of the rows p (sorted) into CSR rows with sorted columns.
+
+    Each row's terms are summed into one band of bins, from its smallest column to its largest, with
+    one bincount per interpolation term; u is monotone in the angle, so a band is about as wide as the
+    columns it holds.  A bin is kept when a nonzero term reached it; column M is the zero pad.
+    Returns the rows that keep a bin, their lengths, and the column indices and data of the kept bins.
+    """
+    counts = np.bincount(p)
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    first = np.cumsum(counts) - counts
+    lo = np.minimum.reduceat(idx, first)
+    width = np.maximum.reduceat(idx, first) - lo + 2
+    end = np.cumsum(width)
+    shift = end - width - lo
+    bins = idx + np.repeat(shift, counts)
+    sums = np.bincount(bins, v0, minlength=end[-1])
+    sums[1:] += np.bincount(bins, v1, minlength=end[-1])[:-1]
+    hit = np.zeros(end[-1], dtype=bool)
+    hit[bins[v0 != 0.0]] = True
+    hit[bins[(v1 != 0.0) & (idx < M - 1)] + 1] = True
+    kept = np.flatnonzero(hit)
+    lengths = np.diff(np.searchsorted(kept, end), prepend=0)
+    return rows[lengths > 0], lengths[lengths > 0], kept - np.repeat(shift, lengths), sums[kept]
+
+
 class BilinearOperator:
     """Bilinear quadrature bound to (grid, symbol, angular order).
 
@@ -230,58 +316,69 @@ class BilinearOperator:
     same order whatever the stack, so batched and single applies are
     bit-identical.  ``min_abs_phase`` is the smallest |phase| divided by (None
     if the kind has none).
+
+    The build runs over the support pairs in (m, j) order, in chunks of at
+    most ``_ENTRIES`` (pair, node) entries, one pair at least: 2^15 entries,
+    256 KB per float64 temporary, about ten of them at a time.  Each chunk
+    evaluates the weight (one bump per node, by the shell identity of
+    :func:`_shells`), keeps its nonzero nodes as 1-D entries, takes the phase
+    minimum on them, and sums their two interpolation terms into per-pair
+    column bands with :func:`_bands`.  The rows come out sorted, so no COO
+    conversion, sort or stack is needed.
     """
 
     def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64):
         self.grid = grid
         self.symbol = symbol
         check_count("n_angular", n_angular)
-        self.n_angular = int(n_angular)
-        self._cos, self._glw = np.polynomial.legendre.leggauss(self.n_angular)
-        M = grid.M
+        self.n_angular = Q = int(n_angular)
+        self._cos, self._glw = np.polynomial.legendre.leggauss(Q)
+        M, xi = grid.M, grid.xi
         trap = np.ones(M)
         trap[0] = trap[-1] = 0.5
         # (2 pi)^{-3} * 2 pi = 1/(4 pi^2), folded with the radial measure
-        self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * grid.xi**2
+        self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * xi**2
         self.max_abs_weight = 0.0
         self.min_abs_phase = np.inf if symbol.kind in ("omega", "omega_tilde") else None
-        support = _pair_support(symbol, grid)
-        blocks, pairs = [], []
-        for lo in range(0, M, _ROWS):
-            m, j = np.nonzero(support[lo : lo + _ROWS])
-            G, idx, frc = self._pair_kernel(lo + m, j)
-            p, q = np.nonzero(G)
-            g, i, f = G[p, q], idx[p, q], frc[p, q]
+        m_all, j_all = np.nonzero(_pair_support(symbol, grid))
+        step = max(1, _ENTRIES // Q)
+        # each list starts with an empty piece, so that a kernel with no entries concatenates too
+        pairs, lengths, cols = [np.empty((2, 0), np.intp)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        data = [np.empty(0)]
+        for lo in range(0, len(m_all), step):
+            m, j = m_all[lo : lo + step], j_all[lo : lo + step]
+            xi_out, rho = xi[m][:, None], xi[j][:, None]
+            u = interaction_distance(xi_out, rho, self._cos)
+            w = _symbol_weight(symbol, grid, xi_out, u, rho)
+            on = np.flatnonzero(w)
+            p, q = np.divmod(on, Q)
+            w, u = w.ravel()[on], u.ravel()[on]
+            if not np.all(np.isfinite(w)):
+                raise RuntimeError(f"bilinear symbol {symbol.kind!r} is not finite on its support")
+            self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
+            if self.min_abs_phase is not None:
+                den = symbol.phase(xi_out[p, 0], u, rho[p, 0])
+                self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
+            g = w * (self._base[j[p]] * self._glw[q])
+            idx, frc = _interp_tables(grid, u)
+            inside = idx < M
+            if not inside.all():
+                p, g, idx, frc = p[inside], g[inside], idx[inside], frc[inside]
+            if not p.size:
+                continue
             # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1}; index M is the zero pad
-            w = np.concatenate([g * (1.0 - f), g * f])
-            i = np.concatenate([i, i + 1])
-            keep = (i < M) & (w != 0.0)
-            p = np.tile(p, 2)[keep]
-            # number the pairs that keep an entry in (m, j) order
-            kept = np.bincount(p, minlength=len(m)) > 0
-            p = (np.cumsum(kept) - 1)[p]
-            blocks.append(sparse.coo_array((w[keep], (p, i[keep])), shape=(kept.sum(), M)).tocsr())
-            pairs.append(np.stack([lo + m[kept], j[kept]]))
-        self._A = sparse.vstack(blocks, format="csr")
+            rows, n, c, d = _bands(p, idx, g * (1.0 - frc), g * frc, M)
+            pairs.append(np.stack([m[rows], j[rows]]))
+            lengths.append(n)
+            cols.append(c)
+            data.append(d)
         self.m_p, self.j_p = np.concatenate(pairs, axis=1)
         n = len(self.m_p)
-        self._B = sparse.csr_array((np.ones(n), (self.m_p, np.arange(n))), shape=(M, n))
-
-    def _pair_kernel(self, m: NDArray, j: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        """Quadrature weights and interpolation tables on the pairs (xi_m, rho_j), axes (pair, angle)."""
-        xi_out = self.grid.xi[m][:, None]
-        rho = self.grid.xi[j][:, None]
-        u = interaction_distance(xi_out, rho, self._cos)
-        w = _symbol_weight(self.symbol, self.grid, xi_out, u, rho)
-        if not np.all(np.isfinite(w)):
-            raise RuntimeError(f"bilinear symbol {self.symbol.kind!r} is not finite on its support")
-        self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
-        if self.min_abs_phase is not None:
-            den = self.symbol.phase(xi_out, u, rho, w != 0.0)
-            self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
-        G = w * (self._base[j][:, None] * self._glw)
-        idx, frc = _interp_tables(self.grid, u)
-        return G, idx, frc
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+        self._A = sparse.csr_array((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, M))
+        # B's row m holds the pairs of output m, which are consecutive in (m, j) order
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.m_p, minlength=M))])
+        self._B = sparse.csr_array((np.ones(n), np.arange(n), indptr), shape=(M, n))
 
     def apply_batch(self, fhats: NDArray, ghats: NDArray) -> NDArray:
         """Apply to a stack of coefficient pairs, (S, M) -> (S, M), _CHUNK (pair, row) products or one row at a time."""

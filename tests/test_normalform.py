@@ -108,10 +108,17 @@ def test_symbol_finite_on_support(grid, params):
 
 # the C8 grid, where the band cap on k_alpha binds, and the sweep grid
 SUPPORT_GRIDS = pytest.mark.parametrize("alpha, M", [(0.5, 256), (2.0, 128)])
+# and a grid with xi_m = m / 16 (R = 16 pi), where u = xi + rho and |xi - rho| at the end points
+# c = -1, 1 fall exactly on powers of 2: the lower edges of the dyadic shells
+WEIGHT_GRIDS = pytest.mark.parametrize(
+    "alpha, M, R",
+    [(0.5, 256, 40.0), (2.0, 128, 40.0), (2.0, 128, 16.0 * np.pi)],
+    ids=["0.5-256", "2.0-128", "2.0-128-R16pi"],
+)
 
 
-def _grid_and_params(alpha, M):
-    grid = RadialGrid(40.0, M)
+def _grid_and_params(alpha, M, R=40.0):
+    grid = RadialGrid(R, M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return grid, compute_params(alpha, band=grid)
@@ -123,9 +130,9 @@ def _gauss_and_end_points(grid):
     return _quadrature_geometry(grid, np.concatenate([[-1.0], nodes, [1.0]]))
 
 
-@SUPPORT_GRIDS
-def test_weight_vanishes_off_pair_support(alpha, M):
-    grid, params = _grid_and_params(alpha, M)
+@WEIGHT_GRIDS
+def test_weight_vanishes_off_pair_support(alpha, M, R):
+    grid, params = _grid_and_params(alpha, M, R)
     xo, u, rho = _gauss_and_end_points(grid)
     c = np.linspace(-1.0, 1.0, 257)
     for kind in SYMBOL_KINDS[1:]:
@@ -186,16 +193,21 @@ def _all_blocks_weight(sym, grid, xi_out, u, rho):
     return out
 
 
-@SUPPORT_GRIDS
-def test_weight_matches_all_blocks_formula(alpha, M):
-    # the per-block evaluation skips only exact zeros, so it is bit-identical
-    grid, params = _grid_and_params(alpha, M)
+@WEIGHT_GRIDS
+def test_weight_matches_all_blocks_formula(alpha, M, R):
+    # the per-node evaluation skips only exact zeros, so it is bit-identical
+    grid, params = _grid_and_params(alpha, M, R)
     xo, u, rho = _gauss_and_end_points(grid)
+    edges = np.frexp(u)[0] == 0.5  # u on a shell's lower edge
+    on_edges = 0
     for kind in SYMBOL_KINDS[1:]:
         sym = BilinearSymbol(kind, params)
         want = _all_blocks_weight(sym, grid, xo, u, rho)
         assert np.any(want != 0.0), kind
         assert np.array_equal(_symbol_weight(sym, grid, xo, u, rho), want), kind
+        on_edges += np.count_nonzero(edges & (want != 0.0))
+    # on the R = 16 pi grid some of the compared weights sit on shell edges
+    assert on_edges > 0 or R != 16.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +326,76 @@ def test_against_dense_quadrature_oracle():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _dense_kernel(grid, sym, n_angular, rows=8):
+    """The kernel with every quadrature term written out: each (m, j, q) term is added with np.add.at
+    into row m M + j of a dense (M M, M + 1) array, at the two columns of its linear interpolation
+    (column M is the zero pad, dropped), a block of ``rows`` output frequencies m at a time.  Returns
+    the pair index m M + j, the CSR indptr and indices, and the data of the rows any nonzero term reached."""
+    M, xi, dxi = grid.M, grid.xi, grid.dxi
+    cos, glw = np.polynomial.legendre.leggauss(n_angular)
+    trap = np.ones(M)
+    trap[0] = trap[-1] = 0.5
+    base = (dxi / (4.0 * np.pi**2)) * trap * xi**2
+    pairs, lengths, cols, data = [], [], [], []
+    for lo in range(0, M, rows):
+        xo, u, rho = _quadrature_geometry(grid, cos, slice(lo, lo + rows))
+        w = _symbol_weight(sym, grid, xo, u, rho)
+        m, j, q = np.nonzero(w)
+        u, term, row = u[m, j, q], w[m, j, q] * (base[j] * glw[q]), m * M + j
+        pos = (u - xi[0]) / dxi
+        i = np.floor(pos).astype(int)
+        inside = (u >= xi[0]) & (u <= xi[-1])
+        dense = np.zeros((len(xo) * M, M + 1))
+        reached = np.zeros(dense.shape, dtype=bool)
+        for col, part in ((i, term * (1.0 - (pos - i))), (i + 1, term * (pos - i))):
+            on = inside & (part != 0.0)
+            np.add.at(dense, (row[on], col[on]), part[on])
+            reached[row[on], col[on]] = True
+        reached[:, M] = False
+        r = np.flatnonzero(reached.any(axis=1))
+        pairs.append(lo * M + r)
+        lengths.append(reached[r].sum(axis=1))
+        cols.append(np.nonzero(reached[r])[1])
+        data.append(dense[r][reached[r]])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    return np.concatenate(pairs), indptr, np.concatenate(cols), np.concatenate(data)
+
+
+@SUPPORT_GRIDS
+@pytest.mark.parametrize("kind", SYMBOL_KINDS[1:])
+def test_kernel_matches_dense_assembly(alpha, M, kind):
+    # the chunked band assembly against the quadrature summed term by term on the full (m, j, q)
+    # grid: the same pairs and CSR pattern, and the data up to the order of the sums
+    grid, params = _grid_and_params(alpha, M)
+    sym = BilinearSymbol(kind, params)
+    op = BilinearOperator(grid, sym)
+    pairs, indptr, indices, data = _dense_kernel(grid, sym, op.n_angular)
+    assert len(pairs) > 0
+    assert np.array_equal(op.m_p, pairs // M) and np.array_equal(op.j_p, pairs % M)
+    assert np.array_equal(op._A.indptr, indptr) and np.array_equal(op._A.indices, indices)
+    assert np.all(np.abs(op._A.data - data) <= 4e-15 * np.abs(data))
+
+
+def test_build_temporaries_do_not_grow_with_the_angular_order(monkeypatch):
+    # at Q = 1024 a build of 8 output rows at a time held 28 MB for a 0.3 MB kernel (alpha = 2, M = 128)
+    grid, params = _grid_and_params(2.0, 128)
+    # numpy's Gauss rule solves a Q x Q eigenproblem (8 MB here): computed before tracing, returned as is
+    rule = np.polynomial.legendre.leggauss(1024)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: rule)
+    tracemalloc.start()
+    try:
+        op = BilinearOperator(grid, BilinearSymbol("omega_tilde", params), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernel = sum(a.nbytes for a in (op._A.data, op._A.indices, op._A.indptr, op._B.data, op._B.indices, op._B.indptr))
+    kernel += op.m_p.nbytes + op.j_p.nbytes
+    # a chunk holds normalform._ENTRIES (pair, node) entries, with at most 16 float64 temporaries per
+    # entry; and the (M, M) support mask with, at most, an (m, j) index pair for each of its entries
+    bound = 16 * 8 * normalform._ENTRIES + grid.M**2 * (1 + 2 * 8)
+    assert peak - kernel < bound, (peak, kernel, bound)
 
 
 # ---------------------------------------------------------------------------
