@@ -17,20 +17,12 @@ product f * g.  Each operator stores the whole quadrature as a float64
 pair-list kernel, at every grid size and angular order, and applies it in
 O(nnz) per coefficient pair.
 
-The kernel is built in one pass over the support pairs, in chunks of at most
-``_ENTRIES`` (pair, angle node) entries, so the build's temporaries do not
-grow with the angular order.  The dyadic cutoffs cost one bump per node:
-every radius u > 0 lies in one shell [2^(K-1), 2^K), where, with
-s = eta0(u / 2^(K-1)), chi_K(u) = 1 - s, chi_(K-1)(u) = s and every other
-chi_k(u) is exactly 0.0.  These are the float operations of the
-block-by-block sum, so the weights are bit-identical to it.  Along the angle
-u is monotone, so the interpolation columns of a pair form one band, and a
-bincount into the bands sums the terms into CSR rows that are already sorted.
-
-The boundary and cubic terms of the normal form come from one batched
-assembly, :func:`normal_form_terms`, which forms the interior products N U
-and |U|^2 without dealiasing.  It builds the operators it needs and drops
-them on return; no operator is cached between calls.
+The boundary and cubic terms of the normal form, and the guarded pieces it
+removes, come from one batched assembly, :func:`normal_form_terms`, which
+forms the interior products N U and |U|^2 without dealiasing.  It builds one
+operator per phase, which holds Omega = cutoff / phase and, when a term asks
+for it, the cutoff itself on the same kernel pattern.  It drops each operator
+before it builds the next; no operator is cached between calls.
 
 The division by the resonance phase is only applied on a support that stays
 away from the phase's zero set: the dyadic high-low blocks outside the
@@ -76,7 +68,7 @@ from .resonance import (
 from .kgz import Trajectory
 from .strichartz import resolution_exponents
 
-SYMBOL_KINDS = ("plain", "omega", "omega_tilde", "xl_mask", "xl_lx_mask")
+SYMBOL_KINDS = ("plain", "omega", "omega_tilde")
 
 
 @dataclass(frozen=True)
@@ -84,11 +76,13 @@ class BilinearSymbol:
     """Radial bilinear weight selected by ``kind``.
 
     plain        -- weight 1 (convolution / product);
-    omega        -- guarded XL cutoff divided by -<xi> + alpha|xi-eta| + <eta>;
-    omega_tilde  -- guarded XL + LX cutoff divided by <xi-eta> - <eta> - alpha|xi|
-                    (pairs fhat(xi-eta) with the conjugate of ghat);
-    xl_mask      -- the guarded XL cutoff alone;
-    xl_lx_mask   -- the guarded XL + LX cutoff alone.
+    omega        -- Omega: the guarded XL cutoff divided by the phase -<xi> + alpha|xi-eta| + <eta>;
+    omega_tilde  -- OmegaTilde: the guarded XL + LX cutoff divided by the phase
+                    <xi-eta> - <eta> - alpha|xi| (pairs fhat(xi-eta) with the conjugate of ghat).
+
+    The cutoff of a phase kind is the piece of the quadratic term that the normal
+    form removes, and cutoff / phase is what replaces it: one support, one kernel
+    pattern.  An operator built with ``cutoff=True`` carries the cutoff's data too.
     """
 
     kind: str
@@ -102,10 +96,10 @@ class BilinearSymbol:
 
     @property
     def conjugates_second(self) -> bool:
-        return self.kind in ("omega_tilde", "xl_lx_mask")
+        return self.kind == "omega_tilde"
 
     def phase(self, xi_out: NDArray, u: NDArray, rho: NDArray) -> NDArray:
-        """The phase an omega kind divides by, w1 for omega and wt1 for omega_tilde, at u = |xi - eta|."""
+        """The phase the cutoff is divided by, w1 for omega and wt1 for omega_tilde, at u = |xi - eta|."""
         return phase_at_distance(1, xi_out, rho, u, self.params.alpha, tilde=self.kind == "omega_tilde")
 
 
@@ -174,24 +168,18 @@ def _shells(x: NDArray) -> tuple[NDArray, NDArray]:
     return K, np.exp(1.0 - 1.0 / (1.0 - y * y))
 
 
-def _symbol_weight(
-    sym: BilinearSymbol,
-    grid: RadialGrid,
-    xi_out: NDArray,
-    u: NDArray,
-    rho: NDArray,
-) -> NDArray:
-    """Evaluate the weight on broadcastable (xi_out, u, rho) arrays, the angle on the last axis.
+def _cutoff(sym: BilinearSymbol, grid: RadialGrid, u: NDArray, rho: NDArray) -> NDArray:
+    """Evaluate the cutoff on broadcastable (u, rho) arrays, the angle on the last axis: 1.0 for plain.
 
     The XL term, the sum over XL blocks k of chi_k(u) eta0(rho / 2^(k - k_alpha)), has at most two
     nonzero blocks at each node, K - 1 and K of u's shell (:func:`_shells`): one bump per node and
     two rho factors from a per-row table.  It is evaluated only on the rows whose rho is below
     2^(k + 1 - k_alpha) for some XL block.  The LX term takes the same identity in rho, and is
-    evaluated only where u < 2^(K + 1 - k_alpha) for rho's shell K.  The guard and the phase act
-    only where the numerator is nonzero.  Every term skipped is exactly 0.0, and every term kept
-    takes the float operations, in their order, of the block-by-block sum.
+    evaluated only where u < 2^(K + 1 - k_alpha) for rho's shell K.  The guard acts only where
+    the XL term is nonzero.  Every term skipped is exactly 0.0, and every term kept takes the
+    float operations, in their order, of the block-by-block sum.
     """
-    shape = np.broadcast_shapes(xi_out.shape, u.shape, rho.shape)
+    shape = np.broadcast_shapes(u.shape, rho.shape)
     if sym.kind == "plain":
         return np.ones(shape)
 
@@ -202,23 +190,10 @@ def _symbol_weight(
     num = np.zeros(u.shape)
     if not ks:
         return num.reshape(shape)
-    xi_out = np.broadcast_to(xi_out, shape[:-1] + (1,)).reshape(-1)
-    divide = sym.kind in ("omega", "omega_tilde")
     # 1.0 on the XL blocks among ks[0] - 2 .. ks[-1] + 2; a shell index clipped into the padding reads 0.0
     blocks = np.arange(ks[0] - 2, ks[-1] + 3)
     on_block = np.zeros(len(blocks))
     on_block[np.subtract(ks, blocks[0])] = 1.0
-
-    lx = None
-    if sym.conjugates_second:
-        # chi_(K-1)(rho) and chi_K(rho) where those blocks are XL blocks; the term is 0.0 for u >= 2^(K + 1 - ka)
-        K, s = _shells(rho)
-        col = np.clip(K, blocks[1], blocks[-1]) - blocks[0]
-        a1, a2 = s * on_block[col - 1], (1.0 - s) * on_block[col]
-        reach = np.where((a1 != 0.0) | (a2 != 0.0), np.ldexp(1.0, K + 1 - ka), 0.0)
-        r, q = np.nonzero(u < reach[:, None])
-        z = np.ldexp(u[r, q], ka - K[r])  # u / 2^(K - ka)
-        lx = eta0(2.0 * z) * a1[r] + eta0(z) * a2[r]
 
     rows = np.flatnonzero(rho < np.ldexp(1.0, ks[-1] + 1 - ka))
     if rows.size:
@@ -234,22 +209,26 @@ def _symbol_weight(
         # the guard is exactly 1.0 where |u - c| >= 2 f delta, since eta0(x) = 0.0 for x >= 2
         on = np.flatnonzero((np.abs(ur - p.c_alpha) < 2.0 * GUARD_FRACTION * p.delta_alpha) & (xl != 0.0))
         xl.ravel()[on] *= annulus_guard(ur.ravel()[on], p)
-        if lx is not None:
-            # the LX terms on these rows join the guarded XL term before the division
-            at = np.full(len(u), -1)
-            at[rows] = np.arange(len(rows))
-            mine = at[r] >= 0
-            xl[at[r[mine]], q[mine]] += lx[mine]
-            r, q, lx = r[~mine], q[~mine], lx[~mine]
-        if divide:
-            np.divide(xl, sym.phase(xi_out[rows, None], ur, rho[rows, None]), out=xl, where=xl != 0.0)
         num[rows] = xl
 
-    if lx is not None:
-        if divide:
-            np.divide(lx, sym.phase(xi_out[r], u[r, q], rho[r]), out=lx, where=lx != 0.0)
-        num[r, q] = lx
+    if sym.conjugates_second:
+        # the LX term joins the guarded XL term: chi_(K-1)(rho) and chi_K(rho) where those blocks are
+        # XL blocks, and 0.0 for u >= 2^(K + 1 - ka)
+        K, s = _shells(rho)
+        col = np.clip(K, blocks[1], blocks[-1]) - blocks[0]
+        a1, a2 = s * on_block[col - 1], (1.0 - s) * on_block[col]
+        reach = np.where((a1 != 0.0) | (a2 != 0.0), np.ldexp(1.0, K + 1 - ka), 0.0)
+        r, q = np.nonzero(u < reach[:, None])
+        z = np.ldexp(u[r, q], ka - K[r])  # u / 2^(K - ka)
+        num[r, q] += eta0(2.0 * z) * a1[r] + eta0(z) * a2[r]
     return num.reshape(shape)
+
+
+def _symbol_weight(sym: BilinearSymbol, grid: RadialGrid, cut: NDArray, phase: NDArray) -> NDArray:
+    """Omega's weights from the cutoff and the phase at the same entries: cut / phase where the
+    cutoff is nonzero, 0.0 elsewhere.  The division uses neither ``sym`` nor ``grid``; they keep
+    the leading arguments of :func:`_cutoff`, so that a wrapper can scale Omega by kind and grid."""
+    return np.divide(cut, phase, out=np.zeros(np.broadcast_shapes(cut.shape, phase.shape)), where=cut != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +244,15 @@ def check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {n}")
 
 
-def _interp_tables(grid: RadialGrid, u: NDArray) -> tuple[NDArray, NDArray]:
-    """Index/fraction tables for linear interpolation at radii u; index M is the zero pad beyond [xi_1, xi_M]."""
-    xi1, xiM, dxi = grid.xi[0], grid.xi[-1], grid.dxi
-    pos = (u - xi1) / dxi
-    idx = np.floor(pos).astype(np.intp)
-    frc = pos - idx
-    inside = (u >= xi1) & (u <= xiM)
-    idx[~inside] = grid.M
-    frc[~inside] = 0.0
-    return idx, frc
-
-
-def _bands(p: NDArray, idx: NDArray, v0: NDArray, v1: NDArray, M: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """Sum v0 into columns idx and v1 into idx + 1 of the rows p (sorted) into CSR rows with sorted columns.
+def _bands(p: NDArray, idx: NDArray, frc: NDArray, weights: Sequence[NDArray], M: int):
+    """Sum each weight array's terms, w (1 - frc) into column idx and w frc into idx + 1 of the rows
+    p (sorted), into CSR rows with sorted columns that all the arrays share.
 
     Each row's terms are summed into one band of bins, from its smallest column to its largest, with
     one bincount per interpolation term; u is monotone in the angle, so a band is about as wide as the
-    columns it holds.  A bin is kept when a nonzero term reached it; column M is the zero pad.
-    Returns the rows that keep a bin, their lengths, and the column indices and data of the kept bins.
+    columns it holds.  The pattern is the entries' alone: an entry reaches column idx, and column
+    idx + 1 when frc != 0; column M is the zero pad.  Returns the rows, their lengths, the column
+    indices of the kept bins, and one data array per weight array.
     """
     counts = np.bincount(p)
     rows = np.flatnonzero(counts)
@@ -294,14 +263,17 @@ def _bands(p: NDArray, idx: NDArray, v0: NDArray, v1: NDArray, M: int) -> tuple[
     end = np.cumsum(width)
     shift = end - width - lo
     bins = idx + np.repeat(shift, counts)
-    sums = np.bincount(bins, v0, minlength=end[-1])
-    sums[1:] += np.bincount(bins, v1, minlength=end[-1])[:-1]
     hit = np.zeros(end[-1], dtype=bool)
-    hit[bins[v0 != 0.0]] = True
-    hit[bins[(v1 != 0.0) & (idx < M - 1)] + 1] = True
+    hit[bins] = True
+    hit[bins[(frc != 0.0) & (idx < M - 1)] + 1] = True
     kept = np.flatnonzero(hit)
     lengths = np.diff(np.searchsorted(kept, end), prepend=0)
-    return rows[lengths > 0], lengths[lengths > 0], kept - np.repeat(shift, lengths), sums[kept]
+    data = []
+    for g in weights:
+        sums = np.bincount(bins, g * (1.0 - frc), minlength=end[-1])
+        sums[1:] += np.bincount(bins, g * frc, minlength=end[-1])[:-1]
+        data.append(sums[kept])
+    return rows, lengths, kept - np.repeat(shift, lengths), data
 
 
 class BilinearOperator:
@@ -309,25 +281,31 @@ class BilinearOperator:
 
     The quadrature is contracted once into a pair-list kernel.  Pair p is an
     output frequency xi_(m_p) and input radius rho_(j_p) on the symbol's pair
-    support with a nonzero weight.  The float64 CSR matrix A (pairs, M) weighs
+    support with a nonzero cutoff.  The float64 CSR matrix A (pairs, M) weighs
     fhat_i in pair p and the 0/1 matrix B (M, pairs) sums each pair into its
     output row; entries that only touch the zero pad beyond xi_M are dropped.
     An apply is B @ ((A @ fhat) * ghat[j_p]); every output row is summed in the
     same order whatever the stack, so batched and single applies are
-    bit-identical.  ``min_abs_phase`` is the smallest |phase| divided by (None
-    if the kind has none).
+    bit-identical.  A holds Omega = cutoff / phase (weight one for plain); with
+    ``cutoff=True`` the cutoff's data sit on A's pattern too, for
+    ``apply_batch(..., cutoff=True)``.  ``min_abs_phase`` is the smallest
+    |phase| divided by (None for plain), ``max_abs_weight`` the largest |Omega|.
 
     The build runs over the support pairs in (m, j) order, in chunks of at
     most ``_ENTRIES`` (pair, node) entries, one pair at least: 2^15 entries,
-    256 KB per float64 temporary, about ten of them at a time.  Each chunk
-    evaluates the weight (one bump per node, by the shell identity of
-    :func:`_shells`), keeps its nonzero nodes as 1-D entries, takes the phase
-    minimum on them, and sums their two interpolation terms into per-pair
-    column bands with :func:`_bands`.  The rows come out sorted, so no COO
-    conversion, sort or stack is needed.
+    256 KB per float64 temporary, about ten of them at a time, so the
+    temporaries do not grow with the angular order.  Each chunk evaluates the
+    cutoff (one bump per node, by the shell identity of :func:`_shells`) and
+    keeps its nonzero nodes as 1-D entries, which fix the kernel's pattern.  On
+    them it evaluates the phase once, for both the division and its minimum,
+    and sums the two interpolation terms into per-pair column bands with
+    :func:`_bands`: u is monotone along the angle, so the rows come out sorted,
+    with no COO conversion, sort or stack.
     """
 
-    def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64):
+    def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64, cutoff: bool = False):
+        if cutoff and symbol.kind == "plain":
+            raise ValueError("the plain symbol has no cutoff data")
         self.grid = grid
         self.symbol = symbol
         check_count("n_angular", n_angular)
@@ -339,49 +317,62 @@ class BilinearOperator:
         # (2 pi)^{-3} * 2 pi = 1/(4 pi^2), folded with the radial measure
         self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * xi**2
         self.max_abs_weight = 0.0
-        self.min_abs_phase = np.inf if symbol.kind in ("omega", "omega_tilde") else None
+        self.min_abs_phase = None if symbol.kind == "plain" else np.inf
         m_all, j_all = np.nonzero(_pair_support(symbol, grid))
         step = max(1, _ENTRIES // Q)
         # each list starts with an empty piece, so that a kernel with no entries concatenates too
         pairs, lengths, cols = [np.empty((2, 0), np.intp)], [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        data = [np.empty(0)]
+        data = [np.empty(0)], [np.empty(0)]  # Omega's, and the cutoff's if asked for
         for lo in range(0, len(m_all), step):
             m, j = m_all[lo : lo + step], j_all[lo : lo + step]
             xi_out, rho = xi[m][:, None], xi[j][:, None]
             u = interaction_distance(xi_out, rho, self._cos)
-            w = _symbol_weight(symbol, grid, xi_out, u, rho)
-            on = np.flatnonzero(w)
+            c = _cutoff(symbol, grid, u, rho)
+            on = np.flatnonzero(c)
             p, q = np.divmod(on, Q)
-            w, u = w.ravel()[on], u.ravel()[on]
+            c, u = c.ravel()[on], u.ravel()[on]
+            w = c
+            if self.min_abs_phase is not None:
+                phase = symbol.phase(xi_out[p, 0], u, rho[p, 0])
+                self.min_abs_phase = min(self.min_abs_phase, float(np.abs(phase).min(initial=np.inf)))
+                w = _symbol_weight(symbol, grid, c, phase)
             if not np.all(np.isfinite(w)):
                 raise RuntimeError(f"bilinear symbol {symbol.kind!r} is not finite on its support")
             self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
-            if self.min_abs_phase is not None:
-                den = symbol.phase(xi_out[p, 0], u, rho[p, 0])
-                self.min_abs_phase = min(self.min_abs_phase, float(np.abs(den).min(initial=np.inf)))
-            g = w * (self._base[j[p]] * self._glw[q])
-            idx, frc = _interp_tables(grid, u)
-            inside = idx < M
+            scale = self._base[j[p]] * self._glw[q]
+            weights = [w * scale, c * scale] if cutoff else [w * scale]
+            # entries beyond [xi_1, xi_M] touch only the zero pad
+            inside = (u >= xi[0]) & (u <= xi[-1])
             if not inside.all():
-                p, g, idx, frc = p[inside], g[inside], idx[inside], frc[inside]
+                p, u, weights = p[inside], u[inside], [g[inside] for g in weights]
             if not p.size:
                 continue
-            # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1}; index M is the zero pad
-            rows, n, c, d = _bands(p, idx, g * (1.0 - frc), g * frc, M)
+            # fhat(u) ~ (1 - f) fhat_i + f fhat_{i+1} at i + f = (u - xi_1) / dxi, with fhat_M = 0
+            pos = (u - xi[0]) / grid.dxi
+            idx = np.floor(pos).astype(np.intp)
+            rows, n, cc, d = _bands(p, idx, pos - idx, weights, M)
             pairs.append(np.stack([m[rows], j[rows]]))
             lengths.append(n)
-            cols.append(c)
-            data.append(d)
+            cols.append(cc)
+            for out, piece in zip(data, d):
+                out.append(piece)
         self.m_p, self.j_p = np.concatenate(pairs, axis=1)
         n = len(self.m_p)
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-        self._A = sparse.csr_array((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, M))
+        self._A = sparse.csr_array((np.concatenate(data[0]), np.concatenate(cols), indptr), shape=(n, M))
+        self._C = None
+        if cutoff:
+            self._C = sparse.csr_array((np.concatenate(data[1]), self._A.indices, self._A.indptr), shape=(n, M))
         # B's row m holds the pairs of output m, which are consecutive in (m, j) order
         indptr = np.concatenate([[0], np.cumsum(np.bincount(self.m_p, minlength=M))])
         self._B = sparse.csr_array((np.ones(n), np.arange(n), indptr), shape=(M, n))
 
-    def apply_batch(self, fhats: NDArray, ghats: NDArray) -> NDArray:
-        """Apply to a stack of coefficient pairs, (S, M) -> (S, M), _CHUNK (pair, row) products or one row at a time."""
+    def apply_batch(self, fhats: NDArray, ghats: NDArray, cutoff: bool = False) -> NDArray:
+        """Apply Omega (the cutoff with ``cutoff``) to a stack of coefficient pairs, (S, M) -> (S, M),
+        _CHUNK (pair, row) products or one row at a time."""
+        if cutoff and self._C is None:
+            raise ValueError("this operator was built without cutoff data")
+        A = self._C if cutoff else self._A
         fhats = np.atleast_2d(np.asarray(fhats, dtype=np.complex128))
         ghats = np.atleast_2d(np.asarray(ghats, dtype=np.complex128))
         if self.symbol.conjugates_second:
@@ -391,7 +382,7 @@ class BilinearOperator:
         for lo in range(0, len(out), step):
             # real kernels: act on the interleaved real and imaginary parts of (M, rows) arrays
             f = np.ascontiguousarray(fhats[lo : lo + step].T).view(np.float64)
-            prod = (self._A @ f).view(np.complex128)
+            prod = (A @ f).view(np.complex128)
             prod *= ghats[lo : lo + step, self.j_p].T
             out[lo : lo + step] = (self._B @ prod.view(np.float64)).view(np.complex128).T
         return out
@@ -431,7 +422,9 @@ def dense_bilinear_reference(
     out = np.empty(grid.M, dtype=np.complex128)
     for m, xm in enumerate(grid.xi):
         u = interaction_distance(xm, rho[:, None], nodes[None, :])
-        w = _symbol_weight(sym, grid, np.array(xm)[None, None], u, rho[:, None])
+        w = _cutoff(sym, grid, u, rho[:, None])
+        if sym.kind != "plain":
+            w = _symbol_weight(sym, grid, w, sym.phase(xm, u, rho[:, None]))
         fv = _interp(grid, cf, u.ravel()).reshape(u.shape)
         kern = w * fv * weights[None, :]
         out[m] = (drho / (4.0 * np.pi**2)) * np.sum(kern.sum(axis=1) * gv * rho**2 * trap)
@@ -442,16 +435,17 @@ def dense_bilinear_reference(
 # boundary and cubic terms
 # ---------------------------------------------------------------------------
 
-# term -> (symbol kind, first factor, second factor), aux = <D>^{-1}(N U)
+# term -> (phase, whether it applies the cutoff rather than Omega, first factor, second factor),
+# aux = <D>^{-1}(N U)
 NORMAL_FORM_TERMS = {
-    "bd_U": ("omega", "N", "U"),              # boundary term of the U equation
-    "bd_N": ("omega_tilde", "U", "U"),        # boundary term of the N equation
-    "cubic_1": ("omega", "D|U|^2", "U"),
-    "cubic_2": ("omega", "N", "aux"),
-    "cubic_3": ("omega_tilde", "aux", "U"),
-    "cubic_3b": ("omega_tilde", "U", "aux"),  # N equation, conjugate factor differentiated
-    "nonres_U": ("xl_mask", "N", "U"),        # guarded pieces the normal form removes
-    "nonres_N": ("xl_lx_mask", "U", "U"),
+    "bd_U": ("omega", False, "N", "U"),              # boundary term of the U equation
+    "bd_N": ("omega_tilde", False, "U", "U"),        # boundary term of the N equation
+    "cubic_1": ("omega", False, "D|U|^2", "U"),
+    "cubic_2": ("omega", False, "N", "aux"),
+    "cubic_3": ("omega_tilde", False, "aux", "U"),
+    "cubic_3b": ("omega_tilde", False, "U", "aux"),  # N equation, conjugate factor differentiated
+    "nonres_U": ("omega", True, "N", "U"),           # guarded pieces the normal form removes
+    "nonres_N": ("omega_tilde", True, "U", "U"),
 }
 
 
@@ -463,23 +457,27 @@ def normal_form_terms(
     names: Sequence[str],
     n_angular: int = 64,
 ) -> dict[str, NDArray]:
-    """Raw Omega / OmegaTilde outputs of the named terms on (S, M) coefficient stacks.
+    """Raw Omega / OmegaTilde (or cutoff) outputs of the named terms on (S, M) coefficient stacks.
 
     The products N U and |U|^2 are formed once, in physical space and without
     dealiasing: the residual identity needs the exact products, and the sweep
     fields are alias-free by construction.  They are returned too, as "NU" and
     "UU"; the ``<D>^{-1}`` and ``D`` factors outside the operators are left to
-    the caller.  It builds one operator per symbol kind in ``names``, dropped on return.
+    the caller.  It builds one operator per phase in ``names``, with the
+    cutoff's data only if a named term applies them, and drops each operator
+    before it builds the next.
     """
     cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
     vN, vU = synthesize(grid, cN), synthesize(grid, cU)
     out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
     factors = {"N": cN, "U": cU, "aux": out["NU"] / grid.lxi, "D|U|^2": grid.xi * out["UU"]}
-    kinds = dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names)  # distinct, in order of first use
-    ops = {kind: BilinearOperator(grid, BilinearSymbol(kind, params), n_angular) for kind in kinds}
-    for name in names:
-        kind, a, b = NORMAL_FORM_TERMS[name]
-        out[name] = ops[kind].apply_batch(factors[a], factors[b])
+    for phase in dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names):  # in order of first use
+        terms = {name: NORMAL_FORM_TERMS[name][1:] for name in names if NORMAL_FORM_TERMS[name][0] == phase}
+        cutoff = any(cut for cut, _, _ in terms.values())
+        op = BilinearOperator(grid, BilinearSymbol(phase, params), n_angular, cutoff=cutoff)
+        for name, (cut, a, b) in terms.items():
+            out[name] = op.apply_batch(factors[a], factors[b], cutoff=cut)
+        del op
     return out
 
 

@@ -12,10 +12,10 @@ from kgzsim import normalform
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
     GUARD_FRACTION,
-    SYMBOL_KINDS,
     BilinearOperator,
     BilinearSymbol,
     _block_support,
+    _cutoff,
     _pair_support,
     _simpson,
     _symbol_weight,
@@ -30,6 +30,13 @@ from kgzsim.resonance import Branch, ResonanceParams, _block_resonant, compute_p
 from references import pointwise_product, smooth_random_field
 
 ALPHA = 0.5
+PHASES = ("omega", "omega_tilde")
+# the two data of a phase's kernel: Omega = cutoff / phase, and the cutoff alone
+KERNEL_DATA = [(kind, cutoff) for kind in PHASES for cutoff in (False, True)]
+DATA_IDS = ["omega", "omega-cutoff", "omega_tilde", "omega_tilde-cutoff"]
+# a small grid whose band hosts a high-low separation of k_alpha = 5
+SMALL_GRID = dict(R=20.0, M=48)
+SMALL_PARAMS = ResonanceParams(0.5, 4.0 / 3.0, 1.0 / 3.0, 5, 0.0596, Branch.ALPHA_LT_1)
 
 
 @pytest.fixture(scope="module")
@@ -81,29 +88,34 @@ def _quadrature_geometry(grid, cos, rows=slice(None)):
     return xo, np.sqrt(np.maximum(xo**2 + rho**2 - 2.0 * xo * rho * cos, 0.0)), rho
 
 
+def _weights(sym, grid, xo, u, rho, cutoff=False):
+    """The cutoff (with ``cutoff``, or for plain) or Omega = cutoff / phase on quadrature geometry arrays."""
+    cut = _cutoff(sym, grid, u, rho)
+    return cut if cutoff or sym.kind == "plain" else _symbol_weight(sym, grid, cut, sym.phase(xo, u, rho))
+
+
 def test_symbol_finite_on_support(grid, params):
     cos, _ = np.polynomial.legendre.leggauss(32)
-    for kind, mask in (("omega", "xl_mask"), ("omega_tilde", "xl_lx_mask")):
+    for kind in PHASES:
         sym = BilinearSymbol(kind, params)
         op = BilinearOperator(grid, sym, 32)
-        num = BilinearOperator(grid, BilinearSymbol(mask, params), 32)
         assert np.isfinite(op.max_abs_weight) and op.max_abs_weight > 0
         assert 0.0 < op.min_abs_phase < np.inf
-        assert num.min_abs_phase is None
-        # each symbol divides its mask by the phase on the mask's support, so the
-        # guarded reciprocal cannot exceed max|mask| / min|phase|
-        assert op.max_abs_weight <= num.max_abs_weight / op.min_abs_phase * (1.0 + 1e-12)
         # the recorded phase is the smallest one divided by on the full (m, j, q) grid
-        smallest = np.inf
+        smallest, largest_cutoff = np.inf, 0.0
         for lo in range(0, grid.M, 64):
             xo, u, rho = _quadrature_geometry(grid, cos, slice(lo, lo + 64))
             if kind == "omega":
                 phase = -np.sqrt(1.0 + xo**2) + params.alpha * u + np.sqrt(1.0 + rho**2)
             else:
                 phase = np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - params.alpha * xo
-            divided = _symbol_weight(sym, grid, xo, u, rho) != 0.0
-            smallest = min(smallest, np.abs(phase[divided]).min(initial=np.inf))
+            cut = _cutoff(sym, grid, u, rho)
+            smallest = min(smallest, np.abs(phase[cut != 0.0]).min(initial=np.inf))
+            largest_cutoff = max(largest_cutoff, np.abs(cut).max())
         assert op.min_abs_phase == pytest.approx(smallest, rel=1e-12)
+        # each symbol divides its cutoff by the phase on the cutoff's support, so the
+        # guarded reciprocal cannot exceed max|cutoff| / min|phase|
+        assert op.max_abs_weight <= largest_cutoff / op.min_abs_phase * (1.0 + 1e-12)
 
 
 # the C8 grid, where the band cap on k_alpha binds, and the sweep grid
@@ -135,18 +147,18 @@ def test_weight_vanishes_off_pair_support(alpha, M, R):
     grid, params = _grid_and_params(alpha, M, R)
     xo, u, rho = _gauss_and_end_points(grid)
     c = np.linspace(-1.0, 1.0, 257)
-    for kind in SYMBOL_KINDS[1:]:
+    for kind, cutoff in KERNEL_DATA:
         sym = BilinearSymbol(kind, params)
-        w = _symbol_weight(sym, grid, xo, u, rho)
+        w = _weights(sym, grid, xo, u, rho, cutoff)
         support = _pair_support(sym, grid)
-        assert np.all(w[~support] == 0.0), kind
-        assert np.any(w[support] != 0.0), kind
+        assert np.all(w[~support] == 0.0), (kind, cutoff)
+        assert np.any(w[support] != 0.0), (kind, cutoff)
         # the converse: every support pair carries a nonzero weight at some angle
         hit = np.zeros_like(support)
         for lo in range(0, M, 16):
-            rows = _symbol_weight(sym, grid, *_quadrature_geometry(grid, c, slice(lo, lo + 16)))
+            rows = _weights(sym, grid, *_quadrature_geometry(grid, c, slice(lo, lo + 16)), cutoff)
             hit[lo : lo + 16] = np.any(rows != 0.0, axis=-1)
-        assert np.array_equal(hit, support), kind
+        assert np.array_equal(hit, support), (kind, cutoff)
 
 
 def _full_grid_support(sym, grid):
@@ -163,13 +175,14 @@ def _full_grid_support(sym, grid):
 @SUPPORT_GRIDS
 def test_pair_support_matches_full_grid(alpha, M):
     grid, params = _grid_and_params(alpha, M)
-    for kind in SYMBOL_KINDS[1:]:
+    for kind in PHASES:
         sym = BilinearSymbol(kind, params)
         assert np.array_equal(_pair_support(sym, grid), _full_grid_support(sym, grid)), kind
 
 
-def _all_blocks_weight(sym, grid, xi_out, u, rho):
-    """The weight as one formula: every dyadic block on every entry, the phase on the full array."""
+def _all_blocks_weight(sym, grid, xi_out, u, rho, cutoff):
+    """The cutoff (with ``cutoff``) or Omega as one formula: every dyadic block on every entry, the
+    phase on the full array."""
     p, ka = sym.params, sym.params.k_alpha
     xl = [k for k in grid.resolved_k if abs(2.0**k - p.c_alpha) > p.delta_alpha]
     num = np.zeros(np.broadcast_shapes(u.shape, rho.shape))
@@ -182,7 +195,7 @@ def _all_blocks_weight(sym, grid, xi_out, u, rho):
             lx = lx + eta0(u / 2.0 ** (k - ka)) * (eta0(rho / 2.0**k) - eta0(rho / 2.0 ** (k - 1)))
         num = num + lx
     num = np.broadcast_to(num, np.broadcast_shapes(num.shape, xi_out.shape))
-    if sym.kind in ("xl_mask", "xl_lx_mask"):
+    if cutoff:
         return num.copy()
     if sym.kind == "omega":
         phase = -np.sqrt(1.0 + xi_out**2) + p.alpha * u + np.sqrt(1.0 + rho**2)
@@ -200,11 +213,11 @@ def test_weight_matches_all_blocks_formula(alpha, M, R):
     xo, u, rho = _gauss_and_end_points(grid)
     edges = np.frexp(u)[0] == 0.5  # u on a shell's lower edge
     on_edges = 0
-    for kind in SYMBOL_KINDS[1:]:
+    for kind, cutoff in KERNEL_DATA:
         sym = BilinearSymbol(kind, params)
-        want = _all_blocks_weight(sym, grid, xo, u, rho)
-        assert np.any(want != 0.0), kind
-        assert np.array_equal(_symbol_weight(sym, grid, xo, u, rho), want), kind
+        want = _all_blocks_weight(sym, grid, xo, u, rho, cutoff)
+        assert np.any(want != 0.0), (kind, cutoff)
+        assert np.array_equal(_weights(sym, grid, xo, u, rho, cutoff), want), (kind, cutoff)
         on_edges += np.count_nonzero(edges & (want != 0.0))
     # on the R = 16 pi grid some of the compared weights sit on shell edges
     assert on_edges > 0 or R != 16.0 * np.pi
@@ -237,8 +250,9 @@ def test_bilinearity_exact(grid, params, smooth_pair):
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
 
 
-def _loop_apply(grid, sym, n_angular, cf, cg):
-    """The quadrature as an explicit loop over output m, input rho_j, angle node q."""
+def _loop_apply(grid, sym, n_angular, cf, cg, cutoff):
+    """The quadrature of the cutoff (with ``cutoff``) or Omega as an explicit loop over output m, input
+    rho_j, angle node q."""
     M = grid.M
     cos, glw = np.polynomial.legendre.leggauss(n_angular)
     xi = grid.xi
@@ -247,7 +261,7 @@ def _loop_apply(grid, sym, n_angular, cf, cg):
     g = np.conj(cg) if sym.conjugates_second else cg
     xo, rho = xi[:, None, None], xi[None, :, None]
     u = np.sqrt(np.maximum(xo**2 + rho**2 - 2.0 * xo * rho * cos, 0.0))
-    w = _symbol_weight(sym, grid, xo, u, rho)
+    w = _weights(sym, grid, xo, u, rho, cutoff)
     out = np.zeros(cf.shape, dtype=complex)
     for m in range(M):
         for j in range(M):
@@ -263,23 +277,35 @@ def _loop_apply(grid, sym, n_angular, cf, cg):
     return out * grid.dxi / (4.0 * np.pi**2)
 
 
-@pytest.mark.parametrize("kind", SYMBOL_KINDS)
-def test_apply_matches_loop_reference(kind):
-    grid = RadialGrid(20.0, 48)
-    params = ResonanceParams(0.5, 4.0 / 3.0, 1.0 / 3.0, 5, 0.0596, Branch.ALPHA_LT_1)
-    sym = BilinearSymbol(kind, None if kind == "plain" else params)
-    op = BilinearOperator(grid, sym, n_angular=8)
+@pytest.mark.parametrize("kind, cutoff", [("plain", False)] + KERNEL_DATA, ids=["plain"] + DATA_IDS)
+def test_apply_matches_loop_reference(kind, cutoff):
+    grid = RadialGrid(**SMALL_GRID)
+    sym = BilinearSymbol(kind, None if kind == "plain" else SMALL_PARAMS)
+    op = BilinearOperator(grid, sym, n_angular=8, cutoff=cutoff)
     rng = np.random.default_rng(17)
     rows = max(1, _CHUNK // len(op.m_p))  # stack rows per apply chunk
     S = 3 * rows + 1  # spans four chunks, the last one short
     cf = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
     cg = rng.standard_normal((S, grid.M)) + 1j * rng.standard_normal((S, grid.M))
-    got = op.apply_batch(cf, cg)
-    want = _loop_apply(grid, sym, 8, cf[:4], cg[:4])
+    got = op.apply_batch(cf, cg, cutoff=cutoff)
+    want = _loop_apply(grid, sym, 8, cf[:4], cg[:4], cutoff)
     assert np.max(np.abs(want)) > 0
     assert np.max(np.abs(got[:4] - want)) < 1e-12 * np.max(np.abs(want))
-    rows = np.concatenate([op.apply_batch(a[None], b[None]) for a, b in zip(cf, cg)])
+    rows = np.concatenate([op.apply_batch(a[None], b[None], cutoff=cutoff) for a, b in zip(cf, cg)])
     assert np.array_equal(got, rows)
+    assert (op.min_abs_phase is None) == (kind == "plain")
+
+
+def test_plain_symbol_has_no_cutoff_data():
+    with pytest.raises(ValueError, match="plain symbol has no cutoff data"):
+        BilinearOperator(RadialGrid(**SMALL_GRID), BilinearSymbol("plain"), n_angular=8, cutoff=True)
+
+
+def test_cutoff_apply_needs_cutoff_data():
+    grid = RadialGrid(**SMALL_GRID)
+    op = BilinearOperator(grid, BilinearSymbol("omega", SMALL_PARAMS), n_angular=8)
+    with pytest.raises(ValueError, match="built without cutoff data"):
+        op.apply_batch(np.ones(grid.M), np.ones(grid.M), cutoff=True)
 
 
 def test_plain_symbol_is_pointwise_product(grid, smooth_pair):
@@ -328,8 +354,9 @@ def test_against_dense_quadrature_oracle():
     assert peak < 16 * 2**20
 
 
-def _dense_kernel(grid, sym, n_angular, rows=8):
-    """The kernel with every quadrature term written out: each (m, j, q) term is added with np.add.at
+def _dense_kernel(grid, sym, n_angular, cutoff, rows=8):
+    """The kernel of the cutoff (with ``cutoff``) or Omega with every quadrature term written out: each
+    (m, j, q) term is added with np.add.at
     into row m M + j of a dense (M M, M + 1) array, at the two columns of its linear interpolation
     (column M is the zero pad, dropped), a block of ``rows`` output frequencies m at a time.  Returns
     the pair index m M + j, the CSR indptr and indices, and the data of the rows any nonzero term reached."""
@@ -341,7 +368,7 @@ def _dense_kernel(grid, sym, n_angular, rows=8):
     pairs, lengths, cols, data = [], [], [], []
     for lo in range(0, M, rows):
         xo, u, rho = _quadrature_geometry(grid, cos, slice(lo, lo + rows))
-        w = _symbol_weight(sym, grid, xo, u, rho)
+        w = _weights(sym, grid, xo, u, rho, cutoff)
         m, j, q = np.nonzero(w)
         u, term, row = u[m, j, q], w[m, j, q] * (base[j] * glw[q]), m * M + j
         pos = (u - xi[0]) / dxi
@@ -364,18 +391,19 @@ def _dense_kernel(grid, sym, n_angular, rows=8):
 
 
 @SUPPORT_GRIDS
-@pytest.mark.parametrize("kind", SYMBOL_KINDS[1:])
-def test_kernel_matches_dense_assembly(alpha, M, kind):
+@pytest.mark.parametrize("kind, cutoff", KERNEL_DATA, ids=DATA_IDS)
+def test_kernel_matches_dense_assembly(alpha, M, kind, cutoff):
     # the chunked band assembly against the quadrature summed term by term on the full (m, j, q)
     # grid: the same pairs and CSR pattern, and the data up to the order of the sums
     grid, params = _grid_and_params(alpha, M)
     sym = BilinearSymbol(kind, params)
-    op = BilinearOperator(grid, sym)
-    pairs, indptr, indices, data = _dense_kernel(grid, sym, op.n_angular)
+    op = BilinearOperator(grid, sym, cutoff=cutoff)
+    kernel = op._C if cutoff else op._A
+    pairs, indptr, indices, data = _dense_kernel(grid, sym, op.n_angular, cutoff)
     assert len(pairs) > 0
     assert np.array_equal(op.m_p, pairs // M) and np.array_equal(op.j_p, pairs % M)
-    assert np.array_equal(op._A.indptr, indptr) and np.array_equal(op._A.indices, indices)
-    assert np.all(np.abs(op._A.data - data) <= 4e-15 * np.abs(data))
+    assert np.array_equal(kernel.indptr, indptr) and np.array_equal(kernel.indices, indices)
+    assert np.all(np.abs(kernel.data - data) <= 4e-15 * np.abs(data))
 
 
 def test_build_temporaries_do_not_grow_with_the_angular_order(monkeypatch):
@@ -384,18 +412,19 @@ def test_build_temporaries_do_not_grow_with_the_angular_order(monkeypatch):
     # numpy's Gauss rule solves a Q x Q eigenproblem (8 MB here): computed before tracing, returned as is
     rule = np.polynomial.legendre.leggauss(1024)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: rule)
-    tracemalloc.start()
-    try:
-        op = BilinearOperator(grid, BilinearSymbol("omega_tilde", params), 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kernel = sum(a.nbytes for a in (op._A.data, op._A.indices, op._A.indptr, op._B.data, op._B.indices, op._B.indptr))
-    kernel += op.m_p.nbytes + op.j_p.nbytes
     # a chunk holds normalform._ENTRIES (pair, node) entries, with at most 16 float64 temporaries per
     # entry; and the (M, M) support mask with, at most, an (m, j) index pair for each of its entries
     bound = 16 * 8 * normalform._ENTRIES + grid.M**2 * (1 + 2 * 8)
-    assert peak - kernel < bound, (peak, kernel, bound)
+    for cutoff in (False, True):
+        tracemalloc.start()
+        try:
+            op = BilinearOperator(grid, BilinearSymbol("omega_tilde", params), 1024, cutoff=cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = [op._A.data, op._A.indices, op._A.indptr, op._B.data, op._B.indices, op._B.indptr, op.m_p, op.j_p]
+        kernel += [op._C.data] if cutoff else []
+        assert peak - sum(a.nbytes for a in kernel) < bound, (cutoff, peak, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +438,75 @@ def test_boundary_term_zero_cases(grid, params, smooth_pair):
     assert np.max(np.abs(out)) == 0.0
     out = normal_form_terms(grid, params, z, z, ("bd_N",), 32)["bd_N"]
     assert np.max(np.abs(out)) == 0.0
+
+
+def _scale_omega(monkeypatch, factor):
+    """Scale Omega and OmegaTilde by ``factor`` through a wrapper of ``normalform._symbol_weight`` that sees
+    its leading (symbol, grid) arguments, as a per-kind, per-grid mutation of the symbols does."""
+    weight = normalform._symbol_weight
+
+    def scaled(sym, grid, *rest):
+        w = weight(sym, grid, *rest)
+        return w * factor if sym.kind in ("omega", "omega_tilde") else w
+
+    monkeypatch.setattr(normalform, "_symbol_weight", scaled)
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0])
+def test_scaled_omega_leaves_the_cutoff_and_the_pattern(grid, params, smooth_pair, factor, monkeypatch):
+    # the wrapper reaches Omega alone: the boundary and cubic terms scale with it, while the
+    # guarded pieces and the kernel's pattern, which come from the cutoff, stay bit-identical
+    cN, cU = smooth_pair
+    names = ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3", "cubic_3b", "nonres_U", "nonres_N")
+    before = normal_form_terms(grid, params, cN, cU, names, 32)
+    kernels = [BilinearOperator(grid, BilinearSymbol(kind, params), 32, cutoff=True) for kind in PHASES]
+    _scale_omega(monkeypatch, factor)
+    after = normal_form_terms(grid, params, cN, cU, names, 32)
+    for name in names:
+        if name.startswith("nonres_"):
+            assert np.array_equal(after[name], before[name]), name
+        else:
+            assert np.any(before[name] != 0.0), name
+            assert np.array_equal(after[name], factor * before[name]), name
+    for old in kernels:
+        op = BilinearOperator(grid, old.symbol, 32, cutoff=True)
+        assert np.array_equal(op.m_p, old.m_p) and np.array_equal(op.j_p, old.j_p)
+        assert np.array_equal(op._A.indptr, old._A.indptr) and np.array_equal(op._A.indices, old._A.indices)
+        assert np.array_equal(op._C.data, old._C.data)
+        assert np.array_equal(op._A.data, factor * old._A.data)
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts of the operators normalform builds, and the most it holds at once."""
+    stats = {"built": 0, "live": 0, "most": 0}
+
+    class Counted(BilinearOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stats["built"] += 1
+            stats["live"] += 1
+            stats["most"] = max(stats["most"], stats["live"])
+
+        def __del__(self):
+            stats["live"] -= 1
+
+    monkeypatch.setattr(normalform, "BilinearOperator", Counted)
+    return stats
+
+
+def test_one_build_per_phase(grid, params, smooth_pair, builds, simplified_traj):
+    cN, cU = smooth_pair
+    normal_form_terms(grid, params, cN, cU, tuple(normalform.NORMAL_FORM_TERMS), 16)
+    assert builds["built"] == 2
+    # one residual builds the operator of its phase alone, with the cutoff's data on it
+    duhamel_residual(simplified_traj, params, "U", n_angular=16)
+    assert builds["built"] == 3
+    duhamel_residual(simplified_traj, params, "N", n_angular=16)
+    assert builds["built"] == 4
+    estimate_sweep(2.0, sizes=(64, 128), trials=2, n_angular=16)
+    assert builds["built"] == 4 + 2 * 2
+    assert builds["most"] == 1 and builds["live"] == 0
 
 
 CUBIC = ("cubic_1", "cubic_2", "cubic_3")
