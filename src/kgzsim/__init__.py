@@ -9,7 +9,6 @@ from .kgz import (
     energy,
     from_first_order,
     gaussian_data,
-    oracle_evolve,
     run_simulation,
     to_first_order,
 )
@@ -28,7 +27,6 @@ from .resonance import (
 from .normalform import (
     BilinearOperator,
     BilinearSymbol,
-    dense_bilinear_reference,
     duhamel_residual,
     estimate_sweep,
     normal_form_terms,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -291,78 +290,6 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
         lambda u, n: _energy(g, config.alpha, u.real, -rates[0] * u.imag, n.real, -rates[1] * n.imag), g.M, cU, cN
     )
     return Trajectory(config.snapshot_times, cU, cN, energies, l2_norms(g, cU), l2_norms(g, cN), config)
-
-
-# ---------------------------------------------------------------------------
-# independent finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def _sine_series(grid: RadialGrid, coeffs: Sequence[NDArray], r_points: NDArray) -> list[NDArray]:
-    """The sine series of each (M,) coefficient row at radii r > 0 (exact at the grid points):
-    f(r) = dxi/(2*pi^2*r) * sum_m xi_m c_m sin(r*xi_m).  The rows share one sine matrix,
-    and each is its own matrix-vector product."""
-    phases = np.sin(np.outer(r_points, grid.xi))
-    return [(grid.dxi / (2.0 * np.pi**2)) * (phases @ (grid.xi * c)) / r_points for c in coeffs]
-
-
-def oracle_evolve(
-    grid: RadialGrid,
-    s: NDArray,
-    alpha: float,
-    T: float,
-    refine: int = 4,
-    dt: float | None = None,
-) -> NDArray:
-    """Second-order finite-difference / leapfrog reference solution.
-
-    Works on w = r*f (so the radial Laplacian is a plain second difference
-    with Dirichlet w(0) = w(R) = 0) on a grid refined by ``refine`` relative
-    to the grid of the (4, M) state ``s``, and returns the (4, M) state a time
-    T later, subsampled back onto that grid.  Rejects time steps violating
-    dt <= dr/max(1, alpha); without ``dt`` it steps at 0.9 of that limit.
-    """
-    M_fd = refine * (grid.M + 1) - 1
-    dr = grid.R / (M_fd + 1)
-    r = dr * np.arange(1, M_fd + 1)
-    dt_max = dr / max(1.0, alpha)
-    if dt is not None and dt > dt_max:
-        raise ValueError(f"CFL violation: dt={dt} > dr/max(1,alpha)={dt_max:.3e}")
-    if dt is None:
-        dt = 0.9 * dt_max
-    n_steps = max(1, math.ceil(T / dt))
-    dt = T / n_steps
-
-    wu, wud, wn, wnd = ((r * f).real for f in _sine_series(grid, [analyze(grid, f) for f in s], r))
-
-    def lap(w: NDArray) -> NDArray:
-        out = np.empty_like(w)
-        out[1:-1] = w[2:] - 2.0 * w[1:-1] + w[:-2]
-        out[0] = w[1] - 2.0 * w[0]           # w(0) = 0
-        out[-1] = w[-2] - 2.0 * w[-1]        # w(R) = 0
-        return out / dr**2
-
-    def accel(wu_, wn_):
-        n_over = wn_ / r
-        a_u = lap(wu_) - wu_ + n_over * wu_
-        v = wu_ * wu_ / r                    # r * u^2
-        a_n = alpha**2 * (lap(wn_) - lap(v))
-        return a_u, a_n
-
-    a_u, a_n = accel(wu, wn)
-    wu_prev, wn_prev = wu, wn
-    wu = wu + dt * wud + 0.5 * dt**2 * a_u
-    wn = wn + dt * wnd + 0.5 * dt**2 * a_n
-    for _ in range(n_steps - 1):
-        a_u, a_n = accel(wu, wn)
-        wu, wu_prev = 2.0 * wu - wu_prev + dt**2 * a_u, wu
-        wn, wn_prev = 2.0 * wn - wn_prev + dt**2 * a_n, wn
-
-    a_u, a_n = accel(wu, wn)
-    wud = (wu - wu_prev) / dt + 0.5 * dt * a_u
-    wnd = (wn - wn_prev) / dt + 0.5 * dt * a_n
-
-    idx = refine * np.arange(1, grid.M + 1) - 1
-    return np.array([w[idx] / grid.r for w in (wu, wud, wn, wnd)], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

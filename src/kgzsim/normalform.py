@@ -12,10 +12,11 @@ The workhorse is a bilinear operator with a radial symbol,
 evaluated by Gauss-Legendre quadrature in the angle and trapezoid over the
 grid frequencies, with linear interpolation of fhat at off-grid radii.  The
 (2 pi)^{-3} is the convolution-theorem constant for the transform
-normalization used here, so the weight-one symbol reproduces the pointwise
-product f * g.  Each operator stores the whole quadrature as a float64
-pair-list kernel, at every grid size and angular order, and applies it in
-O(nnz) per coefficient pair.
+normalization used here, so weight one would give the pointwise product
+f * g, and the XL cutoff gives the XL part of it (:func:`decompose_bilinear`)
+where the annulus guard is 1.  Each operator stores the whole quadrature as
+a float64 pair-list kernel, at every grid size and angular order, and
+applies it in O(nnz) per coefficient pair.
 
 The boundary and cubic terms of the normal form, and the guarded pieces it
 removes, come from one batched assembly, :func:`normal_form_terms`, which
@@ -68,14 +69,13 @@ from .resonance import (
 from .kgz import Trajectory
 from .strichartz import resolution_exponents
 
-SYMBOL_KINDS = ("plain", "omega", "omega_tilde")
+SYMBOL_KINDS = ("omega", "omega_tilde")
 
 
 @dataclass(frozen=True)
 class BilinearSymbol:
     """Radial bilinear weight selected by ``kind``.
 
-    plain        -- weight 1 (convolution / product);
     omega        -- Omega: the guarded XL cutoff divided by the phase -<xi> + alpha|xi-eta| + <eta>;
     omega_tilde  -- OmegaTilde: the guarded XL + LX cutoff divided by the phase
                     <xi-eta> - <eta> - alpha|xi| (pairs fhat(xi-eta) with the conjugate of ghat).
@@ -86,13 +86,11 @@ class BilinearSymbol:
     """
 
     kind: str
-    params: ResonanceParams | None = None
+    params: ResonanceParams
 
     def __post_init__(self):
         if self.kind not in SYMBOL_KINDS:
             raise ValueError(f"kind must be one of {SYMBOL_KINDS}, got {self.kind!r}")
-        if self.kind != "plain" and self.params is None:
-            raise ValueError(f"symbol kind {self.kind!r} needs resonance parameters")
 
     @property
     def conjugates_second(self) -> bool:
@@ -130,8 +128,6 @@ def _pair_support(sym: BilinearSymbol, grid: RadialGrid) -> NDArray:
     margin, far above the rounding of u = |xi - rho| (about 1e-8 (xi + rho)), so the mask
     is the one the full grid gives.
     """
-    if sym.kind == "plain":
-        return np.ones((grid.M, grid.M), dtype=bool)
     xi, ka = grid.xi, sym.params.k_alpha
     keep = np.zeros((grid.M, grid.M), dtype=bool)
     for k in grid.resolved_k:
@@ -169,7 +165,7 @@ def _shells(x: NDArray) -> tuple[NDArray, NDArray]:
 
 
 def _cutoff(sym: BilinearSymbol, grid: RadialGrid, u: NDArray, rho: NDArray) -> NDArray:
-    """Evaluate the cutoff on broadcastable (u, rho) arrays, the angle on the last axis: 1.0 for plain.
+    """Evaluate the cutoff on broadcastable (u, rho) arrays, the angle on the last axis.
 
     The XL term, the sum over XL blocks k of chi_k(u) eta0(rho / 2^(k - k_alpha)), has at most two
     nonzero blocks at each node, K - 1 and K of u's shell (:func:`_shells`): one bump per node and
@@ -180,9 +176,6 @@ def _cutoff(sym: BilinearSymbol, grid: RadialGrid, u: NDArray, rho: NDArray) -> 
     float operations, in their order, of the block-by-block sum.
     """
     shape = np.broadcast_shapes(u.shape, rho.shape)
-    if sym.kind == "plain":
-        return np.ones(shape)
-
     p, ka = sym.params, sym.params.k_alpha
     ks = [k for k in grid.resolved_k if in_support(InteractionTag.XL, k, k - ka, p)]
     u = np.broadcast_to(u, shape).reshape(-1, shape[-1])
@@ -286,10 +279,10 @@ class BilinearOperator:
     output row; entries that only touch the zero pad beyond xi_M are dropped.
     An apply is B @ ((A @ fhat) * ghat[j_p]); every output row is summed in the
     same order whatever the stack, so batched and single applies are
-    bit-identical.  A holds Omega = cutoff / phase (weight one for plain); with
-    ``cutoff=True`` the cutoff's data sit on A's pattern too, for
-    ``apply_batch(..., cutoff=True)``.  ``min_abs_phase`` is the smallest
-    |phase| divided by (None for plain), ``max_abs_weight`` the largest |Omega|.
+    bit-identical.  A holds Omega = cutoff / phase; with ``cutoff=True`` the
+    cutoff's data sit on A's pattern too, for ``apply_batch(..., cutoff=True)``.
+    ``min_abs_phase`` is the smallest |phase| divided by, ``max_abs_weight``
+    the largest |Omega|.
 
     The build runs over the support pairs in (m, j) order, in chunks of at
     most ``_ENTRIES`` (pair, node) entries, one pair at least: 2^15 entries,
@@ -304,8 +297,6 @@ class BilinearOperator:
     """
 
     def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64, cutoff: bool = False):
-        if cutoff and symbol.kind == "plain":
-            raise ValueError("the plain symbol has no cutoff data")
         self.grid = grid
         self.symbol = symbol
         check_count("n_angular", n_angular)
@@ -317,7 +308,7 @@ class BilinearOperator:
         # (2 pi)^{-3} * 2 pi = 1/(4 pi^2), folded with the radial measure
         self._base = (grid.dxi / (4.0 * np.pi**2)) * trap * xi**2
         self.max_abs_weight = 0.0
-        self.min_abs_phase = None if symbol.kind == "plain" else np.inf
+        self.min_abs_phase = np.inf
         m_all, j_all = np.nonzero(_pair_support(symbol, grid))
         step = max(1, _ENTRIES // Q)
         # each list starts with an empty piece, so that a kernel with no entries concatenates too
@@ -331,11 +322,9 @@ class BilinearOperator:
             on = np.flatnonzero(c)
             p, q = np.divmod(on, Q)
             c, u = c.ravel()[on], u.ravel()[on]
-            w = c
-            if self.min_abs_phase is not None:
-                phase = symbol.phase(xi_out[p, 0], u, rho[p, 0])
-                self.min_abs_phase = min(self.min_abs_phase, float(np.abs(phase).min(initial=np.inf)))
-                w = _symbol_weight(symbol, grid, c, phase)
+            phase = symbol.phase(xi_out[p, 0], u, rho[p, 0])
+            self.min_abs_phase = min(self.min_abs_phase, float(np.abs(phase).min(initial=np.inf)))
+            w = _symbol_weight(symbol, grid, c, phase)
             if not np.all(np.isfinite(w)):
                 raise RuntimeError(f"bilinear symbol {symbol.kind!r} is not finite on its support")
             self.max_abs_weight = max(self.max_abs_weight, float(np.abs(w).max(initial=0.0)))
@@ -386,49 +375,6 @@ class BilinearOperator:
             prod *= ghats[lo : lo + step, self.j_p].T
             out[lo : lo + step] = (self._B @ prod.view(np.float64)).view(np.complex128).T
         return out
-
-
-def _interp(grid: RadialGrid, coeffs: NDArray, xi_points: NDArray) -> NDArray:
-    """Linear interpolation of (M,) coefficients in xi, zero outside the band."""
-    re = np.interp(xi_points, grid.xi, coeffs.real, left=0.0, right=0.0)
-    im = np.interp(xi_points, grid.xi, coeffs.imag, left=0.0, right=0.0)
-    return re + 1j * im
-
-
-def dense_bilinear_reference(
-    sym: BilinearSymbol,
-    grid: RadialGrid,
-    cf: NDArray,
-    cg: NDArray,
-    refine: int = 4,
-    n_angular: int = 256,
-    rho_max: float | None = None,
-) -> NDArray:
-    """Straightforward dense-quadrature evaluation of (M,) coefficients, used as an oracle.
-
-    Uniform radial nodes at ``refine`` times the grid density (optionally
-    truncated at ``rho_max`` when ghat is band-limited) and a ``n_angular``
-    point Gauss-Legendre rule; both inputs are linearly interpolated.
-    """
-    g_arr = np.conj(cg) if sym.conjugates_second else cg
-    top = grid.xi[-1] if rho_max is None else min(rho_max, grid.xi[-1])
-    n_r = int(np.ceil(refine * top / grid.dxi))
-    rho = np.linspace(0.0, top, n_r + 1)[1:]
-    drho = rho[1] - rho[0]
-    trap = np.ones_like(rho)
-    trap[-1] = 0.5
-    nodes, weights = np.polynomial.legendre.leggauss(n_angular)
-    gv = _interp(grid, g_arr, rho)
-    out = np.empty(grid.M, dtype=np.complex128)
-    for m, xm in enumerate(grid.xi):
-        u = interaction_distance(xm, rho[:, None], nodes[None, :])
-        w = _cutoff(sym, grid, u, rho[:, None])
-        if sym.kind != "plain":
-            w = _symbol_weight(sym, grid, w, sym.phase(xm, u, rho[:, None]))
-        fv = _interp(grid, cf, u.ravel()).reshape(u.shape)
-        kern = w * fv * weights[None, :]
-        out[m] = (drho / (4.0 * np.pi**2)) * np.sum(kern.sum(axis=1) * gv * rho**2 * trap)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +607,12 @@ def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> NDArray:
 
 
 def check_sizes(sizes: Sequence[int]) -> None:
-    """ValueError unless a sweep's grid sizes hold two distinct values: one size compares no refinement."""
+    """ValueError unless a sweep's grid sizes are two or more distinct values: one size compares no
+    refinement, and a repeated size runs the same grid twice."""
     if len(set(sizes)) < 2:
         raise ValueError(f"a sweep needs at least two distinct sizes, got {tuple(sizes)}")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"a sweep's sizes must not repeat, got {tuple(sizes)}")
 
 
 def estimate_sweep(

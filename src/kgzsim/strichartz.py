@@ -305,12 +305,16 @@ class ScatteringReport:
 
 
 def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) -> list[int]:
-    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2 (or it is not finite)."""
+    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2 (or it is not finite),
+    or if the indices do not increase: a Cauchy row between one snapshot and itself, or back in time,
+    compares nothing."""
     out = []
     for cp in checkpoints:
         i = int(np.argmin(np.abs(times - cp)))
         if not abs(times[i] - cp) <= 0.5 * dt + 1e-12:
             raise ValueError(f"no snapshot near checkpoint t={cp} (closest {times[i]})")
+        if out and i <= out[-1]:
+            raise ValueError(f"checkpoints must fall on increasing snapshots, got t={cp} at or before its predecessor")
         out.append(i)
     return out
 

@@ -8,7 +8,7 @@ equation residuals (criterion 8) dominate.
 import numpy as np
 import pytest
 
-from kgzsim.kgz import SimConfig, from_first_order, gaussian_data, oracle_evolve, run_simulation
+from kgzsim.kgz import SimConfig, from_first_order, gaussian_data, run_simulation
 from kgzsim.normalform import duhamel_residual, estimate_sweep
 from kgzsim.radial import (
     RadialGrid,
@@ -27,7 +27,7 @@ from kgzsim.resonance import (
     verify_profile_bound,
 )
 from kgzsim.strichartz import resolution_norms, scattering_profile, sharpness_witness, strichartz_scan
-from references import pointwise_product
+from references import oracle_evolve, pointwise_product
 
 ALPHA = 0.5
 

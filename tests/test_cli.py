@@ -261,6 +261,11 @@ def test_scatter_diag_outputs(tmp_path):
         ("scatter.checkpoints=2,x", "could not convert"),
         # one checkpoint gives no Cauchy row and so no resolution-norm window
         ("scatter.checkpoints=8", "scatter.checkpoints: need at least 2 sample times, got 1"),
+        # a repeated or backward checkpoint, or two within dt/2 of one snapshot, give a row that compares nothing
+        ("scatter.checkpoints=2,2,8", "checkpoints must fall on increasing snapshots, got t=2.0"),
+        ("scatter.checkpoints=4,2", "checkpoints must fall on increasing snapshots, got t=2.0"),
+        ("scatter.checkpoints=3,2,8", "checkpoints must fall on increasing snapshots, got t=2.0"),
+        ("scatter.checkpoints=2,2.002,8", "checkpoints must fall on increasing snapshots, got t=2.002"),
     ],
 )
 def test_scatter_diag_rejects_analysis_settings_before_the_run(tmp_path, monkeypatch, capsys, setting, message):
@@ -289,6 +294,7 @@ def test_scatter_diag_checks_the_horizon_before_the_run(tmp_path, monkeypatch, c
         # one size compares no refinement: every stability ratio would read 1
         ("128", "a sweep needs at least two distinct sizes, got (128,)"),
         ("128,128", "a sweep needs at least two distinct sizes, got (128, 128)"),
+        ("64,128,64", "a sweep's sizes must not repeat, got (64, 128, 64)"),
     ],
 )
 def test_normalform_check_rejects_sweep_sizes_before_the_run(tmp_path, monkeypatch, capsys, sizes, message):

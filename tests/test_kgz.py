@@ -12,7 +12,6 @@ from kgzsim.kgz import (
     from_first_order,
     gaussian_data,
     _Stepper,
-    oracle_evolve,
     run_simulation,
     to_first_order,
 )
@@ -27,7 +26,7 @@ from kgzsim.radial import (
     synthesize,
     wave_propagate,
 )
-from references import read_field
+from references import oracle_evolve, read_field
 
 ALPHA = 0.5
 

@@ -174,6 +174,13 @@ def test_horizon_and_checkpoints_reject_non_finite_times(t):
         checkpoint_indices(np.linspace(0.0, 2.0, 201), [0.5, t, 2.0], 0.01)
 
 
+@pytest.mark.parametrize("checkpoints", [[1.0, 1.0, 2.0], [2.0, 1.0], [1.5, 1.0, 2.0], [1.0, 1.004, 2.0]])
+def test_checkpoints_must_fall_on_increasing_snapshots(checkpoints):
+    # two checkpoints within dt/2 of one snapshot, or out of order, give a Cauchy row that compares nothing
+    with pytest.raises(ValueError, match="increasing snapshots"):
+        checkpoint_indices(np.linspace(0.0, 2.0, 201), checkpoints, 0.01)
+
+
 def test_scan_needs_two_sample_times():
     grid = RadialGrid(16.0, 512)
     with pytest.raises(ValueError, match="at least 2 sample times"):
