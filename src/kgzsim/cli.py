@@ -18,13 +18,14 @@ import numpy as np
 
 from .export import _fmt, atomic_write_text, write_csv, write_manifest, export_trajectory
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
-from .normalform import check_count, check_sizes, duhamel_residual, estimate_sweep
+from .normalform import check_count, check_residual_config, check_sizes, duhamel_residual, estimate_sweep
 from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
     beta_exponent,
     check_horizon,
     check_samples,
+    check_window,
     checkpoint_indices,
     resolution_exponents,
     resolution_norms,
@@ -252,6 +253,7 @@ def _run_normalform(cfg: dict, out: Path) -> None:
     n_ang = cfg["quad.n_angular"]
     _check("quad.n_angular", check_count, "n_angular", n_ang)
     _check("sweep.trials", check_count, "trials", cfg["sweep.trials"])
+    _check("sim.alpha, sim.T, sim.dt, sim.snapshot_stride", check_residual_config, sim)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     params = compute_params(sim.alpha, band=sim.grid)
     rows = []
@@ -281,14 +283,16 @@ def _run_scan(cfg: dict, out: Path) -> None:
     _check("scan.samples", check_samples, cfg["scan.samples"])
     # strichartz_scan's reflection rule: the wave flow moves at scan.alpha, Klein-Gordon at 1
     speed = 1.0 if flavor == "schrodinger" else cfg["scan.alpha"]
-    _check("scan.window", check_horizon, [cfg["scan.window"]], speed, grid.R)
+    window = (0.0, cfg["scan.window"])
+    _check("scan.window", check_horizon, [window[1]], speed, grid.R)
+    _check("scan.window", check_window, window)
     table = strichartz_scan(
         grid,
         ks,
         q,
         r,
         flavor,
-        (0.0, cfg["scan.window"]),
+        window,
         alpha=cfg["scan.alpha"],
         n_samples=cfg["scan.samples"],
         seed=cfg["scan.seed"],

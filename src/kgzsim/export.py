@@ -2,15 +2,16 @@
 
 This module owns the text-output format.  All numeric CSV output uses 17
 significant digits so 64-bit floats round-trip losslessly, and every text
-file is written to a temporary name and renamed into place.  Binary ``.fld``
-snapshots hold the physical samples of U and N, written by
-``radial.write_field``: a ``<dQBB`` header (R, M, kind 0, complex flag 1),
-then M little-endian (re, im) float64 pairs.
+file is written to a temporary name and renamed into place.  It also owns
+the binary ``.fld`` snapshot format (:func:`write_field`), which holds the
+physical samples of U and N: a ``<dQBB`` header (R, M, kind 0, complex flag
+1), then M little-endian (re, im) float64 pairs.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
 import time
 from pathlib import Path
@@ -20,9 +21,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .kgz import Trajectory
-from .radial import RadialGrid, synthesize, write_field
+from .radial import RadialGrid, synthesize
 
 FLOAT_FMT = "%.17g"
+_HEADER = struct.Struct("<dQBB")  # R (f64), M (u64), kind (u8, 0: physical samples), complex flag (u8, 1)
 
 
 def _fmt(value) -> str:
@@ -57,6 +59,16 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
 def field_to_csv(path: Path | str, grid: RadialGrid, values: NDArray) -> None:
     """CSV export (r, re, im) of (M,) physical samples."""
     write_csv(path, ["r", "re", "im"], zip(grid.r, values.real, values.imag))
+
+
+def write_field(path, grid: RadialGrid, values: NDArray) -> None:
+    """Write (M,) physical samples: header (R, M, 0, 1) + little-endian (re, im) f64 pairs."""
+    payload = np.empty((grid.M, 2), dtype="<f8")
+    payload[:, 0] = values.real
+    payload[:, 1] = values.imag
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(grid.R, grid.M, 0, 1))
+        fh.write(payload.tobytes())
 
 
 def write_manifest(path: Path | str, resolved: Mapping[str, object]) -> None:

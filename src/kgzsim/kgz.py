@@ -55,7 +55,7 @@ class BlowupError(RuntimeError):
 #
 # A second-order state is the (4, M) complex128 array of the samples of
 # (u, u_t, n, n_t) on a grid, with zero imaginary parts; a first-order state
-# is the (2, M) array (U, N), as samples or as sine coefficients.
+# is the (2, M) array of the sine coefficients of (U, N).
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -112,6 +112,8 @@ class Trajectory:
 
     Snapshot i is stored as the sine coefficients ``cU[i]`` and ``cN[i]`` of
     U and N at ``times[i]``; ``synthesize(config.grid, cU[i])`` gives its samples.
+    The times are the config's ``snapshot_times``, so that a check on the
+    snapshots can run on the config before the run.
     """
 
     times: NDArray[np.float64]
@@ -124,10 +126,8 @@ class Trajectory:
 
     def __post_init__(self):
         ts = self.times
-        if len(ts) == 0 or ts[0] != 0.0:
-            raise ValueError("trajectory must start at t=0")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
+        if not np.array_equal(ts, self.config.snapshot_times):
+            raise ValueError("trajectory times are not its config's snapshot_times")
         shape = (len(ts), self.config.M)
         if self.cU.shape != shape or self.cN.shape != shape:
             raise ValueError(f"coefficient stacks {self.cU.shape}, {self.cN.shape} do not match {shape}")
@@ -147,16 +147,21 @@ def _rates(g: RadialGrid, alpha: float) -> NDArray[np.float64]:
 
 
 def to_first_order(grid: RadialGrid, s: NDArray, alpha: float) -> NDArray:
-    """(2, M) samples of U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha from (4, M) (u, u_t, n, n_t)."""
+    """(2, M) coefficients of U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha from (4, M) (u, u_t, n, n_t)."""
     c = analyze(grid, s[[0, 2, 1, 3]])
-    return synthesize(grid, c[:2] - 1j * c[2:] / _rates(grid, alpha))
+    return c[:2] - 1j * c[2:] / _rates(grid, alpha)
+
+
+def _second_order(g: RadialGrid, alpha: float, cU: NDArray, cN: NDArray) -> tuple[NDArray, ...]:
+    """Coefficients of (u, u_t, n, n_t) along the last axis of those of U and N:
+    Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN, because the transform is real."""
+    rates = _rates(g, alpha)
+    return cU.real, -rates[0] * cU.imag, cN.real, -rates[1] * cN.imag
 
 
 def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
-    """Inverse of :func:`to_first_order`: u = Re U, u_t = -<D> Im U, etc."""
-    im = analyze(grid, c.imag)
-    u_dot, n_dot = synthesize(grid, -_rates(grid, alpha) * im)
-    return np.array([c[0].real, u_dot, c[1].real, n_dot], dtype=np.complex128)
+    """Inverse of :func:`to_first_order`: the (4, M) samples of (u, u_t, n, n_t) from the (2, M) coefficients."""
+    return synthesize(grid, np.stack(_second_order(grid, alpha, *c))).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +258,7 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
     n_steps = recorded[-1]
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
-    c = analyze(g, to_first_order(g, init, config.alpha))
+    c = to_first_order(g, init, config.alpha)
     u_norm0, n_norm0 = l2_norms(g, c)
     u_norm0 = max(u_norm0, 1e-300)
     limit = 1e6 * np.array([u_norm0, max(n_norm0, u_norm0)])
@@ -282,13 +287,9 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
             cs[:, k] = c
             k += 1
 
-    # u, u_t, n, n_t have coefficients Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN
-    # because the transform is real; chunks of rows keep the temporaries small
+    # chunks of rows keep the temporaries small
     cU, cN = cs
-    rates = _rates(g, config.alpha)
-    energies = map_rows(
-        lambda u, n: _energy(g, config.alpha, u.real, -rates[0] * u.imag, n.real, -rates[1] * n.imag), g.M, cU, cN
-    )
+    energies = map_rows(lambda u, n: _energy(g, config.alpha, *_second_order(g, config.alpha, u, n)), g.M, cU, cN)
     return Trajectory(config.snapshot_times, cU, cN, energies, l2_norms(g, cU), l2_norms(g, cN), config)
 
 

@@ -66,7 +66,7 @@ from .resonance import (
     interaction_distance,
     phase_at_distance,
 )
-from .kgz import Trajectory
+from .kgz import SimConfig, Trajectory
 from .strichartz import resolution_exponents
 
 SYMBOL_KINDS = ("omega", "omega_tilde")
@@ -461,6 +461,20 @@ def _simpson(y: NDArray, x: NDArray) -> NDArray:
     return result
 
 
+def check_residual_config(cfg: SimConfig) -> None:
+    """ValueError unless a run with this config can be checked by :func:`duhamel_residual`:
+    the ``simplified`` model without dealiasing, alpha < 1, and at least three snapshots
+    for Simpson quadrature."""
+    if cfg.model != "simplified":
+        raise ValueError("transformed-equation residuals require a simplified-model trajectory")
+    if cfg.alpha >= 1.0:
+        raise ValueError("the transformed equations are assembled for alpha < 1")
+    if cfg.dealias:
+        raise ValueError("residual checking needs a trajectory run without dealiasing")
+    if len(cfg.snapshot_steps) < 3:
+        raise ValueError("need at least three snapshots for Simpson quadrature")
+
+
 def duhamel_residual(
     traj: Trajectory,
     params: ResonanceParams | None,
@@ -474,9 +488,9 @@ def duhamel_residual(
     (the full quadratic term minus its guarded non-resonant part), each
     propagated exactly and integrated over the stored snapshots by composite
     Simpson, with Cartwright's correction of the last interval for an even
-    snapshot count (:func:`_simpson`).  Requires a ``simplified``-model
-    trajectory without dealiasing and alpha < 1; a ``linear`` trajectory is
-    compared against the free term alone.
+    snapshot count (:func:`_simpson`).  Other than a ``linear`` trajectory,
+    which is compared against the free term alone, the run must pass
+    :func:`check_residual_config`.
     """
     if which not in ("U", "N"):
         raise ValueError("which must be 'U' or 'N'")
@@ -499,16 +513,9 @@ def duhamel_residual(
         num = l2_norms(grid, flow(c0, t) - target)
         return 0.0 if den == 0.0 else num / den
 
-    if cfg.model != "simplified":
-        raise ValueError("transformed-equation residuals require a simplified-model trajectory")
-    if alpha >= 1.0:
-        raise ValueError("the transformed equations are assembled for alpha < 1")
-    if cfg.dealias:
-        raise ValueError("residual checking needs a trajectory run without dealiasing")
+    check_residual_config(cfg)
     if params is None or abs(params.alpha - alpha) > 0.0:
         raise ValueError("resonance parameters must match the trajectory's alpha")
-    if len(times) < 3:
-        raise ValueError("need at least three snapshots for Simpson quadrature")
 
     if which == "U":
         nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "cubic_1", "cubic_2", "nonres_U"), n_angular)
@@ -665,10 +672,10 @@ def estimate_sweep(
             grid, cU - cU * low, 2.0 / 3.0, q_eps, homogeneous=False
         )
 
-        vN, vU, vUbar = synthesize(grid, np.stack([cN, cU, np.conj(cU)]))
-        lh = decompose_bilinear(grid, vN, vU, InteractionTag.LH, params, dealiased=False)
-        hh = decompose_bilinear(grid, vN, vU, InteractionTag.HH, params, dealiased=False)
-        uhh = decompose_bilinear(grid, vU, vUbar, InteractionTag.HH, params, dealiased=False)
+        # the transform is real, so conj(cU) holds the coefficients of conj(U)
+        lh = decompose_bilinear(grid, cN, cU, InteractionTag.LH, params)
+        hh = decompose_bilinear(grid, cN, cU, InteractionTag.HH, params)
+        uhh = decompose_bilinear(grid, cU, np.conj(cU), InteractionTag.HH, params)
 
         values = {
             "bd_U": sobolev_norms(grid, nf["bd_U"] / lxi, 1.0) / (n_l2 * u_h1),
@@ -676,9 +683,9 @@ def estimate_sweep(
             "cubic_1": sobolev_norms(grid, nf["cubic_1"] / lxi, 1.0) / (u_l6**2 * u_h1),
             "cubic_2": split_c2 / (n_l2**2 * u_l6),
             "cubic_3": l2_norms(grid, xi * nf["cubic_3"]) / (n_l2 * u_l6**2),
-            "bi_LH": sobolev_norms(grid, analyze(grid, lh) / lxi, 1.0) / besov_pair,
-            "bi_HH": sobolev_norms(grid, analyze(grid, hh) / lxi, 1.0) / besov_pair,
-            "bi_DHH": l2_norms(grid, xi * analyze(grid, uhh)) / xy_U**2,
+            "bi_LH": sobolev_norms(grid, lh / lxi, 1.0) / besov_pair,
+            "bi_HH": sobolev_norms(grid, hh / lxi, 1.0) / besov_pair,
+            "bi_DHH": l2_norms(grid, xi * uhh) / xy_U**2,
         }
         rows += [SweepRow(est, M, trial, float(v[trial])) for trial in range(trials) for est, v in values.items()]
 

@@ -9,9 +9,12 @@ j = 1..M.  Its spectral counterpart holds the 3D radial Fourier transform
 at the sine frequencies xi_m = m*pi/R, m = 1..M.  Because r_j*xi_m =
 pi*j*m/(M+1), the forward map is a type-I discrete sine transform of
 w_j = r_j f(r_j), and the pair (analyze, synthesize) is an exact inverse
-pair on grid data.  Both act along the last axis of (..., M) arrays: a field
-is an (M,) array of samples or coefficients on a grid, a stack of fields an
-(..., M) array.  Plancherel holds exactly in the discrete setting:
+pair on grid data.  Both act along the last axis of (..., M) arrays.  A
+field is the (M,) array of its sine coefficients on a grid, a stack of
+fields an (..., M) array; physical samples appear only where a quantity is
+defined on them: this transform pair, ``lebesgue_norms``, the second-order
+state (u, u_t, n, n_t) and the snapshot files.  Plancherel holds exactly in
+the discrete setting:
 
     4*pi*dr * sum_j r_j^2 |f_j|^2  =  (2*pi^2)^{-1} * dxi * sum_m xi_m^2 |c_m|^2.
 
@@ -33,7 +36,6 @@ row's result does not depend on the other rows in the call.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -306,20 +308,3 @@ def random_band_limited(grid: RadialGrid, rng: np.random.Generator, m_band: tupl
     n = hi - lo + 1
     coeffs[lo - 1 : hi] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# snapshot file format
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<dQBB")  # R (f64), M (u64), kind (u8, 0: physical samples), complex flag (u8, 1)
-
-
-def write_field(path, grid: RadialGrid, values: NDArray) -> None:
-    """Write (M,) physical samples: header (R, M, 0, 1) + little-endian (re, im) f64 pairs."""
-    payload = np.empty((grid.M, 2), dtype="<f8")
-    payload[:, 0] = values.real
-    payload[:, 1] = values.imag
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.R, grid.M, 0, 1))
-        fh.write(payload.tobytes())

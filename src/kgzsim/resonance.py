@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import export
-from .radial import RadialGrid, analyze, chi_k, chi_le, dealias_mask, synthesize
+from .radial import RadialGrid, analyze, chi_k, chi_le, synthesize
 
 
 def _bracket(x):
@@ -287,25 +287,21 @@ def in_support(tag: InteractionTag, k1: int, k2: int, params: ResonanceParams) -
 
 def decompose_bilinear(
     grid: RadialGrid,
-    f: NDArray,
-    g: NDArray,
+    cf: NDArray,
+    cg: NDArray,
     tag: InteractionTag,
     params: ResonanceParams,
-    dealiased: bool = True,
 ) -> NDArray:
-    """Tagged part of the product f*g of (..., M) physical samples, as (..., M) samples.
+    """Sine coefficients of the tagged part of the product f*g, from (..., M) coefficient stacks.
 
     The block pairs are the ones :func:`in_support` gives the tag.  A
     high-low pair is summed with the others of its resolved high block k, as
     P_k f * P_{<= k - k_alpha} g where the tag holds at (k, k - k_alpha)
     (low-high mirrored); an HH pair is summed block by block.  Products are
-    formed in physical space; with ``dealiased`` the inputs and the result
-    are truncated by the 2/3 rule.  Each row of a stack comes out as it
-    would alone.
+    formed in physical space and are not dealiased: a caller that wants the
+    2/3 rule masks the inputs and the result with ``radial.dealias_mask``.
+    Each row of a stack comes out as it would alone.
     """
-    cf, cg = analyze(grid, f), analyze(grid, g)
-    if dealiased:
-        cf, cg = cf * dealias_mask(grid), cg * dealias_mask(grid)
     ks, ka = grid.resolved_k, params.k_alpha
 
     def block(c: NDArray, k: int) -> NDArray:
@@ -330,11 +326,7 @@ def decompose_bilinear(
         fb, gb = {k: block(cf, k) for k in ks}, {k: block(cg, k) for k in ks}
         for k1, k2 in near:
             acc += fb[k1] * gb[k2]
-
-    out = analyze(grid, acc)
-    if dealiased:
-        out = out * dealias_mask(grid)
-    return synthesize(grid, out)
+    return analyze(grid, acc)
 
 
 # ---------------------------------------------------------------------------

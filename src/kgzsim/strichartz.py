@@ -162,8 +162,7 @@ def strichartz_scan(
     kg = flavor == "schrodinger"
     beta = beta_exponent(q, r, flavor).value
     check_samples(n_samples)
-    if not all(map(math.isfinite, window)):
-        raise ValueError(f"window {window} is not finite")
+    check_window(window)
     # per-block norm growth 2^(k * slope) for unit-L^2 blocks: the estimate's
     # Besov weight contributes 2^(-s k) with s the stored regularity
     predicted = beta if kg else -beta
@@ -227,6 +226,16 @@ def check_samples(n: int) -> None:
     and one checkpoint has no Cauchy difference."""
     if n < 2:
         raise ValueError(f"need at least 2 sample times, got {n}")
+
+
+def check_window(window: tuple[float, float]) -> None:
+    """ValueError unless a time window's ends are finite and its end comes after its start:
+    an empty or reversed window has no space-time norm."""
+    t0, t1 = window
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"window {window} is not finite")
+    if not t1 > t0:
+        raise ValueError(f"window end {t1} must come after its start {t0}")
 
 
 def witness_window(k: int, R: float) -> tuple[float, float]:

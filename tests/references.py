@@ -5,9 +5,11 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.interpolate import CubicSpline
 
-from kgzsim.radial import _HEADER, RadialGrid, analyze, dealias_mask, eta0, synthesize
-from kgzsim.resonance import ResonanceParams
+from kgzsim.export import _HEADER
+from kgzsim.radial import RadialGrid, analyze, dealias_mask, eta0, synthesize
+from kgzsim.resonance import InteractionTag, ResonanceParams, decompose_bilinear
 
 
 def pointwise_product(grid: RadialGrid, f, g, dealiased: bool = False):
@@ -18,6 +20,13 @@ def pointwise_product(grid: RadialGrid, f, g, dealiased: bool = False):
     fd = synthesize(grid, analyze(grid, f) * mask)
     gd = synthesize(grid, analyze(grid, g) * mask)
     return synthesize(grid, analyze(grid, fd * gd) * mask)
+
+
+def dealiased_tagged_product(grid: RadialGrid, f, g, tag: InteractionTag, params: ResonanceParams):
+    """The tagged part of the product of (M,) samples, as samples, with the 2/3 rule on the inputs and the result."""
+    mask = dealias_mask(grid)
+    cf, cg = analyze(grid, f) * mask, analyze(grid, g) * mask
+    return synthesize(grid, decompose_bilinear(grid, cf, cg, tag, params) * mask)
 
 
 def smooth_random_field(
@@ -161,10 +170,11 @@ def resonance_phase(kind: str, alpha: float, xi: NDArray, u: NDArray, rho: NDArr
     return np.sqrt(1.0 + u**2) - np.sqrt(1.0 + rho**2) - alpha * xi
 
 
-def _band(grid: RadialGrid, c: NDArray) -> tuple[float, float]:
-    """The interval outside which the linear interpolant of the (M,) coefficients c is zero."""
+def _band(grid: RadialGrid, c: NDArray) -> tuple[int, int]:
+    """The first and last grid index of the band of the (M,) coefficients c: their nonzeros and one
+    grid point on either side.  The interpolant of c is zero outside it."""
     nz = np.flatnonzero(c)
-    return grid.xi[max(nz[0] - 1, 0)], grid.xi[min(nz[-1] + 1, grid.M - 1)]
+    return max(nz[0] - 1, 0), min(nz[-1] + 1, grid.M - 1)
 
 
 def _simpson_nodes(lo: NDArray, hi: NDArray, n: int) -> tuple[NDArray, NDArray]:
@@ -176,12 +186,16 @@ def _simpson_nodes(lo: NDArray, hi: NDArray, n: int) -> tuple[NDArray, NDArray]:
     return lo[..., None] + length * np.linspace(0.0, 1.0, n), length * w / (3.0 * (n - 1))
 
 
-def _linear(grid: RadialGrid, c: NDArray, x: NDArray) -> NDArray:
-    """The linear interpolant of (M,) coefficients at radii x, zero outside [xi_1, xi_M]."""
-    return np.interp(x, grid.xi, c.real, left=0.0, right=0.0) + 1j * np.interp(x, grid.xi, c.imag, left=0.0, right=0.0)
+def _spline(grid: RadialGrid, c: NDArray, x: NDArray) -> NDArray:
+    """The (not-a-knot) cubic spline through the (M,) coefficients on their band, at radii x; zero
+    outside the band."""
+    lo, hi = _band(grid, c)
+    spline = CubicSpline(grid.xi[lo : hi + 1], c[lo : hi + 1])
+    return np.where((x >= grid.xi[lo]) & (x <= grid.xi[hi]), spline(x), 0.0)
 
 
 INNER_NODES = 65  # Simpson nodes of the inner rule
+OUTER_PER_STEP = 4  # Simpson intervals of the outer rule per grid step
 
 
 def bilinear_reference(
@@ -196,16 +210,16 @@ def bilinear_reference(
     (4 pi^2 xi)^{-1} times the integral of w fhat(u) ghat(rho) u rho over the triangle
     |xi - rho| <= u <= xi + rho, which is symmetric in u and rho.  The outer integral runs over the
     narrower of the bands of fhat and ghat, the inner one over the other band cut to the triangle,
-    at most twice the outer variable long.  Both inputs are linearly interpolated, and each integral
-    is a uniform Simpson rule: the outer one has four intervals per grid step, so that the kinks of
-    its input's interpolant, at the grid points, fall on the ends of Simpson panels.
+    at most twice the outer variable long.  Both inputs are interpolated by cubic splines, and each
+    integral is a uniform Simpson rule: the outer one has four intervals per grid step, so that the
+    knots of its input's spline, at the grid points, fall on the ends of Simpson panels.
     """
     g = np.conj(cg) if kind == "omega_tilde" else cg
-    (af, bf), (ag, bg) = _band(grid, cf), _band(grid, g)
+    (af, bf), (ag, bg) = (grid.xi[list(_band(grid, c))] for c in (cf, g))
     rho_outer = bg - ag <= bf - af
     (a, b), (a_in, b_in), c_out, c_in = ((ag, bg), (af, bf), g, cf) if rho_outer else ((af, bf), (ag, bg), cf, g)
-    x, wx = _simpson_nodes(np.array(a), np.array(b), 4 * round((b - a) / grid.dxi) + 1)
-    outer = _linear(grid, c_out, x) * x * wx
+    x, wx = _simpson_nodes(np.array(a), np.array(b), OUTER_PER_STEP * round((b - a) / grid.dxi) + 1)
+    outer = _spline(grid, c_out, x) * x * wx
     out = np.zeros((2, grid.M), dtype=np.complex128)
     # the outputs the triangle can reach from the two bands
     rows = np.flatnonzero((grid.xi <= bf + bg) & (grid.xi >= max(af - bg, ag - bf)))
@@ -216,7 +230,7 @@ def bilinear_reference(
         cut = all_blocks_cutoff(kind, params, grid, u, rho)
         omega = np.zeros(cut.shape)
         np.divide(cut, resonance_phase(kind, params.alpha, xi[..., None], u, rho), out=omega, where=cut != 0.0)
-        inner = _linear(grid, c_in, y) * y * wy
+        inner = _spline(grid, c_in, y) * y * wy
         for w, o in zip((omega, cut), out):
             o[chunk] = np.sum(np.sum(w * inner, axis=-1) * outer, axis=-1) / (4.0 * np.pi**2 * xi[:, 0])
     return out[0], out[1]

@@ -348,6 +348,12 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         # one sample time makes a trapezoid over the window zero
         ("strichartz-scan", "strichartz_scan", ["scan.samples=1"], "scan.samples: need at least 2 sample times"),
         ("sharpness", "sharpness_witness", ["sharp.samples=1"], "sharp.samples: need at least 2 sample times"),
+        # the scan's window is [0, scan.window]
+        ("strichartz-scan", "strichartz_scan", ["scan.window=0"], "scan.window: window end 0.0 must come after its start 0.0"),
+        ("strichartz-scan", "strichartz_scan", ["scan.window=-1"], "scan.window: window end -1.0 must come after its start 0.0"),
+        # dt = 1e-3 and snapshot_stride = 10 leave 2 snapshots in T = 0.01
+        ("normalform-check", "run_simulation", ["sim.T=0.01", "grid.M=64"], "need at least three snapshots"),
+        ("normalform-check", "run_simulation", ["sim.alpha=2.0"], "the transformed equations are assembled for alpha < 1"),
     ],
     ids=[
         "scan-empty",
@@ -362,6 +368,10 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         "lemma-count",
         "scan-samples",
         "sharp-samples",
+        "scan-window-empty",
+        "scan-window-reversed",
+        "residual-snapshots",
+        "residual-alpha",
     ],
 )
 def test_bad_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, subcommand, entry, settings, message):

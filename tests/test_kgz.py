@@ -54,7 +54,7 @@ def random_real_state(grid, rng, amp=0.1):
 
 def test_zero_velocity_gives_real_pair(grid):
     s = state(grid, u=eigenmode(grid, 2), n=eigenmode(grid, 3))
-    U, N = to_first_order(grid, s, ALPHA)
+    U, N = synthesize(grid, to_first_order(grid, s, ALPHA))
     assert np.max(np.abs(U.imag)) < 1e-14
     assert np.max(np.abs(N.imag)) < 1e-14
     assert np.max(np.abs(U - s[0])) < 1e-13
@@ -71,9 +71,8 @@ def test_first_order_roundtrip(grid, rng):
 def test_velocity_only_mode(grid):
     a = 0.31
     s = state(grid, u_dot=eigenmode(grid, 1, a))
-    U, _ = to_first_order(grid, s, ALPHA)
+    coeffs, _ = to_first_order(grid, s, ALPHA)
     expected = -1j * a / np.sqrt(1.0 + grid.xi[0] ** 2)
-    coeffs = analyze(grid, U)
     mode = analyze(grid, eigenmode(grid, 1))[0]
     assert abs(coeffs[0] / mode - expected) < 1e-12
 
@@ -175,7 +174,7 @@ def _born_mismatches(model, dealias, eps0, T=4.0):
     grid, s = cfg.grid, cfg.snapshot_times
     init = gaussian_data(grid, eps0)
     traj = run_simulation(cfg, init)
-    cU, cN = analyze(grid, to_first_order(grid, init, ALPHA))
+    cU, cN = to_first_order(grid, init, ALPHA)
     mask = dealias_mask(grid) if dealias else 1.0
     u = synthesize(grid, mask * kg_propagate(grid, cU, s))
     n = synthesize(grid, mask * wave_propagate(grid, cN, s, ALPHA))
@@ -279,7 +278,7 @@ def test_oracle_matches_spectral(grid):
     init = gaussian_data(grid, 0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=2e-3, T=1.0, model="full", snapshot_stride=10**9)
     traj = run_simulation(cfg, init)
-    spec = from_first_order(grid, synthesize(grid, np.stack([traj.cU[-1], traj.cN[-1]])), ALPHA)
+    spec = from_first_order(grid, np.stack([traj.cU[-1], traj.cN[-1]]), ALPHA)
     fd = oracle_evolve(grid, init, ALPHA, 1.0, refine=4)
     num = den = 0.0
     for i in (0, 2):  # u and n
@@ -315,7 +314,7 @@ def test_trajectory_energies_match_states(moving_traj):
     grid = moving_traj.config.grid
     assert len(moving_traj) == 5
     for e, cu, cn in zip(moving_traj.energies, moving_traj.cU, moving_traj.cN):
-        ref = energy(grid, from_first_order(grid, synthesize(grid, np.stack([cu, cn])), ALPHA), ALPHA)
+        ref = energy(grid, from_first_order(grid, np.stack([cu, cn]), ALPHA), ALPHA)
         assert abs(e - ref) <= 1e-13 * abs(ref)
     for norms, stack in ((moving_traj.u_norms, moving_traj.cU), (moving_traj.n_norms, moving_traj.cN)):
         assert np.array_equal(norms, [l2_norms(grid, c) for c in stack])
@@ -329,6 +328,15 @@ def test_trajectory_rejects_misshapen_stacks(moving_traj):
         with pytest.raises(ValueError, match="coefficient stacks"):
             replace(moving_traj, cN=bad)
     assert isinstance(replace(moving_traj), Trajectory)
+
+
+def test_trajectory_times_are_the_config_schedule(moving_traj):
+    # a residual's snapshot count is checked on the config, so a trajectory cannot carry other times
+    t = moving_traj
+    with pytest.raises(ValueError, match="snapshot_times"):
+        replace(t, times=2.0 * t.times)
+    with pytest.raises(ValueError, match="snapshot_times"):
+        replace(t, times=t.times[:2], cU=t.cU[:2], cN=t.cN[:2])
 
 
 def test_deterministic_repeat(grid):

@@ -3,7 +3,7 @@ import pytest
 from scipy.fft import dst
 from scipy.integrate import quad
 
-from kgzsim.export import field_to_csv
+from kgzsim.export import field_to_csv, write_field
 from kgzsim import radial
 from kgzsim.radial import (
     _CHUNK,
@@ -19,7 +19,6 @@ from kgzsim.radial import (
     sobolev_norms,
     synthesize,
     wave_propagate,
-    write_field,
 )
 from references import pointwise_product, read_field
 

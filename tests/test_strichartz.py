@@ -165,6 +165,13 @@ def test_scan_rejects_a_non_finite_window(window):
         strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", window, n_samples=8)
 
 
+@pytest.mark.parametrize("window", [(1.0, 1.0), (0.0, -1.0)], ids=["empty", "reversed"])
+def test_scan_rejects_an_empty_or_reversed_window(window):
+    grid = RadialGrid(16.0, 256)
+    with pytest.raises(ValueError, match="must come after its start"):
+        strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", window, n_samples=8)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_horizon_and_checkpoints_reject_non_finite_times(t):
     # NaN compares false with every bound, so it must be caught before the comparison
