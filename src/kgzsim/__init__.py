@@ -7,10 +7,8 @@ from .kgz import (
     SimConfig,
     Trajectory,
     energy,
-    from_first_order,
     gaussian_data,
     run_simulation,
-    to_first_order,
 )
 from .resonance import (
     InteractionTag,

@@ -23,6 +23,7 @@ from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verif
 from .strichartz import (
     GuardError,
     beta_exponent,
+    check_blocks,
     check_horizon,
     check_samples,
     check_window,
@@ -274,6 +275,7 @@ def _run_normalform(cfg: dict, out: Path) -> None:
 def _run_scan(cfg: dict, out: Path) -> None:
     grid = _check("grid.R, grid.M", RadialGrid, cfg["grid.R"], cfg["grid.M"])
     ks, resolved = _k_range(cfg, "scan"), grid.resolved_k
+    _check("scan.k_min, scan.k_max", check_blocks, ks)
     if ks[0] not in resolved or ks[-1] not in resolved:
         raise ConfigError(
             f"scan.k_min..k_max = {ks[0]}..{ks[-1]} leaves the grid's resolved blocks {resolved[0]}..{resolved[-1]}"

@@ -53,9 +53,8 @@ class BlowupError(RuntimeError):
 # configuration and trajectories
 # ---------------------------------------------------------------------------
 #
-# A second-order state is the (4, M) complex128 array of the samples of
-# (u, u_t, n, n_t) on a grid, with zero imaginary parts; a first-order state
-# is the (2, M) array of the sine coefficients of (U, N).
+# A run's state, from its initial data to every snapshot, is the (2, M)
+# complex128 array of the sine coefficients of (U, N).
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -138,33 +137,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# first-order <-> second-order conversion
-# ---------------------------------------------------------------------------
-
-def _rates(g: RadialGrid, alpha: float) -> NDArray[np.float64]:
-    """(2, M) frequencies of the pair: <xi> for U, alpha*xi for N."""
-    return np.stack([g.lxi, alpha * g.xi])
-
-
-def to_first_order(grid: RadialGrid, s: NDArray, alpha: float) -> NDArray:
-    """(2, M) coefficients of U = u - i<D>^{-1} u_t, N = n - i D^{-1} n_t / alpha from (4, M) (u, u_t, n, n_t)."""
-    c = analyze(grid, s[[0, 2, 1, 3]])
-    return c[:2] - 1j * c[2:] / _rates(grid, alpha)
-
-
-def _second_order(g: RadialGrid, alpha: float, cU: NDArray, cN: NDArray) -> tuple[NDArray, ...]:
-    """Coefficients of (u, u_t, n, n_t) along the last axis of those of U and N:
-    Re cU, -<xi> Im cU, Re cN, -alpha xi Im cN, because the transform is real."""
-    rates = _rates(g, alpha)
-    return cU.real, -rates[0] * cU.imag, cN.real, -rates[1] * cN.imag
-
-
-def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
-    """Inverse of :func:`to_first_order`: the (4, M) samples of (u, u_t, n, n_t) from the (2, M) coefficients."""
-    return synthesize(grid, np.stack(_second_order(grid, alpha, *c))).astype(np.complex128)
-
-
-# ---------------------------------------------------------------------------
 # the Lawson-RK4 stepper
 # ---------------------------------------------------------------------------
 
@@ -214,23 +186,22 @@ class _Stepper:
 # energy
 # ---------------------------------------------------------------------------
 
-def energy(grid: RadialGrid, s: NDArray, alpha: float) -> float:
-    """Conserved energy of the full system in the (4, M) state (u, u_t, n, n_t).
+def energy(grid: RadialGrid, cU: NDArray, cN: NDArray, alpha: float) -> NDArray:
+    """Conserved energy of the full system, one per row of the coefficients of U and N.
 
     E = int |u|^2 + |grad u|^2 + |u_t|^2 + (|D^{-1} n_t|^2/alpha^2 + |n|^2)/2
         - n u^2 dx,
 
     quadratic terms computed spectrally, the cubic term by radial quadrature.
+    The transform is real, so the coefficients of u, u_t, n and n_t are
+    Re cU, -<xi> Im cU, Re cN and -alpha xi Im cN.
     """
-    return float(_energy(grid, alpha, *analyze(grid, s)))
-
-
-def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray, cnd: NDArray) -> NDArray:
-    """:func:`energy` along the last axis of the coefficients of u, u_t, n and n_t."""
-    quad = sobolev_norms(g, cu, 1.0) ** 2 + l2_norms(g, cud) ** 2
-    half = 0.5 * (l2_norms(g, cnd / g.xi) ** 2 / alpha**2 + l2_norms(g, cn) ** 2)
-    u, n = synthesize(g, cu.real), synthesize(g, cn.real)
-    cubic = 4.0 * np.pi * g.dr * np.sum(g.r**2 * n * u**2, axis=-1)
+    xi = grid.xi
+    cu, cud, cn, cnd = cU.real, -grid.lxi * cU.imag, cN.real, -(alpha * xi) * cN.imag
+    quad = sobolev_norms(grid, cu, 1.0) ** 2 + l2_norms(grid, cud) ** 2
+    half = 0.5 * (l2_norms(grid, cnd / xi) ** 2 / alpha**2 + l2_norms(grid, cn) ** 2)
+    u, n = synthesize(grid, cu), synthesize(grid, cn)
+    cubic = 4.0 * np.pi * grid.dr * np.sum(grid.r**2 * n * u**2, axis=-1)
     return quad + half - cubic
 
 
@@ -239,8 +210,8 @@ def _energy(g: RadialGrid, alpha: float, cu: NDArray, cud: NDArray, cn: NDArray,
 # ---------------------------------------------------------------------------
 
 def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
-    """Evolve the (4, M) state ``init`` on ``config.grid`` from t=0 to T, recording
-    snapshots every ``snapshot_stride`` steps.
+    """Evolve the (2, M) coefficients ``init`` of (U, N) on ``config.grid`` from t=0 to T,
+    recording snapshots every ``snapshot_stride`` steps.
 
     Deterministic: identical config and data give a bit-identical trajectory.
     Raises ValueError before the first step for data of another shape or with
@@ -249,8 +220,8 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
     when ||N||_2 exceeds 1e6 times the larger initial norm (N may start at zero
     and is then driven by |u|^2).
     """
-    if np.shape(init) != (4, config.M):
-        raise ValueError(f"initial data of shape {np.shape(init)} is not a (4, M={config.M}) state")
+    if np.shape(init) != (2, config.M):
+        raise ValueError(f"initial data of shape {np.shape(init)} is not a (2, M={config.M}) state")
     if not np.all(np.isfinite(init)):
         raise ValueError("initial data contains non-finite values")
     g = config.grid
@@ -258,7 +229,7 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
     n_steps = recorded[-1]
     st = _Stepper(g, config.dt, config.alpha, config.model, config.dealias)
 
-    c = to_first_order(g, init, config.alpha)
+    c = np.asarray(init, dtype=np.complex128)
     u_norm0, n_norm0 = l2_norms(g, c)
     u_norm0 = max(u_norm0, 1e-300)
     limit = 1e6 * np.array([u_norm0, max(n_norm0, u_norm0)])
@@ -289,7 +260,7 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
 
     # chunks of rows keep the temporaries small
     cU, cN = cs
-    energies = map_rows(lambda u, n: _energy(g, config.alpha, *_second_order(g, config.alpha, u, n)), g.M, cU, cN)
+    energies = map_rows(lambda u, n: energy(g, u, n, config.alpha), g.M, cU, cN)
     return Trajectory(config.snapshot_times, cU, cN, energies, l2_norms(g, cU), l2_norms(g, cN), config)
 
 
@@ -298,12 +269,11 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def gaussian_data(grid: RadialGrid, eps0: float, width: float = 1.0) -> NDArray:
-    """(4, M) state: a small Gaussian bump in u and n with zero velocities."""
+    """(2, M) coefficients of (U, N) at t = 0 for a small Gaussian bump in u and n with zero
+    velocities, so that U = u and N = n."""
     if not math.isfinite(eps0):
         raise ValueError(f"amplitude eps0 must be finite, got {eps0}")
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"width must be positive and finite, got {width}")
     prof = eps0 * np.exp(-((grid.r / width) ** 2))
-    s = np.zeros((4, grid.M), dtype=np.complex128)
-    s[[0, 2]] = prof
-    return s
+    return analyze(grid, np.array([prof, prof], dtype=np.complex128))

@@ -36,6 +36,7 @@ from the full product, which keeps the transformed integral identity exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -414,7 +415,7 @@ def normal_form_terms(
     before it builds the next.
     """
     cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
-    vN, vU = synthesize(grid, cN), synthesize(grid, cU)
+    vN, vU = synthesize(grid, np.stack([cN, cU]))
     out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
     factors = {"N": cN, "U": cU, "aux": out["NU"] / grid.lxi, "D|U|^2": grid.xi * out["UU"]}
     for phase in dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names):  # in order of first use
@@ -578,11 +579,17 @@ class SweepReport:
         return out
 
     def stability_ratios(self) -> dict[str, float]:
+        """Each estimate's largest constant over the sizes divided by its smallest.
+
+        A constant reads 0 where the symbols act on nothing on a coarse grid: a smallest constant
+        of 0 gives inf, and nan when every size reads 0, so that :meth:`passed` is False.
+        """
         ratios = {}
         for est, per_m in self.max_constants().items():
             vals = list(per_m.values())
             if vals:
-                ratios[est] = max(vals) / min(vals)
+                lo, hi = min(vals), max(vals)
+                ratios[est] = hi / lo if lo > 0.0 else (math.inf if hi > 0.0 else math.nan)
         return ratios
 
     def passed(self, factor: float = 2.0) -> bool:

@@ -12,9 +12,8 @@ w_j = r_j f(r_j), and the pair (analyze, synthesize) is an exact inverse
 pair on grid data.  Both act along the last axis of (..., M) arrays.  A
 field is the (M,) array of its sine coefficients on a grid, a stack of
 fields an (..., M) array; physical samples appear only where a quantity is
-defined on them: this transform pair, ``lebesgue_norms``, the second-order
-state (u, u_t, n, n_t) and the snapshot files.  Plancherel holds exactly in
-the discrete setting:
+defined on them: this transform pair, ``lebesgue_norms`` and the snapshot
+files.  Plancherel holds exactly in the discrete setting:
 
     4*pi*dr * sum_j r_j^2 |f_j|^2  =  (2*pi^2)^{-1} * dxi * sum_m xi_m^2 |c_m|^2.
 

@@ -137,7 +137,12 @@ def _profile_over_r(r: NDArray, alpha: float) -> NDArray:
     return np.abs(alpha * r - _bracket(r) - 1.0) / r
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
+_BISECT_TOL = 1e-10  # the bracket width at which a bisection stops
+
+
+def _bisect(fn, lo: float, hi: float) -> float:
+    """A root of fn in the bracket [lo, hi], halved until it is _BISECT_TOL wide or its midpoint is one
+    of its ends: adjacent doubles near 1e6 are already 1.16e-10 apart."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -145,8 +150,10 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
         return hi
     if flo * fhi > 0:
         raise ValueError("bisection bracket does not straddle a root")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         fm = fn(mid)
         if fm == 0.0:
             return mid

@@ -159,6 +159,7 @@ def strichartz_scan(
     to unit L^2 before evolving.  A finite-domain reflection guard attaches a
     warning when T * speed > R/2.
     """
+    check_blocks(ks)
     kg = flavor == "schrodinger"
     beta = beta_exponent(q, r, flavor).value
     check_samples(n_samples)
@@ -226,6 +227,12 @@ def check_samples(n: int) -> None:
     and one checkpoint has no Cauchy difference."""
     if n < 2:
         raise ValueError(f"need at least 2 sample times, got {n}")
+
+
+def check_blocks(ks: Sequence[int]) -> None:
+    """ValueError unless a scan has at least two distinct dyadic blocks: a slope needs two points."""
+    if len(set(ks)) < 2:
+        raise ValueError(f"a slope needs at least two distinct blocks, got {tuple(ks)}")
 
 
 def check_window(window: tuple[float, float]) -> None:

@@ -53,6 +53,31 @@ def smooth_random_field(
     return coeffs
 
 
+def gaussian_state(grid: RadialGrid, eps0: float, width: float = 1.0) -> NDArray:
+    """The (4, M) complex128 samples of (u, u_t, n, n_t) for a Gaussian bump in u and n with zero
+    velocities: the physical state whose first-order coefficients ``gaussian_data`` returns."""
+    s = np.zeros((4, grid.M), dtype=np.complex128)
+    s[[0, 2]] = eps0 * np.exp(-((grid.r / width) ** 2))
+    return s
+
+
+def to_first_order(grid: RadialGrid, s: NDArray, alpha: float) -> NDArray:
+    """The (2, M) coefficients of U = u - i <D>^{-1} u_t and N = n - i D^{-1} n_t / alpha from the
+    (4, M) samples of (u, u_t, n, n_t)."""
+    cu, cu_t, cn, cn_t = analyze(grid, s)
+    return np.stack([cu - 1j * cu_t / grid.lxi, cn - 1j * cn_t / (alpha * grid.xi)])
+
+
+def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
+    """The (4, M) complex128 samples of (u, u_t, n, n_t) from the (2, M) coefficients of (U, N).
+
+    u and n are the real parts of U and N; u_t = -<D> Im U and n_t = -alpha D Im N.
+    """
+    U, N = synthesize(grid, c)
+    u_t, n_t = synthesize(grid, np.stack([-grid.lxi * c[0], -alpha * grid.xi * c[1]])).imag
+    return np.array([U.real, u_t, N.real, n_t], dtype=np.complex128)
+
+
 def read_field(path):
     """The (grid, kind, (M,) complex values) of a ``.fld`` snapshot file."""
     with open(path, "rb") as fh:

@@ -8,7 +8,7 @@ equation residuals (criterion 8) dominate.
 import numpy as np
 import pytest
 
-from kgzsim.kgz import SimConfig, from_first_order, gaussian_data, run_simulation
+from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import duhamel_residual, estimate_sweep
 from kgzsim.radial import (
     RadialGrid,
@@ -26,7 +26,14 @@ from kgzsim.resonance import (
     verify_profile_bound,
 )
 from kgzsim.strichartz import resolution_norms, scattering_profile, sharpness_witness, strichartz_scan
-from references import dealiased_tagged_product, oracle_evolve, pointwise_product
+from references import (
+    dealiased_tagged_product,
+    from_first_order,
+    gaussian_state,
+    oracle_evolve,
+    pointwise_product,
+    to_first_order,
+)
 
 ALPHA = 0.5
 
@@ -66,7 +73,7 @@ def test_c02_exact_linear_dynamics():
     init = np.zeros((4, grid.M), dtype=np.complex128)
     init[[0, 2]] = np.sin(grid.xi[m - 1] * grid.r) / grid.r  # u = n = mode, zero velocities
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=10.0, model="linear", snapshot_stride=10**9)
-    traj = run_simulation(cfg, init)
+    traj = run_simulation(cfg, to_first_order(grid, init, ALPHA))
     # the coefficients of the first and last snapshots' samples
     cU0, cU = (analyze(grid, synthesize(grid, c)) for c in traj.cU[[0, -1]])
     phase_kg = np.exp(1j * 10.0 * np.sqrt(1.0 + grid.xi[m - 1] ** 2))
@@ -98,9 +105,9 @@ def test_c03_energy_conservation():
 
 def test_c04_oracle_equivalence():
     grid = RadialGrid(40.0, 512)
-    init = gaussian_data(grid, 0.01)
+    init = gaussian_state(grid, 0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=2e-3, T=1.0, model="full", snapshot_stride=10**9)
-    traj = run_simulation(cfg, init)
+    traj = run_simulation(cfg, to_first_order(grid, init, ALPHA))
     spec = from_first_order(grid, np.stack([traj.cU[-1], traj.cN[-1]]), ALPHA)
     fd = oracle_evolve(grid, init, ALPHA, 1.0, refine=4)
     num = den = 0.0

@@ -235,6 +235,17 @@ def test_normalform_check_outputs(tmp_path):
         assert float(line.split(",")[2]) < 1e-3
 
 
+def test_normalform_check_writes_the_ratio_of_a_zero_constant(tmp_path):
+    # at alpha = 0.5 and M=8 the high-low symbols act on nothing, so bd_U reads 0 there and not at M=16
+    settings = ["sweep.enabled=true", "sweep.sizes=8,16", "grid.M=64", "sim.T=0.5"]
+    code = run(["normalform-check", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)])
+    assert code == EXIT_OK
+    assert (tmp_path / "manifest.txt").is_file()
+    ratios = dict(line.split(",") for line in (tmp_path / "estimate_stability.csv").read_text().splitlines()[1:])
+    assert ratios["bd_U"] == "inf"
+    assert 1.0 <= float(ratios["bi_HH"]) < 2.0
+
+
 def test_scatter_diag_outputs(tmp_path):
     code = run(["scatter-diag", "--out", str(tmp_path)] + SCATTER_ARGS + ["--set", "scatter.eps=0.1"])
     assert code == EXIT_OK
@@ -337,6 +348,8 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         ("strichartz-scan", "strichartz_scan", ["scan.k_min=5", "scan.k_max=4"], "scan.k_min=5 exceeds scan.k_max=4"),
         # the default grid (R=16, M=1024) resolves the blocks -3..8
         ("strichartz-scan", "strichartz_scan", ["scan.k_min=12", "scan.k_max=13"], "resolved blocks -3..8"),
+        # one block fits a slope to one point
+        ("strichartz-scan", "strichartz_scan", ["scan.k_min=3", "scan.k_max=3"], "scan.k_min, scan.k_max: a slope needs"),
         ("strichartz-scan", "strichartz_scan", ["scan.q=1"], "scan.q, scan.r, scan.flavor: exponents must lie"),
         ("strichartz-scan", "strichartz_scan", ["scan.r=3"], "is not wave-admissible"),
         ("sharpness", "sharpness_witness", ["sharp.k_min=0"], "sharp.k_min: witness needs k >= 1"),
@@ -358,6 +371,7 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
     ids=[
         "scan-empty",
         "scan-unresolved",
+        "scan-one-block",
         "scan-q",
         "scan-r",
         "sharp-k0",

@@ -9,11 +9,9 @@ from kgzsim.kgz import (
     SimConfig,
     Trajectory,
     energy,
-    from_first_order,
     gaussian_data,
     _Stepper,
     run_simulation,
-    to_first_order,
 )
 from kgzsim.normalform import _simpson
 from kgzsim.radial import (
@@ -26,7 +24,7 @@ from kgzsim.radial import (
     synthesize,
     wave_propagate,
 )
-from references import oracle_evolve, read_field
+from references import from_first_order, gaussian_state, oracle_evolve, read_field, to_first_order
 
 ALPHA = 0.5
 
@@ -75,6 +73,16 @@ def test_velocity_only_mode(grid):
     expected = -1j * a / np.sqrt(1.0 + grid.xi[0] ** 2)
     mode = analyze(grid, eigenmode(grid, 1))[0]
     assert abs(coeffs[0] / mode - expected) < 1e-12
+
+
+@pytest.mark.parametrize("M", [128, 256], ids=["fft", "sine-matrix"])
+def test_gaussian_data_is_the_first_order_gaussian(M):
+    # zero velocities make U = u and N = n, so the coefficients do not depend on alpha
+    grid = RadialGrid(40.0, M)
+    c = gaussian_data(grid, 0.01, 1.5)
+    assert c.shape == (2, M) and c.dtype == np.complex128
+    for alpha in (0.5, 2.0):
+        assert c.tobytes() == to_first_order(grid, gaussian_state(grid, 0.01, 1.5), alpha).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ def _born_mismatches(model, dealias, eps0, T=4.0):
     grid, s = cfg.grid, cfg.snapshot_times
     init = gaussian_data(grid, eps0)
     traj = run_simulation(cfg, init)
-    cU, cN = to_first_order(grid, init, ALPHA)
+    cU, cN = init
     mask = dealias_mask(grid) if dealias else 1.0
     u = synthesize(grid, mask * kg_propagate(grid, cU, s))
     n = synthesize(grid, mask * wave_propagate(grid, cN, s, ALPHA))
@@ -208,7 +216,7 @@ def test_second_order_part_is_the_born_term(model, dealias):
 # ---------------------------------------------------------------------------
 
 def test_energy_zero_state(grid):
-    assert energy(grid, state(grid), ALPHA) == 0.0
+    assert energy(grid, *to_first_order(grid, state(grid), ALPHA), ALPHA) == 0.0
 
 
 def test_energy_single_mode_closed_form(grid):
@@ -217,7 +225,7 @@ def test_energy_single_mode_closed_form(grid):
     a = 0.3
     s = state(grid, u=eigenmode(grid, 1, a))
     expected = (1.0 + grid.xi[0] ** 2) * a**2 * 2.0 * np.pi * grid.R
-    assert abs(energy(grid, s, ALPHA) - expected) < 1e-10 * expected
+    assert abs(energy(grid, *to_first_order(grid, s, ALPHA), ALPHA) - expected) < 1e-10 * expected
 
 
 def test_energy_conserved_along_flow(grid):
@@ -269,15 +277,15 @@ def test_oracle_linear_mode_phase():
 
 
 def test_oracle_cfl_guard(grid):
-    s = gaussian_data(grid, 0.01)
+    s = gaussian_state(grid, 0.01)
     with pytest.raises(ValueError, match="CFL"):
         oracle_evolve(grid, s, ALPHA, 0.5, refine=4, dt=1.0)
 
 
 def test_oracle_matches_spectral(grid):
-    init = gaussian_data(grid, 0.01)
+    init = gaussian_state(grid, 0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=2e-3, T=1.0, model="full", snapshot_stride=10**9)
-    traj = run_simulation(cfg, init)
+    traj = run_simulation(cfg, to_first_order(grid, init, ALPHA))
     spec = from_first_order(grid, np.stack([traj.cU[-1], traj.cN[-1]]), ALPHA)
     fd = oracle_evolve(grid, init, ALPHA, 1.0, refine=4)
     num = den = 0.0
@@ -307,14 +315,14 @@ def test_config_has_one_grid():
 def moving_traj(grid):
     init = random_real_state(grid, np.random.default_rng(3), amp=0.01)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-3, T=0.02, model="full", snapshot_stride=5)
-    return run_simulation(cfg, init)
+    return run_simulation(cfg, to_first_order(grid, init, ALPHA))
 
 
 def test_trajectory_energies_match_states(moving_traj):
     grid = moving_traj.config.grid
     assert len(moving_traj) == 5
     for e, cu, cn in zip(moving_traj.energies, moving_traj.cU, moving_traj.cN):
-        ref = energy(grid, from_first_order(grid, np.stack([cu, cn]), ALPHA), ALPHA)
+        ref = energy(grid, *to_first_order(grid, from_first_order(grid, np.stack([cu, cn]), ALPHA), ALPHA), ALPHA)
         assert abs(e - ref) <= 1e-13 * abs(ref)
     for norms, stack in ((moving_traj.u_norms, moving_traj.cU), (moving_traj.n_norms, moving_traj.cN)):
         assert np.array_equal(norms, [l2_norms(grid, c) for c in stack])
@@ -372,7 +380,7 @@ def test_blowup_guard_watches_each_norm(monkeypatch, which, growth):
     grid = RadialGrid(10.0, 64)
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=0.01, T=1.0, snapshot_stride=10)
     init = gaussian_data(grid, 0.01)
-    init[2] *= 100.0
+    init[1] *= 100.0
     with pytest.raises(BlowupError) as err:
         run_simulation(cfg, init)
     assert err.value.reason.startswith(f"||{which}||_2 exceeded")
@@ -407,13 +415,13 @@ def test_blowup_guard_on_one_entry(monkeypatch, row, value, reason):
 
 @pytest.mark.parametrize(
     "bad",
-    [lambda g: gaussian_data(RadialGrid(g.R, g.M + 1), 0.01), lambda g: gaussian_data(g, 0.01)[:2]],
-    ids=["other-M", "pair"],
+    [lambda g: gaussian_data(RadialGrid(g.R, g.M + 1), 0.01), lambda g: gaussian_state(g, 0.01)],
+    ids=["other-M", "second-order-samples"],
 )
 def test_run_rejects_misshapen_data(bad, monkeypatch):
     monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, c: pytest.fail("stepped"))
     cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=0.1)
-    with pytest.raises(ValueError, match="not a \\(4, M=64\\) state"):
+    with pytest.raises(ValueError, match="not a \\(2, M=64\\) state"):
         run_simulation(cfg, bad(cfg.grid))
 
 
@@ -422,7 +430,7 @@ def test_run_rejects_non_finite_data(value, monkeypatch):
     monkeypatch.setattr("kgzsim.kgz._Stepper.step", lambda self, c: pytest.fail("stepped"))
     cfg = SimConfig(ALPHA, 10.0, 64, dt=0.01, T=0.1)
     init = gaussian_data(cfg.grid, 0.01)
-    init[3, 17] = value
+    init[1, 17] = value
     with pytest.raises(ValueError, match="non-finite"):
         run_simulation(cfg, init)
 

@@ -666,6 +666,15 @@ def test_estimate_sweep_smoke():
     )
 
 
+def test_stability_ratio_of_a_zero_constant():
+    # at M=8 and 16 the high-low symbols act on nothing: bd_U reads 0 at both sizes, bi_LH at M=8 only
+    report = estimate_sweep(2.0, sizes=(8, 16), trials=1)
+    ratios = report.stability_ratios()
+    assert np.isnan(ratios["bd_U"]) and ratios["bi_LH"] == np.inf
+    assert 1.0 <= ratios["bi_HH"] < 2.0
+    assert not report.passed()
+
+
 def test_sweep_report_csv(tmp_path):
     report = estimate_sweep(2.0, sizes=(64, 128), trials=2, n_angular=16)
     report.write_csv(tmp_path / "sweep.csv")

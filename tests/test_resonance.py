@@ -137,6 +137,15 @@ def test_profile_bound_dense_sweep(alpha):
     assert ok, f"margin {margin}"
 
 
+def test_params_alpha_just_above_one():
+    # the outer crossing sits near r = 1e6, where adjacent doubles are 1.16e-10 apart, so the
+    # bisection bracket never narrows to 1e-10 and must stop when its midpoint is one of its ends
+    p = compute_params(1.000002)
+    assert p.branch is Branch.ALPHA_GT_1 and p.c_alpha == pytest.approx(5e5, rel=1e-5)
+    ok, margin = verify_profile_bound(p)
+    assert ok, f"margin {margin}"
+
+
 def test_alpha_near_one_rejected():
     with pytest.raises(ValueError):
         compute_params(1.0)

@@ -188,6 +188,14 @@ def test_checkpoints_must_fall_on_increasing_snapshots(checkpoints):
         checkpoint_indices(np.linspace(0.0, 2.0, 201), checkpoints, 0.01)
 
 
+@pytest.mark.parametrize("ks", [[3], [3, 3], []], ids=["one", "repeated", "none"])
+def test_scan_needs_two_distinct_blocks(ks, monkeypatch):
+    monkeypatch.setattr(strichartz, "measure_spacetime_norm", lambda *args: pytest.fail("scanned"))
+    grid = RadialGrid(16.0, 512)
+    with pytest.raises(ValueError, match="at least two distinct blocks"):
+        strichartz_scan(grid, ks, 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64)
+
+
 def test_scan_needs_two_sample_times():
     grid = RadialGrid(16.0, 512)
     with pytest.raises(ValueError, match="at least 2 sample times"):
