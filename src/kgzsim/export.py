@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .kgz import Trajectory
-from .radial import RadialGrid, synthesize
+from .radial import RadialGrid, l2_norms, synthesize
 
 FLOAT_FMT = "%.17g"
 _HEADER = struct.Struct("<dQBB")  # R (f64), M (u64), kind (u8, 0: physical samples), complex flag (u8, 1)
@@ -86,10 +86,10 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    grid = traj.config.grid
     if fields:
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        grid = traj.config.grid
         # one snapshot at a time, so the physical samples never hold the whole stack
         for i, (cu, cn) in enumerate(zip(traj.cU, traj.cN)):
             U, N = synthesize(grid, np.stack([cu, cn]))
@@ -102,6 +102,6 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
         ["t", "energy", "u_norm_l2", "n_norm_l2"],
         [
             (float(t), float(e), float(nu), float(nn))
-            for t, e, nu, nn in zip(traj.times, traj.energies, traj.u_norms, traj.n_norms)
+            for t, e, nu, nn in zip(traj.times, traj.energies, l2_norms(grid, traj.cU), l2_norms(grid, traj.cN))
         ],
     )

@@ -107,33 +107,41 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered snapshots of a run plus per-snapshot diagnostics.
+    """Time-ordered snapshots of a run.
 
     Snapshot i is stored as the sine coefficients ``cU[i]`` and ``cN[i]`` of
     U and N at ``times[i]``; ``synthesize(config.grid, cU[i])`` gives its samples.
     The times are the config's ``snapshot_times``, so that a check on the
-    snapshots can run on the config before the run.
+    snapshots can run on the config before the run; the energies are computed
+    on first read.
     """
 
-    times: NDArray[np.float64]
+    config: SimConfig
     cU: NDArray[np.complex128]
     cN: NDArray[np.complex128]
-    energies: NDArray[np.float64]
-    u_norms: NDArray[np.float64]
-    n_norms: NDArray[np.float64]
-    config: SimConfig
 
     def __post_init__(self):
-        ts = self.times
-        if not np.array_equal(ts, self.config.snapshot_times):
-            raise ValueError("trajectory times are not its config's snapshot_times")
-        shape = (len(ts), self.config.M)
+        shape = (len(self.config.snapshot_steps), self.config.M)
         if self.cU.shape != shape or self.cN.shape != shape:
             raise ValueError(f"coefficient stacks {self.cU.shape}, {self.cN.shape} do not match {shape}")
         self.cU.flags.writeable = self.cN.flags.writeable = False
 
+    @cached_property
+    def times(self) -> NDArray[np.float64]:
+        ts = self.config.snapshot_times
+        ts.flags.writeable = False
+        return ts
+
+    @cached_property
+    def energies(self) -> NDArray[np.float64]:
+        """The energy of each snapshot, in chunks of rows that keep the temporaries small."""
+        g = self.config.grid
+        es = map_rows(lambda u, n: energy(g, u, n, self.config.alpha), g.M, self.cU, self.cN)
+        es.flags.writeable = False
+        return es
+
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.cU)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +266,7 @@ def run_simulation(config: SimConfig, init: NDArray) -> Trajectory:
             cs[:, k] = c
             k += 1
 
-    # chunks of rows keep the temporaries small
-    cU, cN = cs
-    energies = map_rows(lambda u, n: energy(g, u, n, config.alpha), g.M, cU, cN)
-    return Trajectory(config.snapshot_times, cU, cN, energies, l2_norms(g, cU), l2_norms(g, cN), config)
+    return Trajectory(config, *cs)
 
 
 # ---------------------------------------------------------------------------

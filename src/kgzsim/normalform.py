@@ -478,7 +478,7 @@ def check_residual_config(cfg: SimConfig) -> None:
 
 def duhamel_residual(
     traj: Trajectory,
-    params: ResonanceParams | None,
+    params: ResonanceParams,
     which: str = "U",
     n_angular: int = 64,
 ) -> float:
@@ -489,13 +489,15 @@ def duhamel_residual(
     (the full quadratic term minus its guarded non-resonant part), each
     propagated exactly and integrated over the stored snapshots by composite
     Simpson, with Cartwright's correction of the last interval for an even
-    snapshot count (:func:`_simpson`).  Other than a ``linear`` trajectory,
-    which is compared against the free term alone, the run must pass
+    snapshot count (:func:`_simpson`).  The run must pass
     :func:`check_residual_config`.
     """
     if which not in ("U", "N"):
         raise ValueError("which must be 'U' or 'N'")
     cfg = traj.config
+    check_residual_config(cfg)
+    if params.alpha != cfg.alpha:
+        raise ValueError("resonance parameters must match the trajectory's alpha")
     grid = cfg.grid
     times = traj.times
     t = float(times[-1])
@@ -509,14 +511,6 @@ def duhamel_residual(
     cU, cN = traj.cU, traj.cN
     c0, target = (cU[0], cU[-1]) if which == "U" else (cN[0], cN[-1])
     den = l2_norms(grid, target)
-
-    if cfg.model == "linear":
-        num = l2_norms(grid, flow(c0, t) - target)
-        return 0.0 if den == 0.0 else num / den
-
-    check_residual_config(cfg)
-    if params is None or abs(params.alpha - alpha) > 0.0:
-        raise ValueError("resonance parameters must match the trajectory's alpha")
 
     if which == "U":
         nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "cubic_1", "cubic_2", "nonres_U"), n_angular)

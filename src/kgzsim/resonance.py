@@ -16,7 +16,7 @@ For alpha < 1 the phase w1 vanishes at |eta| = 0, |xi| = c = 2 alpha/(1-alpha^2)
 (w3 and c = 2 alpha/(alpha^2-1) for alpha > 1), so high-low products are split
 into a resonant dyadic annulus around c (tag AL / LA) and its complement
 (tag XL / LX), with the low frequency at least k_sep dyadic levels below.
-``compute_params`` produces constants (c, delta, k_sep, rho) for which the
+``compute_params`` produces constants (delta, k_sep, rho) for which the
 resonant phase is verifiably bounded below, |w| >= rho * r, outside the
 annulus.
 """
@@ -76,10 +76,6 @@ def omega_tilde(j: int, xi, eta, cos_theta, alpha: float):
     return phase_at_distance(j, xi, eta, interaction_distance(xi, eta, cos_theta), alpha, tilde=True)
 
 
-#: sign s_j in the duality  w_j(xi -> eta - xi) = s_j * wt_j
-DUALITY_SIGNS = {1: -1.0, 2: 1.0, 3: -1.0, 4: 1.0}
-
-
 # ---------------------------------------------------------------------------
 # constants realizing the off-annulus lower bound
 # ---------------------------------------------------------------------------
@@ -91,30 +87,34 @@ class Branch(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ResonanceParams:
-    """Constants (alpha, c, delta, k_sep, rho) of the interaction split.
+    """Constants (alpha, delta, k_sep, rho) of the interaction split.
 
-    Outside the annulus [c - delta, c + delta] the resonant phase profile is
-    bounded below by rho * r; k_alpha is the dyadic separation of high-low
-    pairs (at least 5).
+    Outside the annulus [c - delta, c + delta] around c = 2 alpha/|1 - alpha^2|
+    the resonant phase profile is bounded below by rho * r; k_alpha is the
+    dyadic separation of high-low pairs (at least 5).
     """
 
     alpha: float
-    c_alpha: float
     delta_alpha: float
     k_alpha: int
     rho: float
-    branch: Branch
 
     def __post_init__(self):
-        expected = 2.0 * self.alpha / abs(1.0 - self.alpha**2)
-        if abs(self.c_alpha - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("c_alpha does not match 2*alpha/|1-alpha^2|")
         if not (0.0 < self.delta_alpha < self.c_alpha):
             raise ValueError("delta_alpha must lie in (0, c_alpha)")
         if self.k_alpha < 5:
             raise ValueError("k_alpha must be at least 5")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
+
+    @property
+    def c_alpha(self) -> float:
+        """The resonant radius 2 alpha/|1 - alpha^2|."""
+        return 2.0 * self.alpha / abs(1.0 - self.alpha**2)
+
+    @property
+    def branch(self) -> Branch:
+        return Branch.ALPHA_LT_1 if self.alpha < 1.0 else Branch.ALPHA_GT_1
 
 
 def resonant_profile(r, alpha: float):
@@ -187,8 +187,8 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
     if not (np.isfinite(alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
         raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {alpha}")
 
+    c = 2.0 * alpha / abs(1.0 - alpha**2)
     if alpha < 1.0:
-        c = 2.0 * alpha / (1.0 - alpha**2)
         delta = _THETA * c
         r = np.linspace(0.0, 10.0 * c, 20001)
         outside = (r < c - delta) | (r > c + delta)
@@ -196,9 +196,7 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
         ratios[r == 0.0] = alpha  # limit of f(r)/r at the origin
         rho = _SAFETY * float(ratios[outside].min())
         floors = [5.0, abs(np.log2(rho)) + 5.0, abs(np.log2(1.0 - alpha)) + 5.0]
-        branch = Branch.ALPHA_LT_1
     else:
-        c = 2.0 * alpha / (alpha**2 - 1.0)
         half_line = 0.5 * (alpha - 1.0)
 
         def gap(r):
@@ -214,7 +212,6 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
         delta = max(c - r_c1, r_c2 - c)
         rho = half_line
         floors = [5.0, abs(np.log2(alpha - 1.0)) + 5.0]
-        branch = Branch.ALPHA_GT_1
 
     k_sep = int(np.ceil(max(floors)))
     if band is not None:
@@ -227,10 +224,10 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
             )
             k_sep = max(cap, 5)
 
-    params = ResonanceParams(alpha, c, delta, k_sep, rho, branch)
+    params = ResonanceParams(alpha, delta, k_sep, rho)
     ok, margin = verify_profile_bound(params)
     if not ok:
-        raise AssertionError(f"off-annulus profile bound failed (margin {margin:.3e})")
+        raise ValueError(f"off-annulus profile bound failed (margin {margin:.3e})")
     return params
 
 

@@ -215,7 +215,6 @@ class WitnessReport:
     measured: float
     scale_constant: float
     phi_norm: float
-    window: tuple[float, float]
 
     @property
     def ratio(self) -> float:
@@ -294,7 +293,7 @@ def sharpness_witness(k: int, q: float, r: float, R: float = 64.0, n_samples: in
         const = (1.0 + k * k) ** (0.5 * iq) * 2.0 ** ((0.5 - ir) * k)
     else:
         const = 2.0 ** (beta * k)
-    return WitnessReport(k, q, r, measured, const, phi_norm, (t_lo, t_hi))
+    return WitnessReport(k, q, r, measured, const, phi_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +354,10 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
 
     V(t) = K(-t) U(t) measured in H^1 and W(t) = W_alpha(-t) N(t) in L^2;
     convergence of these sequences as the checkpoint doubles is the
-    finite-time manifestation of scattering.
+    finite-time manifestation of scattering.  ``alpha`` must be the run's own.
     """
+    if alpha != traj.config.alpha:
+        raise ValueError(f"alpha={alpha} is not the trajectory's alpha={traj.config.alpha}")
     cps = tuple(float(t) for t in checkpoints)
     ts = traj.times
     grid = traj.config.grid

@@ -357,6 +357,9 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         ("sharpness", "sharpness_witness", ["sharp.k_min=3", "sharp.k_max=2"], "sharp.k_min=3 exceeds sharp.k_max=2"),
         ("resonance", "verify_lemma_bounds", ["resonance.alpha=1.0"], "resonance.alpha: alpha must be positive"),
         ("params", None, ["resonance.alpha=-1"], "resonance.alpha: alpha must be positive"),
+        # compute_params' own re-verification of the profile bound fails there
+        ("params", None, ["resonance.alpha=1e8"], "resonance.alpha: off-annulus profile bound failed"),
+        ("resonance", "verify_lemma_bounds", ["resonance.alpha=1e8"], "resonance.alpha: off-annulus profile bound"),
         ("resonance", "verify_lemma_bounds", ["lemma.n_xi=0"], "grid counts must be >= 1"),
         # one sample time makes a trapezoid over the window zero
         ("strichartz-scan", "strichartz_scan", ["scan.samples=1"], "scan.samples: need at least 2 sample times"),
@@ -379,6 +382,8 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         "sharp-empty",
         "resonance",
         "params",
+        "params-bound",
+        "resonance-bound",
         "lemma-count",
         "scan-samples",
         "sharp-samples",

@@ -25,7 +25,6 @@ from kgzsim.normalform import (
 )
 from kgzsim.radial import _CHUNK, RadialGrid, analyze, l2_norms, synthesize
 from kgzsim.resonance import (
-    Branch,
     InteractionTag,
     ResonanceParams,
     _block_resonant,
@@ -42,7 +41,7 @@ KERNEL_DATA = [(kind, cutoff) for kind in PHASES for cutoff in (False, True)]
 DATA_IDS = ["omega", "omega-cutoff", "omega_tilde", "omega_tilde-cutoff"]
 # a small grid whose band hosts a high-low separation of k_alpha = 5
 SMALL_GRID = dict(R=20.0, M=48)
-SMALL_PARAMS = ResonanceParams(0.5, 4.0 / 3.0, 1.0 / 3.0, 5, 0.0596, Branch.ALPHA_LT_1)
+SMALL_PARAMS = ResonanceParams(0.5, 1.0 / 3.0, 5, 0.0596)
 
 
 @pytest.fixture(scope="module")
@@ -614,13 +613,6 @@ def simplified_traj(grid):
     return run_simulation(cfg, gaussian_data(grid, 0.01))
 
 
-def test_residual_linear_run(grid):
-    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, model="linear", dealias=False, snapshot_stride=10)
-    traj = run_simulation(cfg, gaussian_data(grid, 0.01))
-    assert duhamel_residual(traj, None, "U") < 1e-10
-    assert duhamel_residual(traj, None, "N") < 1e-10
-
-
 def test_residual_zero_data(grid, params):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=0.1, model="simplified", dealias=False, snapshot_stride=1)
     traj = run_simulation(cfg, gaussian_data(grid, 0.0))
@@ -632,8 +624,18 @@ def test_residual_small_data(grid, params, simplified_traj):
     assert duhamel_residual(simplified_traj, params, "N") < 1e-3
 
 
-def test_residual_rejects_full_model(grid, params):
-    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=0.1, model="full", dealias=False, snapshot_stride=1)
+def test_residual_run_computes_no_energy(grid, params, monkeypatch):
+    # the energies are computed on read, and neither the run nor a residual reads them
+    monkeypatch.setattr("kgzsim.kgz.energy", lambda *args: pytest.fail("energy computed"))
+    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=0.04, model="simplified", dealias=False, snapshot_stride=2)
+    traj = run_simulation(cfg, gaussian_data(grid, 0.01))
+    for which in ("U", "N"):
+        duhamel_residual(traj, params, which, n_angular=16)
+
+
+@pytest.mark.parametrize("model", ["full", "linear"])
+def test_residual_rejects_full_model(grid, params, model):
+    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=0.1, model=model, dealias=False, snapshot_stride=1)
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     with pytest.raises(ValueError, match="simplified"):
         duhamel_residual(traj, params, "U")

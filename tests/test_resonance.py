@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kgzsim.radial import RadialGrid, analyze, l2_norms, random_band_limited, synthesize
 from kgzsim.resonance import (
-    DUALITY_SIGNS,
     Branch,
     InteractionTag,
     LemmaGridSpec,
@@ -20,6 +19,9 @@ from kgzsim.resonance import (
     verify_profile_bound,
 )
 from references import dealiased_tagged_product, pointwise_product
+
+#: sign s_j in the duality  w_j(xi -> eta - xi) = s_j * wt_j
+DUALITY_SIGNS = {1: -1.0, 2: 1.0, 3: -1.0, 4: 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +167,14 @@ def test_band_cap_warns(grid):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="c_alpha"):
-        ResonanceParams(0.5, 1.0, 0.3, 10, 0.05, Branch.ALPHA_LT_1)
     with pytest.raises(ValueError, match="k_alpha"):
-        ResonanceParams(0.5, 4.0 / 3.0, 0.3, 4, 0.05, Branch.ALPHA_LT_1)
+        ResonanceParams(0.5, 0.3, 4, 0.05)
+
+
+def test_params_where_the_profile_bound_fails():
+    # at alpha = 1e8 the dense re-verification finds the bound broken (margin -4.5e4); at 1e7 it holds
+    with pytest.raises(ValueError, match="off-annulus profile bound failed"):
+        compute_params(1e8)
 
 
 # ---------------------------------------------------------------------------

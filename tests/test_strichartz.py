@@ -269,6 +269,14 @@ def test_profile_missing_checkpoint(grid):
         scattering_profile(traj, ALPHA, [0.77])
 
 
+def test_profile_needs_the_runs_alpha(grid):
+    # a wrong alpha would pull N back along the wrong wave flow
+    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, snapshot_stride=50)
+    traj = run_simulation(cfg, gaussian_data(grid, 0.01))
+    with pytest.raises(ValueError, match="alpha"):
+        scattering_profile(traj, 2.0 * ALPHA, [0.5, 1.0])
+
+
 def test_cauchy_csv(tmp_path, grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=4.0, model="linear", snapshot_stride=50)
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
