@@ -81,6 +81,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError(f"T must be nonnegative and finite, got {self.T}")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T / dt must be finite, got T={self.T}, dt={self.dt}")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T} must be an integer multiple of dt={self.dt}")
         if self.model not in MODELS:

@@ -94,6 +94,19 @@ class RadialGrid:
             raise ValueError(f"domain radius must be positive and finite, got R={self.R}")
         if self.M < 4:
             raise ValueError(f"need at least 4 modes, got M={self.M}")
+        # the spacings, the largest squared frequency, and the transform scalings at their largest:
+        # analyze's at xi_1 and synthesize's at r_1
+        dr, dxi = self.dr, self.dxi
+        xi_top = self.M * dxi
+        for name, x in [
+            ("dr", dr),
+            ("dxi", dxi),
+            ("xi_M^2", xi_top * xi_top),
+            ("2 pi dr / xi_1", 2.0 * np.pi * dr / dxi),
+            ("dxi / (4 pi^2 r_1)", dxi / (4.0 * np.pi**2 * dr)),
+        ]:
+            if not (np.isfinite(x) and x > 0):
+                raise ValueError(f"grid R={self.R}, M={self.M} gives {name} = {x}, not finite and positive")
 
     @cached_property
     def dr(self) -> float:

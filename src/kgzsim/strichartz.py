@@ -101,12 +101,18 @@ def measure_spacetime_norm(grid: RadialGrid, coeffs: NDArray, times: NDArray, q:
     """Discrete L^q_t L^r_x norm of an (S, M) coefficient stack sampled at ``times``.
 
     The spatial norm is the L^r norm of each row's samples; time integration
-    uses the trapezoid rule on the sample times (supremum for q = inf).
+    uses the trapezoid rule on the sample times (supremum for q = inf), on the
+    norms over their maximum m, as m (int (vals / m)^q dt)^(1/q): raised to a
+    large q, the norms themselves overflow above 1 and underflow below it.
+    GuardError if a spatial norm is not finite.
     """
     vals = map_rows(lambda c: lebesgue_norms(grid, synthesize(grid, c), r), grid.M, coeffs)
-    if np.isinf(q):
-        return float(vals.max())
-    return float(np.trapezoid(vals**q, times) ** (1.0 / q))
+    if not np.all(np.isfinite(vals)):
+        raise GuardError(f"an L^r norm at r={r} of a time sample is not finite")
+    m = vals.max(initial=0.0)
+    if np.isinf(q) or m == 0.0:
+        return float(m)
+    return float(m * np.trapezoid((vals / m) ** q, times) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from kgzsim import cli, export
@@ -106,8 +109,13 @@ def test_invalid_sim_config_rejected(tmp_path):
         ("sim.T=nan", "T must be nonnegative and finite"),
         ("data.eps0=inf", "data.eps0, data.width: amplitude eps0 must be finite"),
         ("data.width=0", "data.eps0, data.width: width must be positive and finite"),
+        # finite settings whose derived scales are not: T / dt overflows, and the grid's xi_M^2
+        # overflows (tiny R) or underflows (huge R), as do its transform scalings
+        ("sim.dt=1e-320", "T / dt must be finite"),
+        ("grid.R=1e-300", "gives xi_M^2 = inf, not finite and positive"),
+        ("grid.R=1e300", "gives xi_M^2 = 0.0, not finite and positive"),
     ],
-    ids=["R-inf", "alpha-inf", "dt-inf", "T-inf", "T-nan", "eps0-inf", "width-0"],
+    ids=["R-inf", "alpha-inf", "dt-inf", "T-inf", "T-nan", "eps0-inf", "width-0", "dt-tiny", "R-tiny", "R-huge"],
 )
 def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, setting, message):
     monkeypatch.setattr(cli, "run_simulation", no_run)
@@ -480,6 +488,37 @@ def test_scan_guard_follows_flow_speed(tmp_path, flavor, expected):
     )
     assert code == expected
     assert (tmp_path / "scan.csv").is_file() == (expected == EXIT_OK)
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:] if not line.startswith("#")]
+
+
+def test_sharpness_at_a_large_time_exponent(tmp_path):
+    # at q = 400 the sample norms near 90 (k = 3) overflowed when raised to q, and the CSV read inf
+    args = ["--set", "sharp.q=400", "--set", "sharp.k_min=2", "--set", "sharp.k_max=3"]
+    assert run(["sharpness", "--out", str(tmp_path)] + args) == EXIT_OK
+    rows = _csv_rows(tmp_path / "sharpness.csv")
+    assert [row[0] for row in rows] == ["2", "3"]
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+    assert float(rows[0][1]) == pytest.approx(1.699001424739931, rel=1e-12)
+
+
+def test_scan_at_a_large_time_exponent(tmp_path):
+    # at q = 2000 the sample norms below 1 underflowed to 0, and the log2 column raised
+    args = ["--set", "grid.M=256", "--set", "scan.samples=64", "--set", "scan.q=2000"]
+    assert run(["strichartz-scan", "--out", str(tmp_path)] + args) == EXIT_OK
+    norms = [float(row[1]) for row in _csv_rows(tmp_path / "scan.csv")]
+    assert len(norms) == 5 and all(math.isfinite(n) and n > 0 for n in norms)
+
+
+def test_sharpness_with_an_overflowing_space_norm(tmp_path, capsys):
+    # |v|^r overflows at r = 1e300: a guard violation, not a CSV of inf
+    with np.errstate(over="ignore"):
+        code = run(["sharpness", "--out", str(tmp_path), "--set", "sharp.r=1e300", "--set", "sharp.k_max=2"])
+    assert code == EXIT_GUARD
+    assert "r=1e+300" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_text_outputs_written_atomically(tmp_path, monkeypatch):
