@@ -11,17 +11,21 @@ manifest echoing the fully resolved configuration.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from .export import _fmt, atomic_write_text, write_csv, write_manifest, export_trajectory
 from .kgz import BlowupError, RadialGrid, SimConfig, gaussian_data, run_simulation
-from .normalform import check_count, check_residual_config, check_sizes, duhamel_residual, estimate_sweep
-from .resonance import LemmaGridSpec, compute_params, verify_lemma_bounds, verify_profile_bound
+from .normalform import SweepReport, check_count, check_residual_config, check_sizes, duhamel_residual, estimate_sweep
+from .resonance import LemmaGridSpec, LemmaReport, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
+    ScanTable,
+    ScatteringReport,
     beta_exponent,
     check_blocks,
     check_horizon,
@@ -205,8 +209,37 @@ def _initial_data(cfg: dict, grid: RadialGrid):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# file layouts and subcommand bodies
 # ---------------------------------------------------------------------------
+
+def write_lemma_bounds(path: Path, report: LemmaReport) -> None:
+    """One row per bound: alpha, the BoundRow's fields in order, and the evaluation grid's counts."""
+    spec = report.spec
+    header = ["alpha", "quantity", "region", "value", "arg_xi", "arg_eta", "arg_cos", "n_xi", "n_eta", "n_cos"]
+    rows = [(report.params.alpha, *astuple(r), spec.n_xi, spec.n_eta, spec.n_cos) for r in report.rows]
+    write_csv(path, header, rows)
+
+
+def write_scan(path: Path, table: ScanTable) -> None:
+    """Per-block rows, then the fit and any warning as ``# name,value`` rows."""
+    rows = [(k, n, math.log2(n), res) for k, n, res in zip(table.ks, table.norms, table.residuals)]
+    rows += [("# slope", table.slope), ("# predicted_slope", table.predicted_slope)]
+    if table.warning:
+        rows.append(("# warning", table.warning))
+    write_csv(path, ["k", "norm", "log2_norm", "fit_residual"], rows)
+
+
+def write_cauchy(path: Path, report: ScatteringReport) -> None:
+    write_csv(path, ["t1", "t2", "d_U_H1", "d_N_L2"], [(r.t1, r.t2, r.d_U, r.d_N) for r in report.rows])
+
+
+def write_sweep(path: Path, report: SweepReport) -> None:
+    """One row per constant, estimates innermost, then trials, then sizes."""
+    names = list(report.values)
+    table = np.stack(list(report.values.values()), axis=-1)  # (sizes, trials, estimates)
+    rows = [(names[e], report.sizes[i], t, v) for (i, t, e), v in np.ndenumerate(table)]
+    write_csv(path, ["estimate", "M", "trial", "value"], rows)
+
 
 def _run_simulate(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
@@ -232,7 +265,7 @@ def _run_resonance(cfg: dict, out: Path) -> None:
     keys = [f"lemma.{field}" for field in ("xi_min", "xi_max", "n_xi", "n_eta", "n_cos")]
     spec = _check(", ".join(keys), LemmaGridSpec, *(cfg[k] for k in keys))
     report = verify_lemma_bounds(p, spec)
-    report.write_csv(out / "lemma_bounds.csv")
+    write_lemma_bounds(out / "lemma_bounds.csv", report)
     ok_profile, margin = verify_profile_bound(p)
     summary = report.summary()
     summary["profile_bound_ok"] = ok_profile
@@ -264,7 +297,7 @@ def _run_normalform(cfg: dict, out: Path) -> None:
     write_csv(out / "residuals.csv", ["t", "component", "residual", "n_angular"], rows)
     if cfg["sweep.enabled"]:
         report = estimate_sweep(sim.alpha, sizes=sizes, trials=cfg["sweep.trials"], R=sim.R, n_angular=n_ang)
-        report.write_csv(out / "estimate_sweep.csv")
+        write_sweep(out / "estimate_sweep.csv", report)
         write_csv(
             out / "estimate_stability.csv",
             ["estimate", "ratio"],
@@ -299,8 +332,8 @@ def _run_scan(cfg: dict, out: Path) -> None:
         n_samples=cfg["scan.samples"],
         seed=cfg["scan.seed"],
     )
-    table.write_csv(out / "scan.csv")
-    write_csv(out / "scan_plot.csv", ["k", "log2_norm"], table.plot_series())
+    write_scan(out / "scan.csv", table)
+    write_csv(out / "scan_plot.csv", ["k", "log2_norm"], [(k, math.log2(n)) for k, n in zip(table.ks, table.norms)])
 
 
 def _run_sharpness(cfg: dict, out: Path) -> None:
@@ -335,7 +368,7 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)
     norms = zip(report.rows, resolution_norms(traj, cfg["scatter.eps"], windows))
-    report.write_csv(out / "cauchy.csv")
+    write_cauchy(out / "cauchy.csv", report)
     write_csv(
         out / "cauchy_plot.csv",
         ["t", "d_U_H1", "d_N_L2"],

@@ -90,6 +90,11 @@ class SimConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         self.grid  # built here, so that the grid's checks on R and M run with the ones above
+        # a run records steps 0, s, 2s, ... below n, and n: counted here, never listed, so that a
+        # schedule whose (2, snapshots, M) complex128 stack no array can address is refused at once
+        n, s = round(self.T / self.dt), self.snapshot_stride
+        if 32 * ((n + s - 1) // s + 1) * self.M > np.iinfo(np.intp).max:
+            raise ValueError(f"{n:.3g} steps at stride {s}: more (2, M={self.M}) snapshots than an array can address")
 
     @cached_property
     def grid(self) -> RadialGrid:
@@ -98,9 +103,10 @@ class SimConfig:
 
     @property
     def snapshot_steps(self) -> list[int]:
-        """Indices of the steps after which a run records a snapshot (0 is the initial state)."""
-        n_steps = int(round(self.T / self.dt)) if self.T > 0 else 0
-        return [i for i in range(n_steps + 1) if i % self.snapshot_stride == 0 or i == n_steps]
+        """Indices of the steps after which a run records a snapshot (0 is the initial state):
+        every ``snapshot_stride``-th step, and the last."""
+        n = round(self.T / self.dt)
+        return list(range(0, n, self.snapshot_stride)) + [n]
 
     @property
     def snapshot_times(self) -> NDArray[np.float64]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import export
 from .radial import RadialGrid, analyze, chi_k, chi_le, synthesize
 
 
@@ -373,7 +372,11 @@ class LemmaReport:
     spec: LemmaGridSpec
     rows: tuple[BoundRow, ...]
     sign_change: bool
-    resonant_index: int
+
+    @property
+    def resonant_index(self) -> int:
+        """The phase that vanishes on the annulus: w1 for alpha < 1, w3 for alpha > 1."""
+        return 1 if self.params.alpha < 1.0 else 3
 
     @property
     def passed(self) -> bool:
@@ -400,17 +403,6 @@ class LemmaReport:
         for r in self.rows:
             out[r.quantity] = r.value
         return out
-
-    def write_csv(self, path) -> None:
-        grid = (self.spec.n_xi, self.spec.n_eta, self.spec.n_cos)
-        export.write_csv(
-            path,
-            ["alpha", "quantity", "region", "value", "arg_xi", "arg_eta", "arg_cos", "n_xi", "n_eta", "n_cos"],
-            [
-                (self.params.alpha, r.quantity, r.region, r.value, r.arg_xi, r.arg_eta, r.arg_cos, *grid)
-                for r in self.rows
-            ],
-        )
 
 
 def verify_lemma_bounds(params: ResonanceParams, spec: LemmaGridSpec = LemmaGridSpec()) -> LemmaReport:
@@ -456,4 +448,4 @@ def verify_lemma_bounds(params: ResonanceParams, spec: LemmaGridSpec = LemmaGrid
     line = omega(res_idx, r_line, 0.0, 1.0, a)
     sign_change = bool(line.min() < 0.0 < line.max())
 
-    return LemmaReport(params, spec, tuple(rows), sign_change, res_idx)
+    return LemmaReport(params, spec, tuple(rows), sign_change)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import export
 from .kgz import Trajectory
 from .radial import (
     RadialGrid,
@@ -121,29 +121,33 @@ def measure_spacetime_norm(grid: RadialGrid, coeffs: NDArray, times: NDArray, q:
 
 @dataclass(frozen=True)
 class ScanTable:
-    """Per-block space-time norms of a frequency-localized free flow."""
+    """Per-block space-time norms of a frequency-localized free flow; the fit and predicted slope are derived."""
 
     flavor: str
     q: float
     r: float
     ks: tuple[int, ...]
     norms: tuple[float, ...]
-    slope: float
-    intercept: float
-    residuals: tuple[float, ...]
-    predicted_slope: float
     warning: str | None = None
 
-    def write_csv(self, path) -> None:
-        """Per-block rows, then the fit and any warning as ``# name,value`` rows."""
-        rows = [(k, n, math.log2(n), res) for k, n, res in zip(self.ks, self.norms, self.residuals)]
-        rows += [("# slope", self.slope), ("# predicted_slope", self.predicted_slope)]
-        if self.warning:
-            rows.append(("# warning", self.warning))
-        export.write_csv(path, ["k", "norm", "log2_norm", "fit_residual"], rows)
+    @cached_property
+    def _fit(self) -> tuple[float, float]:
+        """(slope, intercept) of the least-squares line through the points (k, log2 norm)."""
+        return tuple(np.polyfit(np.asarray(self.ks, dtype=float), np.log2(self.norms), 1).tolist())
 
-    def plot_series(self) -> list[tuple[float, float]]:
-        return [(float(k), math.log2(n)) for k, n in zip(self.ks, self.norms)]
+    slope = property(lambda self: self._fit[0])
+    intercept = property(lambda self: self._fit[1])
+
+    @property
+    def residuals(self) -> tuple[float, ...]:
+        ks = np.asarray(self.ks, dtype=float)
+        return tuple((np.log2(self.norms) - (self.slope * ks + self.intercept)).tolist())
+
+    @property
+    def predicted_slope(self) -> float:
+        """The growth exponent of unit-L^2 blocks: minus the Besov regularity of the estimate."""
+        beta = beta_exponent(self.q, self.r, self.flavor).value
+        return beta if self.flavor == "schrodinger" else -beta
 
 
 def strichartz_scan(
@@ -167,12 +171,9 @@ def strichartz_scan(
     """
     check_blocks(ks)
     kg = flavor == "schrodinger"
-    beta = beta_exponent(q, r, flavor).value
+    beta_exponent(q, r, flavor)
     check_samples(n_samples)
     check_window(window)
-    # per-block norm growth 2^(k * slope) for unit-L^2 blocks: the estimate's
-    # Besov weight contributes 2^(-s k) with s the stored regularity
-    predicted = beta if kg else -beta
     speed = 1.0 if kg else alpha
     warning = None
     if _past_horizon(window[1], speed, grid.R):
@@ -191,22 +192,7 @@ def strichartz_scan(
             raise ValueError(f"profile has no content in dyadic block {k}")
         flow = kg_propagate(grid, block / nb, ts) if kg else wave_propagate(grid, block / nb, ts, alpha)
         norms.append(measure_spacetime_norm(grid, flow, ts, q, r))
-    ks_arr = np.asarray(ks, dtype=float)
-    logs = np.log2(np.asarray(norms))
-    slope, intercept = np.polyfit(ks_arr, logs, 1)
-    residuals = logs - (slope * ks_arr + intercept)
-    return ScanTable(
-        flavor,
-        q,
-        r,
-        tuple(int(k) for k in ks),
-        tuple(float(n) for n in norms),
-        float(slope),
-        float(intercept),
-        tuple(float(x) for x in residuals),
-        float(predicted),
-        warning,
-    )
+    return ScanTable(flavor, q, r, tuple(int(k) for k in ks), tuple(float(n) for n in norms), warning)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +201,22 @@ def strichartz_scan(
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """The witness's measured norm and data norm at scale 2^k; the scale constant and the ratio are derived."""
+
     k: int
     q: float
     r: float
     measured: float
-    scale_constant: float
     phi_norm: float
+
+    @property
+    def scale_constant(self) -> float:
+        """C(q, r, k) of :func:`sharpness_witness`."""
+        iq = 0.0 if np.isinf(self.q) else 1.0 / self.q
+        ir = 0.0 if np.isinf(self.r) else 1.0 / self.r
+        if abs(iq + 2.0 * ir - 1.0) < 1e-12:
+            return (1.0 + self.k * self.k) ** (0.5 * iq) * 2.0 ** ((0.5 - ir) * self.k)
+        return 2.0 ** (beta_exponent(self.q, self.r, "schrodinger").value * self.k)
 
     @property
     def ratio(self) -> float:
@@ -282,7 +278,7 @@ def sharpness_witness(k: int, q: float, r: float, R: float = 64.0, n_samples: in
     in k, when the estimate's exponent is sharp.
     """
     t_lo, t_hi = witness_window(k, R)
-    beta = beta_exponent(q, r, "schrodinger").value  # rejects an inadmissible (q, r) before any work
+    beta_exponent(q, r, "schrodinger")  # rejects an inadmissible (q, r) before any work
     check_samples(n_samples)
     xi_top = _ENVELOPE_TOP * 2.0**k
     M = int(np.ceil(1.05 * xi_top * R / np.pi))
@@ -293,13 +289,7 @@ def sharpness_witness(k: int, q: float, r: float, R: float = 64.0, n_samples: in
         raise ValueError("witness profile is empty")
     times = np.geomspace(t_lo, t_hi, n_samples)
     measured = measure_spacetime_norm(grid, kg_propagate(grid, phi * chi_k(grid.xi, k), times), times, q, r)
-    iq = 0.0 if np.isinf(q) else 1.0 / q
-    ir = 0.0 if np.isinf(r) else 1.0 / r
-    if abs(iq + 2.0 * ir - 1.0) < 1e-12:
-        const = (1.0 + k * k) ** (0.5 * iq) * 2.0 ** ((0.5 - ir) * k)
-    else:
-        const = 2.0 ** (beta * k)
-    return WitnessReport(k, q, r, measured, const, phi_norm)
+    return WitnessReport(k, q, r, measured, phi_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +310,6 @@ class ScatteringReport:
     rows: tuple[CauchyRow, ...]
     profiles_U: NDArray  # (C, M) coefficients, one row per checkpoint
     profiles_N: NDArray
-
-    def write_csv(self, path) -> None:
-        export.write_csv(path, ["t1", "t2", "d_U_H1", "d_N_L2"], [(r.t1, r.t2, r.d_U, r.d_N) for r in self.rows])
 
 
 def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) -> list[int]:

@@ -8,7 +8,8 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from kgzsim.export import _HEADER
-from kgzsim.radial import RadialGrid, analyze, dealias_mask, eta0, synthesize
+from kgzsim.kgz import SimConfig
+from kgzsim.radial import RadialGrid, analyze, dealias_mask, eta0, kg_propagate, synthesize, wave_propagate
 from kgzsim.resonance import InteractionTag, ResonanceParams, decompose_bilinear
 
 
@@ -76,6 +77,25 @@ def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
     U, N = synthesize(grid, c)
     u_t, n_t = synthesize(grid, np.stack([-grid.lxi * c[0], -alpha * grid.xi * c[1]])).imag
     return np.array([U.real, u_t, N.real, n_t], dtype=np.complex128)
+
+
+def born_forcing(cfg: SimConfig, init: NDArray, s: NDArray) -> tuple[NDArray, NDArray]:
+    """The Born integrands of U and N: the (S, M) right-hand sides -i<D>^{-1} q_u and -i alpha D q_n of
+    the first-order system, with the forcing q evaluated on the free flow of the data ``init`` at the
+    times ``s``, for ``cfg``'s model and dealiasing.  Built from the propagators and the transforms
+    alone, without the stepper: flowed over the remaining time and integrated, they give the
+    quadratic part of a run."""
+    grid = cfg.grid
+    mask = dealias_mask(grid) if cfg.dealias else 1.0
+    u = synthesize(grid, mask * kg_propagate(grid, init[0], s))
+    n = synthesize(grid, mask * wave_propagate(grid, init[1], s, cfg.alpha))
+    if cfg.model == "full":
+        u, n = u.real, n.real
+        forcing = n * u, u * u  # Re N Re U and (Re U)^2
+    else:
+        forcing = n * u, u * np.conj(u)
+    rates = -1j / grid.lxi, -1j * cfg.alpha * grid.xi
+    return tuple(rate * mask * analyze(grid, q) for rate, q in zip(rates, forcing))
 
 
 def read_field(path):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,13 +111,18 @@ def test_invalid_sim_config_rejected(tmp_path):
         ("sim.T=nan", "T must be nonnegative and finite"),
         ("data.eps0=inf", "data.eps0, data.width: amplitude eps0 must be finite"),
         ("data.width=0", "data.eps0, data.width: width must be positive and finite"),
-        # finite settings whose derived scales are not: T / dt overflows, and the grid's xi_M^2
-        # overflows (tiny R) or underflows (huge R), as do its transform scalings
+        # finite settings whose derived scales are not: T / dt overflows, or its 1e300 steps make a
+        # snapshot schedule no array can hold, and the grid's xi_M^2 overflows (tiny R) or underflows
+        # (huge R), as do its transform scalings
         ("sim.dt=1e-320", "T / dt must be finite"),
+        ("sim.dt=1e-300", "snapshots than an array can address"),
         ("grid.R=1e-300", "gives xi_M^2 = inf, not finite and positive"),
         ("grid.R=1e300", "gives xi_M^2 = 0.0, not finite and positive"),
     ],
-    ids=["R-inf", "alpha-inf", "dt-inf", "T-inf", "T-nan", "eps0-inf", "width-0", "dt-tiny", "R-tiny", "R-huge"],
+    ids=[
+        "R-inf", "alpha-inf", "dt-inf", "T-inf", "T-nan", "eps0-inf", "width-0",
+        "dt-tiny", "dt-unaddressable", "R-tiny", "R-huge",
+    ],
 )
 def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, setting, message):
     monkeypatch.setattr(cli, "run_simulation", no_run)
@@ -123,6 +130,25 @@ def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_computation_modules_do_not_import_export():
+    # the CLI lays out every file: the modules that compute return values and write nothing
+    package = Path(cli.__file__).parent
+    found = []
+    for name in ("radial", "kgz", "resonance", "strichartz", "normalform"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import export", "from .export import x" and "from kgzsim import export" alike
+                module = ".".join(filter(None, ["kgzsim" if node.level else None, node.module]))
+                imported = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if "kgzsim.export" in imported:
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], found
 
 
 @pytest.mark.parametrize(

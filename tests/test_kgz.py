@@ -24,7 +24,7 @@ from kgzsim.radial import (
     synthesize,
     wave_propagate,
 )
-from references import from_first_order, gaussian_state, oracle_evolve, read_field, to_first_order
+from references import born_forcing, from_first_order, gaussian_state, oracle_evolve, read_field, to_first_order
 
 ALPHA = 0.5
 
@@ -174,29 +174,22 @@ def _born_mismatches(model, dealias, eps0, T=4.0):
     """||(X - X_lin) - Born|| / ||Born|| at time T for X = U and N, from a run at amplitude eps0.
 
     X_lin is the free flow of the data and Born the Duhamel integral of the forcing evaluated on the
-    free flow: one product per snapshot, twisted to time T and integrated by Simpson's rule.  Built
-    from the propagators and the transforms alone; the difference is O(eps0^3) against an O(eps0^2)
-    Born term, so the relative mismatch is proportional to eps0.
+    free flow (:func:`references.born_forcing`): one product per snapshot, twisted to time T and
+    integrated by Simpson's rule.  The difference is O(eps0^3) against an O(eps0^2) Born term, so
+    the relative mismatch is proportional to eps0.
     """
     cfg = SimConfig(ALPHA, 40.0, 128, dt=1e-2, T=T, model=model, dealias=dealias, snapshot_stride=1)
     grid, s = cfg.grid, cfg.snapshot_times
     init = gaussian_data(grid, eps0)
     traj = run_simulation(cfg, init)
-    cU, cN = init
-    mask = dealias_mask(grid) if dealias else 1.0
-    u = synthesize(grid, mask * kg_propagate(grid, cU, s))
-    n = synthesize(grid, mask * wave_propagate(grid, cN, s, ALPHA))
-    if model == "full":
-        u, n = u.real, n.real
-        forcing = n * u, u * u  # Re N Re U and (Re U)^2
-    else:
-        forcing = n * u, u * np.conj(u)
     out = []
-    for flow, rate, c, q, final in (
-        (lambda c, t: kg_propagate(grid, c, t), -1j / grid.lxi, cU, forcing[0], traj.cU[-1]),
-        (lambda c, t: wave_propagate(grid, c, t, ALPHA), -1j * ALPHA * grid.xi, cN, forcing[1], traj.cN[-1]),
+    for flow, c, g, final in zip(
+        (lambda c, t: kg_propagate(grid, c, t), lambda c, t: wave_propagate(grid, c, t, ALPHA)),
+        init,
+        born_forcing(cfg, init, s),
+        (traj.cU[-1], traj.cN[-1]),
     ):
-        born = _simpson(flow(rate * mask * analyze(grid, q), T - s), s)
+        born = _simpson(flow(g, T - s), s)
         out.append(l2_norms(grid, final - flow(c, T) - born) / l2_norms(grid, born))
     return np.array(out)
 
@@ -441,6 +434,26 @@ def test_snapshot_schedule():
     traj = run_simulation(cfg, gaussian_data(cfg.grid, 0.01))
     assert np.array_equal(traj.times, cfg.snapshot_times)
     assert traj.times[-1] == pytest.approx(0.25)
+
+
+def test_snapshot_steps_match_the_stride_rule():
+    # every stride-th step and the last, as the filter over every step gives them
+    for n in range(40):
+        for stride in range(1, 13):
+            cfg = SimConfig(ALPHA, 10.0, 16, dt=0.5, T=0.5 * n, snapshot_stride=stride)
+            assert cfg.snapshot_steps == [i for i in range(n + 1) if i % stride == 0 or i == n]
+
+
+def test_snapshot_schedule_is_counted_before_it_is_listed():
+    # T / dt = 1e298 steps: the schedule cannot exist, and no step is listed to find that out
+    with pytest.raises(ValueError, match="snapshots than an array can address"):
+        SimConfig(alpha=0.5, R=40.0, M=64, dt=1e-300, T=0.01)
+    # the (2, S, 64) complex128 stack takes 2^11 S bytes, and S = T + 1 at dt = 1, stride 1: the
+    # largest S that fits in intp's maximum (2^52 - 1 for 64 bits) is accepted, one more is not
+    last = float((np.iinfo(np.intp).max + 1) // 2**11 - 2)
+    assert SimConfig(ALPHA, 40.0, 64, dt=1.0, T=last).T == last
+    with pytest.raises(ValueError, match="snapshots than an array can address"):
+        SimConfig(ALPHA, 40.0, 64, dt=1.0, T=last + 1.0)
 
 
 def test_config_validation():

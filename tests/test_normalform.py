@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kgzsim import normalform
+from kgzsim.cli import write_sweep
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.normalform import (
     BilinearOperator,
@@ -698,8 +699,8 @@ def test_residual_rejects_mismatched_params(grid, simplified_traj):
 
 def test_estimate_sweep_smoke():
     report = estimate_sweep(2.0, sizes=(64, 128), trials=3, n_angular=24)
-    assert len(report.rows) == 2 * 3 * 8
-    assert all(np.isfinite(r.value) and r.value > 0 for r in report.rows)
+    assert [v.shape for v in report.values.values()] == [(2, 3)] * 8
+    assert all(np.all(np.isfinite(v) & (v > 0)) for v in report.values.values())
     ratios = report.stability_ratios()
     assert set(ratios) == set(
         ("bd_U", "bd_N", "cubic_1", "cubic_2", "cubic_3", "bi_LH", "bi_HH", "bi_DHH")
@@ -717,10 +718,10 @@ def test_stability_ratio_of_a_zero_constant():
 
 def test_sweep_report_csv(tmp_path):
     report = estimate_sweep(2.0, sizes=(64, 128), trials=2, n_angular=16)
-    report.write_csv(tmp_path / "sweep.csv")
+    write_sweep(tmp_path / "sweep.csv", report)
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "estimate,M,trial,value"
-    assert len(lines) == 1 + len(report.rows)
+    assert len(lines) == 1 + sum(v.size for v in report.values.values())
 
 
 @pytest.mark.parametrize("sizes", [(128,), (128, 128)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgzsim.cli import write_lemma_bounds
 from kgzsim.radial import RadialGrid, analyze, l2_norms, random_band_limited, synthesize
 from kgzsim.resonance import (
     Branch,
@@ -298,7 +299,7 @@ def test_lemma_grid_spec_rejects_empty_grids(fields):
 
 def test_lemma_report_csv(tmp_path, params_half):
     rep = verify_lemma_bounds(params_half)
-    rep.write_csv(tmp_path / "rep.csv")
+    write_lemma_bounds(tmp_path / "rep.csv", rep)
     lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
     assert lines[0].startswith("alpha,quantity,region")
     assert len(lines) == len(rep.rows) + 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kgzsim.cli import write_cauchy, write_scan
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limited
 from kgzsim import strichartz
@@ -205,7 +206,7 @@ def test_scan_needs_two_sample_times():
 def test_scan_csv(tmp_path):
     grid = RadialGrid(16.0, 512)
     table = strichartz_scan(grid, [1, 2, 3], 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64)
-    table.write_csv(tmp_path / "scan.csv")
+    write_scan(tmp_path / "scan.csv", table)
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == "k,norm,log2_norm,fit_residual"
     assert len([l for l in lines if not l.startswith("#")]) == 4
@@ -281,7 +282,7 @@ def test_cauchy_csv(tmp_path, grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=4.0, model="linear", snapshot_stride=50)
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     rep = scattering_profile(traj, ALPHA, [2.0, 4.0])
-    rep.write_csv(tmp_path / "cauchy.csv")
+    write_cauchy(tmp_path / "cauchy.csv", rep)
     assert (tmp_path / "cauchy.csv").read_text().splitlines()[0] == "t1,t2,d_U_H1,d_N_L2"
 
 
