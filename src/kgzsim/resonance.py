@@ -116,15 +116,18 @@ class ResonanceParams:
         return Branch.ALPHA_LT_1 if self.alpha < 1.0 else Branch.ALPHA_GT_1
 
 
+def resonant_index(alpha: float) -> int:
+    """The phase that vanishes on the annulus: w1 for alpha < 1, w3 for alpha > 1."""
+    return 1 if alpha < 1.0 else 3
+
+
 def resonant_profile(r, alpha: float):
-    """The zero-input-frequency profile of the resonant phase.
+    """The zero-input-frequency profile of the resonant phase, w_j at |eta| = 0 with |xi| = r.
 
     alpha < 1: f(r) = alpha r - <r> + 1 (root at c = 2 alpha/(1-alpha^2));
     alpha > 1: g(r) = alpha r - <r> - 1 (root at c = 2 alpha/(alpha^2-1)).
     """
-    r = np.asarray(r, dtype=float)
-    shift = 1.0 if alpha < 1.0 else -1.0
-    return alpha * r - _bracket(r) + shift
+    return phase_at_distance(resonant_index(alpha), r, 0.0, r, alpha)
 
 
 def _profile_over_r(r: NDArray, alpha: float) -> NDArray:
@@ -133,7 +136,7 @@ def _profile_over_r(r: NDArray, alpha: float) -> NDArray:
     if alpha < 1.0:
         # f(r)/r = alpha - r/(1 + <r>)
         return np.abs(alpha - r / (1.0 + _bracket(r)))
-    return np.abs(alpha * r - _bracket(r) - 1.0) / r
+    return np.abs(resonant_profile(r, alpha)) / r
 
 
 _BISECT_TOL = 1e-10  # the bracket width at which a bisection stops
@@ -214,14 +217,14 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
 
     k_sep = int(np.ceil(max(floors)))
     if band is not None:
-        cap = (band.k_max - band.k_min) - 2
-        if cap < k_sep:
+        capped = max((band.k_max - band.k_min) - 2, 5)
+        if capped < k_sep:
             warnings.warn(
                 f"dyadic separation {k_sep} exceeds the grid band "
-                f"[{band.k_min}, {band.k_max}]; capped to {max(cap, 5)}",
+                f"[{band.k_min}, {band.k_max}]; capped to {capped}",
                 stacklevel=2,
             )
-            k_sep = max(cap, 5)
+            k_sep = capped
 
     params = ResonanceParams(alpha, delta, k_sep, rho)
     ok, margin = verify_profile_bound(params)
@@ -375,8 +378,8 @@ class LemmaReport:
 
     @property
     def resonant_index(self) -> int:
-        """The phase that vanishes on the annulus: w1 for alpha < 1, w3 for alpha > 1."""
-        return 1 if self.params.alpha < 1.0 else 3
+        """The index j of the resonant phase w_j at the report's alpha."""
+        return resonant_index(self.params.alpha)
 
     @property
     def passed(self) -> bool:
@@ -439,13 +442,12 @@ def verify_lemma_bounds(params: ResonanceParams, spec: LemmaGridSpec = LemmaGrid
     add("min|w2|/<xi>", "HL", np.abs(omega(2, xi_b, eta_b, cos_b, a)) / _bracket(xi_b), all_pts)
     add("min|w4|/<xi>", "HL", np.abs(omega(4, xi_b, eta_b, cos_b, a)) / _bracket(xi_b), all_pts)
 
-    res_idx = 1 if a < 1.0 else 3
-    two_sided = w1 if res_idx == 1 else w3
-    add(f"max|w{res_idx}|/scale", "XL", two_sided, off_annulus, minimum=False)
+    j = resonant_index(a)
+    add(f"max|w{j}|/scale", "XL", w1 if j == 1 else w3, off_annulus, minimum=False)
 
     # sign change of the resonant phase across c inside the annulus, zero input
     r_line = np.linspace(c - 0.99 * d, c + 0.99 * d, 1001)
-    line = omega(res_idx, r_line, 0.0, 1.0, a)
+    line = omega(j, r_line, 0.0, 1.0, a)
     sign_change = bool(line.min() < 0.0 < line.max())
 
     return LemmaReport(params, spec, tuple(rows), sign_change)

@@ -51,6 +51,9 @@ class BetaValue(NamedTuple):
     eps_augmented: bool  # borderline case, exponent is value + (arbitrarily small)
 
 
+_LINE_TOL = 1e-12  # a pair with |1/q + 2/r - 1| below this lies on the borderline
+
+
 def beta_exponent(q: float, r: float, flavor: str) -> BetaValue:
     """Regularity exponent of the radial space-time estimate for (q, r).
 
@@ -62,6 +65,9 @@ def beta_exponent(q: float, r: float, flavor: str) -> BetaValue:
         beta = 1/r + 1/q - 1/2            if 1/q + 2/r > 1 (and admissible),
         beta = (1/2 - 1/r)+               on the borderline 1/q + 2/r = 1
                                           (eps_augmented marker set).
+
+    The borderline is decided within 1e-12, so that a pair such as
+    (10, 20/9), whose 1/q + 2/r rounds to 1 - 1.1e-16, lies on it.
 
     ``flavor="wave"``: requires 1/q + 2/r < 1 or (q, r) = (inf, 2) and returns
     the Besov regularity 1/q + 3/r - 3/2 of the estimate directly.
@@ -86,9 +92,9 @@ def beta_exponent(q: float, r: float, flavor: str) -> BetaValue:
             f"(q, r)=({q}, {r}) is not admissible: 2/q + 5/r = {2 * iq + 5 * ir:.6g} >= 5/2"
         )
     line = iq + 2.0 * ir
-    if energy_pair or line < 1.0:
+    if energy_pair or line < 1.0 - _LINE_TOL:
         return BetaValue(1.5 - 3.0 * ir - iq, False)
-    if line > 1.0:
+    if line > 1.0 + _LINE_TOL:
         return BetaValue(ir + iq - 0.5, False)
     return BetaValue(0.5 - ir, True)
 
@@ -128,7 +134,6 @@ class ScanTable:
     r: float
     ks: tuple[int, ...]
     norms: tuple[float, ...]
-    warning: str | None = None
 
     @cached_property
     def _fit(self) -> tuple[float, float]:
@@ -166,21 +171,16 @@ def strichartz_scan(
 
     phi is a fixed random radial L^2 profile (white coefficients, fixed seed)
     unless its (M,) coefficients are given; each block P_k phi is normalized
-    to unit L^2 before evolving.  A finite-domain reflection guard attaches a
-    warning when T * speed > R/2.
+    to unit L^2 before evolving.  GuardError, before any flow is computed, if
+    the window ends past the reflection-safe horizon of the scanned flow,
+    whose speed is 1 for Klein-Gordon and alpha for the wave.
     """
     check_blocks(ks)
     kg = flavor == "schrodinger"
     beta_exponent(q, r, flavor)
     check_samples(n_samples)
     check_window(window)
-    speed = 1.0 if kg else alpha
-    warning = None
-    if _past_horizon(window[1], speed, grid.R):
-        warning = (
-            f"window end {window[1]} times speed {speed} exceeds R/2 = {grid.R / 2}; "
-            "boundary reflections may contaminate the fit"
-        )
+    check_horizon([window[1]], 1.0 if kg else alpha, grid.R)
     if profile is None:
         profile = random_band_limited(grid, np.random.default_rng(seed))
     ts = np.linspace(*window, n_samples)
@@ -192,7 +192,7 @@ def strichartz_scan(
             raise ValueError(f"profile has no content in dyadic block {k}")
         flow = kg_propagate(grid, block / nb, ts) if kg else wave_propagate(grid, block / nb, ts, alpha)
         norms.append(measure_spacetime_norm(grid, flow, ts, q, r))
-    return ScanTable(flavor, q, r, tuple(int(k) for k in ks), tuple(float(n) for n in norms), warning)
+    return ScanTable(flavor, q, r, tuple(int(k) for k in ks), tuple(float(n) for n in norms))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,11 @@ class WitnessReport:
     @property
     def scale_constant(self) -> float:
         """C(q, r, k) of :func:`sharpness_witness`."""
-        iq = 0.0 if np.isinf(self.q) else 1.0 / self.q
-        ir = 0.0 if np.isinf(self.r) else 1.0 / self.r
-        if abs(iq + 2.0 * ir - 1.0) < 1e-12:
-            return (1.0 + self.k * self.k) ** (0.5 * iq) * 2.0 ** ((0.5 - ir) * self.k)
-        return 2.0 ** (beta_exponent(self.q, self.r, "schrodinger").value * self.k)
+        beta = beta_exponent(self.q, self.r, "schrodinger")
+        scale = 2.0 ** (beta.value * self.k)
+        if beta.eps_augmented:
+            return (1.0 + self.k * self.k) ** (0.5 / self.q) * scale
+        return scale
 
     @property
     def ratio(self) -> float:
@@ -246,6 +246,19 @@ def check_window(window: tuple[float, float]) -> None:
         raise ValueError(f"window end {t1} must come after its start {t0}")
 
 
+def check_horizon(times: Sequence[float], speed: float, R: float) -> None:
+    """GuardError unless every time lies within the reflection-safe horizon R/(2 max(1, speed)), where the
+    faster of the Klein-Gordon flow and a flow at ``speed`` reaches R/2; ValueError for a time that is not finite."""
+    fastest = max(1.0, speed)
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"time t={t} is not finite")
+        if t * fastest > R / 2.0:
+            raise GuardError(
+                f"time {t} is beyond the reflection-safe horizon R/(2 max(1, speed)) = {R / (2.0 * fastest)}"
+            )
+
+
 def witness_window(k: int, R: float) -> tuple[float, float]:
     """The sharpness witness's time window [2^(1-k), 2^(k-1)] at scale 2^k.
 
@@ -256,8 +269,7 @@ def witness_window(k: int, R: float) -> tuple[float, float]:
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"witness needs a positive finite R, got R={R}")
     t_hi = 2.0 ** (k - 1)
-    if _past_horizon(t_hi, 1.0, R):
-        raise GuardError(f"window end 2^(k-1) = {t_hi} exceeds the reflection-safe horizon R/2 = {R / 2}")
+    check_horizon([t_hi], 1.0, R)
     return 2.0 ** (1 - k), t_hi
 
 
@@ -306,7 +318,6 @@ class CauchyRow:
 
 @dataclass(frozen=True)
 class ScatteringReport:
-    checkpoints: tuple[float, ...]
     rows: tuple[CauchyRow, ...]
     profiles_U: NDArray  # (C, M) coefficients, one row per checkpoint
     profiles_N: NDArray
@@ -325,21 +336,6 @@ def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) 
             raise ValueError(f"checkpoints must fall on increasing snapshots, got t={cp} at or before its predecessor")
         out.append(i)
     return out
-
-
-def _past_horizon(t: float, speed: float, R: float) -> bool:
-    """Whether time t lies beyond the reflection-safe horizon R/(2 max(1, speed)), where the faster of
-    the Klein-Gordon flow and a flow at ``speed`` reaches R/2; ValueError for a t that is not finite."""
-    if not math.isfinite(t):
-        raise ValueError(f"time t={t} is not finite")
-    return t * max(1.0, speed) > R / 2.0
-
-
-def check_horizon(checkpoints: Sequence[float], alpha: float, R: float) -> None:
-    """GuardError unless every checkpoint lies within the reflection-safe horizon R/(2 max(1, alpha))."""
-    for t in checkpoints:
-        if _past_horizon(t, alpha, R):
-            raise GuardError(f"checkpoint {t} is beyond the reflection-safe horizon R/(2 max(1, alpha))")
 
 
 def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[float]) -> ScatteringReport:
@@ -361,7 +357,7 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
         CauchyRow(t1, t2, float(sobolev_norms(grid, v2 - v1, 1.0)), float(l2_norms(grid, w2 - w1)))
         for t1, t2, v1, v2, w1, w2 in zip(cps, cps[1:], profs_U, profs_U[1:], profs_N, profs_N[1:])
     ]
-    return ScatteringReport(cps, tuple(rows), profs_U, profs_N)
+    return ScatteringReport(tuple(rows), profs_U, profs_N)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +375,6 @@ class ResolutionNorms:
     1/q(eps) = 1/4 + eps/3.
     """
 
-    eps: float
     x_linf_l2: float
     x_l2_besov: float
     y_linf_h1: float
@@ -456,7 +451,7 @@ def resolution_norms(traj: Trajectory, eps: float, windows: Sequence[tuple[float
     for r in rows:
         vals = table[r.start - lo : r.stop - lo]
         linf, l2t = vals.max(axis=0), np.sqrt(np.trapezoid(vals**2, ts[r], axis=0))
-        out.append(ResolutionNorms(eps, linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5]))
+        out.append(ResolutionNorms(linf[0], l2t[1], linf[2], l2t[3], linf[4], l2t[5]))
     return out
 
 

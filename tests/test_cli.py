@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgzsim import cli, export
+from kgzsim import cli, export, strichartz
 from kgzsim.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, DEFAULTS, main, resolve_config
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.strichartz import resolution_norm
@@ -155,7 +155,7 @@ def test_computation_modules_do_not_import_export():
     "subcommand, entry, settings, message",
     [
         ("scatter-diag", "run_simulation", SCATTER_ARGS + ["--set", "scatter.checkpoints=2,nan,8"], "no snapshot near checkpoint t=nan"),
-        ("strichartz-scan", "strichartz_scan", SCAN_ARGS + ["--set", "scan.window=nan"], "scan.window: time t=nan is not finite"),
+        ("strichartz-scan", "strichartz_scan", SCAN_ARGS + ["--set", "scan.window=nan"], "scan.window: window (0.0, nan) is not finite"),
         ("sharpness", "sharpness_witness", ["--set", "sharp.R=inf"], "sharp.R: domain radius must be positive and finite"),
         ("resonance", "verify_lemma_bounds", ["--set", "resonance.alpha=inf"], "resonance.alpha: alpha must be positive and finite"),
         ("params", None, ["--set", "resonance.alpha=inf"], "resonance.alpha: alpha must be positive and finite"),
@@ -449,7 +449,7 @@ def test_sharpness_checks_the_horizon_before_any_work(tmp_path, monkeypatch, cap
 
 
 def test_scan_checks_the_horizon_before_any_work(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "strichartz_scan", no_run)
+    monkeypatch.setattr(strichartz, "measure_spacetime_norm", no_run)
     # the default wave flow (speed 1) on R=16: a window ending at 10 passes R/2 = 8
     code = run(["strichartz-scan", "--out", str(tmp_path), "--set", "scan.window=10"])
     assert code == EXIT_GUARD

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from kgzsim.resonance import (
     interaction_distance,
     omega,
     omega_tilde,
+    resonant_index,
+    resonant_profile,
     verify_lemma_bounds,
     verify_profile_bound,
 )
@@ -50,6 +54,15 @@ def dual_point(xi, eta, cos_theta):
 def test_resonance_zero_at_critical_radius():
     # alpha = 1/2: c = 4/3 and w1(4/3, 0, .) = -5/3 + 2/3 + 1 = 0
     assert abs(omega(1, 4.0 / 3.0, 0.0, 1.0, 0.5)) < 1e-15
+
+
+@pytest.mark.parametrize("alpha, j", [(0.5, 1), (2.0, 3)])
+def test_resonant_profile_is_the_resonant_phase_at_zero_input(alpha, j):
+    assert resonant_index(alpha) == j
+    c = 2.0 * alpha / abs(1.0 - alpha**2)
+    r = np.linspace(0.0, 4.0 * c, 101)
+    assert np.allclose(resonant_profile(r, alpha), omega(j, r, 0.0, 1.0, alpha), rtol=0.0, atol=1e-14)
+    assert abs(resonant_profile(c, alpha)) < 1e-14
 
 
 def test_omega4_bounded_away_from_zero(rng):
@@ -165,6 +178,16 @@ def test_band_cap_warns(grid):
     with pytest.warns(UserWarning, match="capped"):
         p = compute_params(0.5, band=grid)
     assert p.k_alpha == (grid.k_max - grid.k_min) - 2
+
+
+def test_band_cap_warns_only_when_it_moves_k_alpha():
+    # alpha = 2 separates by the floor 5, which the band [-4, 0] of M = 8 caps to 5 again
+    band = RadialGrid(40.0, 8)
+    assert (band.k_min, band.k_max) == (-4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = compute_params(2.0, band=band)
+    assert p.k_alpha == compute_params(2.0).k_alpha == 5
 
 
 def test_params_validation():

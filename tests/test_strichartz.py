@@ -9,6 +9,7 @@ from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limite
 from kgzsim import strichartz
 from kgzsim.strichartz import (
     GuardError,
+    WitnessReport,
     beta_exponent,
     check_horizon,
     checkpoint_indices,
@@ -51,6 +52,18 @@ def test_beta_borderline_marker():
     out = beta_exponent(2.0, 4.0, "schrodinger")
     assert out.value == pytest.approx(0.25)
     assert out.eps_augmented
+
+
+def test_borderline_pairs_are_decided_once():
+    # r = 2q/(q-1) puts 1/q + 2/r on 1 up to rounding: at q = 10 the sum reads 1 - 1.1e-16
+    k = 3
+    for q in range(3, 101):
+        r = 2.0 * q / (q - 1.0)
+        beta = beta_exponent(q, r, "schrodinger")
+        assert beta.eps_augmented and beta.value == 0.5 - 1.0 / r, (q, r)
+        # the witness applies the <k>^{1/q} borderline constant exactly where the exponent says borderline
+        borderline = (1.0 + k * k) ** (0.5 / q) * 2.0 ** (beta.value * k)
+        assert WitnessReport(k, q, r, 1.0, 1.0).scale_constant == borderline, (q, r)
 
 
 def test_beta_rejections_name_inequality():
@@ -140,23 +153,67 @@ def test_scan_linearity(rng):
 
 
 def test_scan_reflection_warning():
+    # a scan window past the reflection-safe horizon is refused before any flow, not returned with a warning
     grid = RadialGrid(8.0, 256)
-    table = strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, 6.0), n_samples=64)
-    assert table.warning is not None
+    with pytest.raises(GuardError, match="reflection-safe horizon"):
+        strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, 6.0), n_samples=64)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_scan_warning_and_horizon_guard_share_the_edge(alpha):
     # on R = 8 the wave flow at speed alpha reaches R/2 = 4 at the window end 4/alpha exactly
     grid = RadialGrid(8.0, 256)
-    for end, beyond in ((4.0 / alpha, False), (np.nextafter(4.0 / alpha, np.inf), True)):
-        table = strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, end), alpha=alpha, n_samples=8)
-        assert (table.warning is not None) == beyond, end
-        if beyond:
-            with pytest.raises(GuardError, match="horizon"):
-                check_horizon([end], alpha, grid.R)
-        else:
-            check_horizon([end], alpha, grid.R)
+    end = 4.0 / alpha
+    strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, end), alpha=alpha, n_samples=8)
+    check_horizon([end], alpha, grid.R)
+    beyond = np.nextafter(end, np.inf)
+    with pytest.raises(GuardError, match="horizon"):
+        strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", (0.0, beyond), alpha=alpha, n_samples=8)
+    with pytest.raises(GuardError, match="horizon"):
+        check_horizon([beyond], alpha, grid.R)
+
+
+class FlowReached(Exception):
+    """Raised by a patched free flow: the horizon guard let the analysis through."""
+
+
+def _scan_until(flavor, alpha):
+    grid = RadialGrid(8.0, 64)
+    return lambda end: strichartz_scan(grid, [1, 2], 2.0, 5.0, flavor, (0.0, end), alpha=alpha, n_samples=8)
+
+
+def _witness_on(R):
+    return sharpness_witness(2, 2.0, 4.0, R=R, n_samples=8)
+
+
+def _profile_until(end):
+    cfg = SimConfig(2.0, 8.0, 32, dt=0.01, T=2.0, model="linear", snapshot_stride=10)
+    return scattering_profile(run_simulation(cfg, gaussian_data(cfg.grid, 0.01)), 2.0, [1.0, end])
+
+
+@pytest.mark.parametrize(
+    "analysis, edge, past",
+    [
+        # on R = 8 the faster of the Klein-Gordon flow (speed 1) and the wave (speed alpha) reaches R/2 = 4
+        (_scan_until("wave", 0.5), 4.0, np.inf),
+        (_scan_until("schrodinger", 2.0), 4.0, np.inf),
+        # the witness window of k = 2 ends at 2, which is R/2 on R = 4 and past it on a smaller R
+        (_witness_on, 4.0, 0.0),
+        # a run at alpha = 2 on R = 8 reaches its horizon at t = 2
+        (_profile_until, 2.0, np.inf),
+    ],
+    ids=["scan-wave-alpha0.5", "scan-kg-alpha2", "witness", "profile"],
+)
+def test_analyses_share_the_horizon_edge(monkeypatch, analysis, edge, past):
+    def flow(*args, **kwargs):
+        raise FlowReached
+
+    for name in ("kg_propagate", "wave_propagate"):
+        monkeypatch.setattr(strichartz, name, flow)
+    with pytest.raises(FlowReached):
+        analysis(edge)
+    with pytest.raises(GuardError, match="reflection-safe horizon"):
+        analysis(np.nextafter(edge, past))
 
 
 @pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 2.0), (0.0, np.inf)], ids=["end-nan", "start-nan", "end-inf"])
