@@ -170,6 +170,7 @@ class _Stepper:
         xi, lxi = grid.xi, grid.lxi
         self.half = np.stack([np.exp(0.5j * dt * lxi), np.exp(0.5j * dt * alpha * xi)])
         self.full = np.stack([np.exp(1j * dt * lxi), np.exp(1j * dt * alpha * xi)])
+        self.dt_half, self.two_half = dt * self.half, 2.0 * self.half
         # a stage is synthesize -> product -> analyze with the scalings folded
         # into three arrays: synthesize's dxi/(4 pi^2 r) enters each product
         # twice and analyze's r once, and the mask acts on both sides
@@ -185,17 +186,25 @@ class _Stepper:
         if self.model == "full":
             c = c.real  # the transform is real, so this synthesizes Re U and Re N exactly
         u, n = _dst1(self.grid, self.pre * c)
-        q = np.stack([n * u, u**2 if self.model == "full" else u * np.conj(u)])
+        q = np.empty((2, *u.shape), dtype=u.dtype)
+        np.multiply(n, u, out=q[0])
+        np.multiply(u, u if self.model == "full" else np.conjugate(u, out=q[1]), out=q[1])
         q *= self.mid
         return self.post * _dst1(self.grid, q)
 
     def step(self, c: NDArray) -> NDArray:
-        h, half, full = self.dt, self.half, self.full
+        # full*c + h/6*(full*a1 + 2half*(a2 + a3) + a4), in place with each multiply's left operand
+        # kept, so bit for bit that expression: numpy's complex multiply is not bitwise commutative
+        h2, half, fc = 0.5 * self.dt, self.half, self.full * c
         a1 = self.nonlinear(c)
-        a2 = self.nonlinear(half * (c + 0.5 * h * a1))
-        a3 = self.nonlinear(half * c + 0.5 * h * a2)
-        a4 = self.nonlinear(full * c + h * half * a3)
-        return full * c + (h / 6.0) * (full * a1 + 2.0 * half * (a2 + a3) + a4)
+        x = h2 * a1
+        a2 = self.nonlinear(np.multiply(half, np.add(c, x, out=x), out=x))
+        a3 = self.nonlinear(np.add(half * c, np.multiply(h2, a2, out=x), out=x))
+        a4 = self.nonlinear(np.add(fc, np.multiply(self.dt_half, a3, out=x), out=x))
+        np.multiply(self.full, a1, out=a1)
+        a1 += np.multiply(self.two_half, np.add(a2, a3, out=a2), out=a2)
+        a1 += a4
+        return np.add(fc, np.multiply(self.dt / 6.0, a1, out=a1), out=fc)
 
 
 # ---------------------------------------------------------------------------

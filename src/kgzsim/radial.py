@@ -24,13 +24,14 @@ The DST-I has two paths, chosen by M alone.  For M <= 256 with the largest
 prime factor of M+1 above M/2 (M+1 or (M+1)/2 prime), scipy's FFT has no
 fast radix for 2(M+1) and runs a generic prime-radix pass, so the transform
 is a product with the grid's dense sine matrix instead; every other size
-calls scipy's ``dst``.  Per call at M=256 (2 shared cores), FFT -> matrix:
-real (2, M) 55-80 -> 16-26 us, complex (2, M) 100-150 -> 19-28 us, complex
-(11, M) 500-550 -> 86-115 us.  The prime-factor condition keeps 2-smooth
-sizes such as M=255 on the FFT, which is faster there; the cap M=256 is the
-largest such size a benchmark workload measures, and near M=500 the dense
-product stops winning in any case.  On both paths each row is transformed on its own, so a
-row's result does not depend on the other rows in the call.
+calls ``scipy.fftpack.dst``, scipy.fft's transform without its dispatch.
+Per call at M=256 (2 shared cores), FFT -> matrix: real (2, M) 40-43 ->
+19-22 us, complex (2, M) 78-79 -> 24 us, complex (11, M) 400-407 -> 102-117
+us.  The prime-factor condition keeps 2-smooth sizes such as M=255 on the
+FFT, which is faster there; the cap M=256 is the largest such size a
+benchmark workload measures, and near M=500 the dense product stops winning
+in any case.  On both paths each row is transformed on its own, so a row's
+result does not depend on the other rows in the call.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.fft import dst
+from scipy.fftpack import dst
 
 
 _SINE_MATRIX_MAX_M = 256  # the largest size the dense DST-I path is benchmarked at (see the module docstring)

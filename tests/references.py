@@ -8,7 +8,7 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from kgzsim.export import _HEADER
-from kgzsim.kgz import SimConfig
+from kgzsim.kgz import SimConfig, _Stepper
 from kgzsim.radial import RadialGrid, analyze, dealias_mask, eta0, kg_propagate, synthesize, wave_propagate
 from kgzsim.resonance import InteractionTag, ResonanceParams, decompose_bilinear
 
@@ -77,6 +77,17 @@ def from_first_order(grid: RadialGrid, c: NDArray, alpha: float) -> NDArray:
     U, N = synthesize(grid, c)
     u_t, n_t = synthesize(grid, np.stack([-grid.lxi * c[0], -alpha * grid.xi * c[1]])).imag
     return np.array([U.real, u_t, N.real, n_t], dtype=np.complex128)
+
+
+def lawson_rk4_step(st: _Stepper, c: NDArray) -> NDArray:
+    """One Lawson-RK4 step of ``st`` as the plain expression, one temporary per operation: the
+    stepper's in-place step must match it bit for bit."""
+    h, half, full = st.dt, st.half, st.full
+    a1 = st.nonlinear(c)
+    a2 = st.nonlinear(half * (c + 0.5 * h * a1))
+    a3 = st.nonlinear(half * c + 0.5 * h * a2)
+    a4 = st.nonlinear(full * c + h * half * a3)
+    return full * c + (h / 6.0) * (full * a1 + 2.0 * half * (a2 + a3) + a4)
 
 
 def born_forcing(cfg: SimConfig, init: NDArray, s: NDArray) -> tuple[NDArray, NDArray]:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kgzsim import radial
 from kgzsim.export import export_trajectory
 from kgzsim.kgz import (
     BlowupError,
@@ -24,7 +25,15 @@ from kgzsim.radial import (
     synthesize,
     wave_propagate,
 )
-from references import born_forcing, from_first_order, gaussian_state, oracle_evolve, read_field, to_first_order
+from references import (
+    born_forcing,
+    from_first_order,
+    gaussian_state,
+    lawson_rk4_step,
+    oracle_evolve,
+    read_field,
+    to_first_order,
+)
 
 ALPHA = 0.5
 
@@ -153,6 +162,47 @@ def test_step_exact_on_linear_flow(grid, rng):
     new_u = _Stepper(grid, 0.25, ALPHA, "linear", False).step(np.stack([U, N]))[0]
     exact = kg_propagate(grid, U, 0.25)
     assert l2_norms(grid, new_u - exact) < 1e-13 * l2_norms(grid, exact)
+
+
+@pytest.mark.parametrize("M, dense", [(256, True), (512, False)], ids=["sine-matrix-256", "fft-512"])
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "aliased"])
+@pytest.mark.parametrize("model", ["full", "simplified", "linear"])
+def test_run_is_the_reference_step_bit_for_bit(model, dealias, M, dense):
+    # 210 steps at stride 20: every snapshot, the last one off the stride, equals a loop over the
+    # plain expression; complex data of amplitude 0.3 keeps every term of the stages nonzero
+    cfg = SimConfig(ALPHA, 40.0, M, dt=1e-3, T=0.21, model=model, dealias=dealias, snapshot_stride=20)
+    grid = cfg.grid
+    assert (grid.sine_matrix is not None) == dense
+    rng = np.random.default_rng(M)
+    init = 0.3 * gaussian_data(grid, 1.0) * np.exp(0.5j * rng.standard_normal((2, M)))
+    traj = run_simulation(cfg, init)
+    st = _Stepper(grid, cfg.dt, ALPHA, model, dealias)
+    c, want = init, [init]
+    for i in range(1, cfg.snapshot_steps[-1] + 1):
+        c = lawson_rk4_step(st, c)
+        if i in cfg.snapshot_steps:
+            want.append(c)
+    assert len(want) == len(traj) == 12
+    assert np.array_equal(np.stack([traj.cU, traj.cN], axis=1), np.array(want))
+
+
+@pytest.mark.parametrize("M, calls", [(256, 0), (512, 8)], ids=["sine-matrix-256", "fft-512"])
+@pytest.mark.parametrize("model", ["full", "simplified"])
+def test_step_makes_two_transforms_per_stage(model, M, calls, monkeypatch):
+    # perfbench's radial.dst.calls counts 8 per step on the FFT path: one synthesis and one analysis
+    # of the (2, M) pair per stage, and none where the sine matrix serves
+    counted = []
+
+    def counting(x, **kw):
+        counted.append(x.shape)
+        return dst(x, **kw)
+
+    grid = RadialGrid(40.0, M)
+    st, c = _Stepper(grid, 1e-3, ALPHA, model, True), gaussian_data(grid, 0.01)
+    dst = radial.dst
+    monkeypatch.setattr(radial, "dst", counting)
+    st.step(c)
+    assert len(counted) == calls
 
 
 def test_integrator_fourth_order(grid):

@@ -636,10 +636,12 @@ def test_package_import_leaves_out_unused_scipy_subpackages():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert "kgzsim.cli" in loaded
-    # an allowlist: every further scipy subpackage is a setup and memory cost on every run
+    # an allowlist: every further scipy subpackage is a setup and memory cost on every run.  fftpack
+    # serves the DST-I without scipy.fft's backend dispatch, at +0.25 MB of RSS and +1.2 ms of import
+    # on top of scipy.fft and scipy.sparse (2-9 ms more for a fresh process, median of 15)
     subpackages = {name.split(".")[1] for name in loaded if name.startswith("scipy.")}
     public = {name for name in subpackages if not name.startswith("_")}
-    assert public <= {"fft", "sparse", "special", "version"}, public
+    assert public <= {"fft", "fftpack", "sparse", "special", "version"}, public
 
 
 # ---------------------------------------------------------------------------

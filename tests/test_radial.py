@@ -89,6 +89,23 @@ def test_dst1_paths(M, complex_input, monkeypatch):
     assert np.array_equal(np.stack([radial._dst1(grid, row.copy()) for row in stack]), y)
 
 
+@pytest.mark.parametrize("M", [64, 255, 420, 511, 512, 1023])
+@pytest.mark.parametrize("shape", [(11,), (3, 4)], ids=["11", "3x4"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_dst1_is_scipy_fft_dst_bit_for_bit(M, shape, complex_input):
+    # the FFT path equals scipy.fft.dst bit for bit, for 2-smooth, odd and prime M+1 (421 takes
+    # pocketfft's slow prime-size pass) and for stacks of any rank
+    grid = RadialGrid(40.0, M)
+    assert grid.sine_matrix is None
+    rng = np.random.default_rng(M)
+    stack = rng.standard_normal((*shape, M))
+    if complex_input:
+        stack = stack + 1j * rng.standard_normal((*shape, M))
+    y = radial._dst1(grid, stack)
+    assert y.dtype == stack.dtype and y.shape == stack.shape
+    assert y.tobytes() == dst(stack, type=1).tobytes()
+
+
 def test_gaussian_against_quadrature_oracle():
     # high-precision quadrature: the relative tolerance at coefficients nine
     # orders below the integrand scale sits at the float64 cancellation floor,
