@@ -19,11 +19,16 @@ a float64 pair-list kernel, at every grid size and angular order, and
 applies it in O(nnz) per coefficient pair.
 
 The boundary and cubic terms of the normal form, and the guarded pieces it
-removes, come from one batched assembly, :func:`normal_form_terms`, which
-forms the interior products N U and |U|^2 without dealiasing.  It builds one
-operator per phase, which holds Omega = cutoff / phase and, when a term asks
-for it, the cutoff itself on the same kernel pattern.  It drops each operator
-before it builds the next; no operator is cached between calls.
+removes, come from one row-wise assembly (:func:`_products`, :func:`_apply`),
+which forms the interior products N U and |U|^2 without dealiasing; the
+terms are row-independent, each row's outputs those of the row alone, bit
+for bit.  Each phase has one operator, which holds Omega = cutoff / phase
+and, when a term asks for it, the cutoff itself on the same kernel pattern.
+:func:`normal_form_terms` runs the assembly on whole stacks and drops each
+operator before it builds the next; :func:`duhamel_residual` builds its one
+operator and runs the assembly over chunks of snapshots, so its memory is
+one integrand stack plus one chunk's temporaries.  No operator is cached
+between calls.
 
 The division by the resonance phase is only applied on a support that stays
 away from the phase's zero set: the dyadic high-low blocks outside the
@@ -423,6 +428,45 @@ NORMAL_FORM_TERMS = {
 }
 
 
+def _check_terms(grid: RadialGrid, names: Sequence[str], *stacks: NDArray) -> None:
+    """ValueError unless every name is a term of :data:`NORMAL_FORM_TERMS` and every stack is (..., M)."""
+    unknown = [name for name in names if name not in NORMAL_FORM_TERMS]
+    if unknown:
+        raise ValueError(f"unknown normal-form terms {unknown}; the terms are {tuple(NORMAL_FORM_TERMS)}")
+    for c in stacks:
+        if np.shape(c)[-1:] != (grid.M,):
+            raise ValueError(f"coefficient stacks must have last axis M={grid.M}, got shape {np.shape(c)}")
+
+
+def _operator(grid: RadialGrid, params: ResonanceParams, names: Sequence[str], n_angular: int) -> BilinearOperator:
+    """The operator of the named terms' one phase, with the cutoff's data only if a term applies them."""
+    phase = NORMAL_FORM_TERMS[names[0]][0]
+    cutoff = any(NORMAL_FORM_TERMS[name][1] for name in names)
+    return BilinearOperator(grid, BilinearSymbol(phase, params), n_angular, cutoff=cutoff)
+
+
+def _products(grid: RadialGrid, cN: NDArray, cU: NDArray) -> dict[str, NDArray]:
+    """The products "NU" and "UU" = U conj(U) of (S, M) stacks, and the factors of the terms.
+
+    Every multiply has one operand order, U before conj(U), so a row's bits do not depend on its
+    stack: numpy would otherwise rewrite ``vU * np.conj(vU)`` as ``conj *= vU`` on a large one.
+    """
+    vN, vU = synthesize(grid, np.stack([cN, cU]))
+    uu = np.conj(vU)
+    np.multiply(vU, uu, out=uu)
+    nu, uu = analyze(grid, vN * vU), analyze(grid, uu)
+    return {"NU": nu, "UU": uu, "N": cN, "U": cU, "aux": nu / grid.lxi, "D|U|^2": grid.xi * uu}
+
+
+def _apply(op: BilinearOperator, names: Sequence[str], factors: dict[str, NDArray]) -> dict[str, NDArray]:
+    """The named terms of ``op``'s phase on the factors of :func:`_products`."""
+    out = {}
+    for name in names:
+        _, cut, a, b = NORMAL_FORM_TERMS[name]
+        out[name] = op.apply_batch(factors[a], factors[b], cutoff=cut)
+    return out
+
+
 def normal_form_terms(
     grid: RadialGrid,
     params: ResonanceParams,
@@ -437,20 +481,19 @@ def normal_form_terms(
     dealiasing: the residual identity needs the exact products, and the sweep
     fields are alias-free by construction.  They are returned too, as "NU" and
     "UU"; the ``<D>^{-1}`` and ``D`` factors outside the operators are left to
-    the caller.  It builds one operator per phase in ``names``, with the
-    cutoff's data only if a named term applies them, and drops each operator
-    before it builds the next.
+    the caller.  Each row's outputs are those of the row alone, bit for bit.
+    The names and the stacks' last axis are checked before any work.  It
+    builds one operator per phase in ``names``, with the cutoff's data only if
+    a named term applies them, and drops each operator before it builds the
+    next.
     """
-    cN, cU = np.atleast_2d(cN), np.atleast_2d(cU)
-    vN, vU = synthesize(grid, np.stack([cN, cU]))
-    out = {"NU": analyze(grid, vN * vU), "UU": analyze(grid, vU * np.conj(vU))}
-    factors = {"N": cN, "U": cU, "aux": out["NU"] / grid.lxi, "D|U|^2": grid.xi * out["UU"]}
+    _check_terms(grid, names, cN, cU)
+    factors = _products(grid, np.atleast_2d(cN), np.atleast_2d(cU))
+    out = {"NU": factors["NU"], "UU": factors["UU"]}
     for phase in dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names):  # in order of first use
-        terms = {name: NORMAL_FORM_TERMS[name][1:] for name in names if NORMAL_FORM_TERMS[name][0] == phase}
-        cutoff = any(cut for cut, _, _ in terms.values())
-        op = BilinearOperator(grid, BilinearSymbol(phase, params), n_angular, cutoff=cutoff)
-        for name, (cut, a, b) in terms.items():
-            out[name] = op.apply_batch(factors[a], factors[b], cutoff=cut)
+        terms = [name for name in dict.fromkeys(names) if NORMAL_FORM_TERMS[name][0] == phase]
+        op = _operator(grid, params, terms, n_angular)
+        out.update(_apply(op, terms, factors))
         del op
     return out
 
@@ -518,6 +561,15 @@ def duhamel_residual(
     Simpson, with Cartwright's correction of the last interval for an even
     snapshot count (:func:`_simpson`).  The run must pass
     :func:`check_residual_config`.
+
+    The operator of the compared component's phase is built once, with the
+    cutoff's data, before the snapshots are walked in chunks of
+    ``max(1, _CHUNK // M)`` rows, the rule of ``apply_batch``.  Each chunk's
+    flowed integrand goes into one preallocated (S, M) array, and of the
+    boundary term only the rows of the first and last snapshots are kept.  So
+    beyond the trajectory the residual holds the integrand, the kernel and one
+    chunk's temporaries; the kernel is dropped before the Simpson rule, whose
+    sums over the integrand hold about one stack more.
     """
     if which not in ("U", "N"):
         raise ValueError("which must be 'U' or 'N'")
@@ -540,20 +592,36 @@ def duhamel_residual(
     den = l2_norms(grid, target)
 
     if which == "U":
-        nf = normal_form_terms(grid, params, cN, cU, ("bd_U", "cubic_1", "cubic_2", "nonres_U"), n_angular)
-        rest = nf["NU"] - nf["nonres_U"]
-        total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
-        b0, bt = nf["bd_U"][[0, -1]] / lxi
+        names = ("bd_U", "cubic_1", "cubic_2", "nonres_U")
     else:
-        nf = normal_form_terms(grid, params, cN, cU, ("bd_N", "cubic_3", "cubic_3b", "nonres_N"), n_angular)
-        rest = nf["UU"] - nf["nonres_N"]
-        # the second cubic term enters with the opposite sign: the conjugate
-        # factor twists with phase exp(+i s <eta>)
-        total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
-        b0, bt = alpha * xi * nf["bd_N"][[0, -1]]
+        names = ("bd_N", "cubic_3", "cubic_3b", "nonres_N")
+    op = _operator(grid, params, names, n_angular)
 
-    # each snapshot's integrand flows over the remaining time t - s
-    integrand = flow(total, t - times)
+    def chunk(rows: slice) -> tuple[NDArray, NDArray]:
+        """The flowed integrand of the snapshot rows, and the boundary term of their first and last rows."""
+        factors = _products(grid, cN[rows], cU[rows])
+        nf = _apply(op, names, factors)
+        if which == "U":
+            rest = factors["NU"] - nf["nonres_U"]
+            total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
+            bd = nf["bd_U"][[0, -1]] / lxi
+        else:
+            rest = factors["UU"] - nf["nonres_N"]
+            # the second cubic term enters with the opposite sign: the conjugate
+            # factor twists with phase exp(+i s <eta>)
+            total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
+            bd = alpha * xi * nf["bd_N"][[0, -1]]
+        # each snapshot's integrand flows over the remaining time t - s
+        return flow(total, t - times[rows]), bd
+
+    integrand = np.empty(cU.shape, dtype=np.complex128)
+    step = max(1, _CHUNK // grid.M)
+    for lo in range(0, len(times), step):
+        integrand[lo : lo + step], bd = chunk(slice(lo, lo + step))
+        if lo == 0:
+            b0 = bd[0]
+    bt = bd[-1]
+    del op
     free = flow(c0 + b0, t)
     rhs = free - bt + _simpson(integrand, times)
     num = l2_norms(grid, rhs - target)

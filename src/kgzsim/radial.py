@@ -190,16 +190,26 @@ def synthesize(grid: RadialGrid, coeffs: NDArray) -> NDArray:
 
 # Both take a time or a 1-D array of S times.  An array gives the (S, M)
 # phases, one row per time, and the coefficients broadcast against them: an
-# (M,) profile flows to every time, an (S, M) stack row by row.
+# (M,) profile flows to every time, an (S, M) stack row by row.  The product
+# takes the coefficient first at every size, so each row is bit-identical to
+# its own call: numpy's complex multiply is not bitwise commutative, and on a
+# large stack ``coeffs * np.exp(...)`` would run as ``exp *= coeffs``.
+
+def _flow(coeffs: NDArray, phase: NDArray) -> NDArray:
+    """coeffs * exp(i*phase), coefficient first."""
+    e = np.exp(1j * phase)
+    out = e if e.shape == np.broadcast_shapes(np.shape(coeffs), e.shape) else None
+    return np.multiply(coeffs, e, out=out)
+
 
 def kg_propagate(grid: RadialGrid, coeffs: NDArray, t: float | NDArray) -> NDArray:
     """Free Klein-Gordon half-wave flow of (..., M) coefficients: multiply by exp(i*t*<xi>)."""
-    return coeffs * np.exp(1j * np.multiply.outer(t, grid.lxi))
+    return _flow(coeffs, np.multiply.outer(t, grid.lxi))
 
 
 def wave_propagate(grid: RadialGrid, coeffs: NDArray, t: float | NDArray, alpha: float) -> NDArray:
     """Free half-wave flow at speed alpha of (..., M) coefficients: multiply by exp(i*alpha*t*|xi|)."""
-    return coeffs * np.exp(1j * np.multiply.outer(alpha * t, grid.xi))
+    return _flow(coeffs, np.multiply.outer(alpha * t, grid.xi))
 
 
 # ---------------------------------------------------------------------------

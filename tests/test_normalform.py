@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -567,6 +568,42 @@ def test_one_build_per_phase(grid, params, smooth_pair, builds, simplified_traj)
     assert builds["most"] == 1 and builds["live"] == 0
 
 
+def test_normal_form_rows_do_not_depend_on_the_stack(grid, params):
+    # past 16,384 complex elements numpy elides the temporary of `vU * np.conj(vU)` into
+    # `conj *= vU`, and its complex multiply is not bitwise commutative
+    rng = np.random.default_rng(5)
+    fields = [smooth_random_field(grid, rng, xi_top=4.0) for _ in range(2 * 72)]
+    cN, cU = np.reshape(fields, (2, 72, grid.M))
+    assert cU.size >= 2**14
+    names = tuple(normalform.NORMAL_FORM_TERMS)
+    stack = normal_form_terms(grid, params, cN, cU, names, 8)
+    for i in (0, 41, 71):
+        row = normal_form_terms(grid, params, cN[i], cU[i], names, 8)
+        for name, value in row.items():
+            assert np.array_equal(stack[name][i], value[0]), (i, name)
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make any synthesis or operator build in normalform fail the test."""
+    monkeypatch.setattr(normalform, "synthesize", lambda *args: pytest.fail("synthesized"))
+    monkeypatch.setattr(normalform, "BilinearOperator", lambda *args, **kwargs: pytest.fail("built"))
+
+
+def test_normal_form_terms_rejects_an_unknown_name_before_any_work(grid, params, smooth_pair, no_work):
+    cN, cU = smooth_pair
+    with pytest.raises(ValueError, match=r"unknown normal-form terms \['bd_X'\]"):
+        normal_form_terms(grid, params, cN, cU, ("bd_U", "bd_X"), 16)
+
+
+@pytest.mark.parametrize("shape", [(64,), (2, 32), (3, 257)])
+def test_normal_form_terms_rejects_stacks_off_the_grid_before_any_work(grid, params, shape, no_work):
+    good, bad = np.zeros((3, grid.M), dtype=np.complex128), np.zeros(shape, dtype=np.complex128)
+    for cN, cU in [(bad, good), (good, bad)]:
+        with pytest.raises(ValueError, match=re.escape(f"last axis M={grid.M}, got shape {shape}")):
+            normal_form_terms(grid, params, cN, cU, ("bd_U",), 16)
+
+
 CUBIC = ("cubic_1", "cubic_2", "cubic_3")
 
 
@@ -663,6 +700,44 @@ def test_residual_zero_data(grid, params):
 def test_residual_small_data(grid, params, simplified_traj):
     assert duhamel_residual(simplified_traj, params, "U") < 1e-3
     assert duhamel_residual(simplified_traj, params, "N") < 1e-3
+
+
+def test_residual_memory_does_not_grow_with_the_snapshots():
+    # one run on a small grid, its snapshots every 4th step (S = 131) and every step (4S - 3 = 521);
+    # the whole-stack residual held about 11 complex (S, M) stacks: 1.5 MB beyond the integrand at
+    # S = 131 and 5.0 MB at 521
+    grid = RadialGrid(40.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        params = compute_params(ALPHA, band=grid)
+    init = gaussian_data(grid, 0.01)
+    rows = max(1, _CHUNK // grid.M)  # snapshot rows per chunk
+    extra = {}
+    for stride in (4, 1):
+        cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=5.2, model="simplified", dealias=False, snapshot_stride=stride)
+        traj = run_simulation(cfg, init)
+        traj.times  # cached on first read
+        assert len(traj) > rows
+        for which, kind in (("U", "omega"), ("N", "omega_tilde")):
+            tracemalloc.start()
+            try:
+                duhamel_residual(traj, params, which, n_angular=16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            op = BilinearOperator(grid, BilinearSymbol(kind, params), 16, cutoff=True)
+            kernel = [op._A.data, op._A.indices, op._A.indptr, op._B.data, op._B.indices, op._B.indptr, op.m_p, op.j_p]
+            kernel = sum(a.nbytes for a in kernel + [op._C.data])
+            assert len(op.m_p) <= _CHUNK
+            # beyond the trajectory and the integrand a residual holds its kernel with one chunk's
+            # complex (rows, M) temporaries, at most 16, and an apply's two (pairs, rows') arrays of
+            # at most _CHUNK complex entries; the build's temporaries (16 float64 per entry of 16
+            # nodes) and _simpson's sums (about one integrand) stay below that here
+            bound = kernel + 16 * rows * grid.M * 16 + 2 * _CHUNK * 16
+            extra[stride, which] = peak - len(traj) * grid.M * 16
+            assert extra[stride, which] <= bound, (stride, which, extra[stride, which], bound)
+    for which in ("U", "N"):
+        assert extra[1, which] - extra[4, which] < rows * grid.M * 16, extra
 
 
 def test_residual_run_computes_no_energy(grid, params, monkeypatch):
