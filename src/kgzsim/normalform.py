@@ -320,7 +320,6 @@ class BilinearOperator:
     """
 
     def __init__(self, grid: RadialGrid, symbol: BilinearSymbol, n_angular: int = 64, cutoff: bool = False):
-        self.grid = grid
         self.symbol = symbol
         check_count("n_angular", n_angular)
         self.n_angular = Q = int(n_angular)
@@ -479,9 +478,8 @@ def normal_form_terms(
 
     The products N U and |U|^2 are formed once, in physical space and without
     dealiasing: the residual identity needs the exact products, and the sweep
-    fields are alias-free by construction.  They are returned too, as "NU" and
-    "UU"; the ``<D>^{-1}`` and ``D`` factors outside the operators are left to
-    the caller.  Each row's outputs are those of the row alone, bit for bit.
+    fields are alias-free by construction.  The ``<D>^{-1}`` and ``D`` factors
+    outside the operators are left to the caller.  Each row's outputs are those of the row alone, bit for bit.
     The names and the stacks' last axis are checked before any work.  It
     builds one operator per phase in ``names``, with the cutoff's data only if
     a named term applies them, and drops each operator before it builds the
@@ -489,7 +487,7 @@ def normal_form_terms(
     """
     _check_terms(grid, names, cN, cU)
     factors = _products(grid, np.atleast_2d(cN), np.atleast_2d(cU))
-    out = {"NU": factors["NU"], "UU": factors["UU"]}
+    out = {}
     for phase in dict.fromkeys(NORMAL_FORM_TERMS[name][0] for name in names):  # in order of first use
         terms = [name for name in dict.fromkeys(names) if NORMAL_FORM_TERMS[name][0] == phase]
         op = _operator(grid, params, terms, n_angular)
@@ -565,8 +563,8 @@ def duhamel_residual(
     The operator of the compared component's phase is built once, with the
     cutoff's data, before the snapshots are walked in chunks of
     ``max(1, _CHUNK // M)`` rows, the rule of ``apply_batch``.  Each chunk's
-    flowed integrand goes into one preallocated (S, M) array, and of the
-    boundary term only the rows of the first and last snapshots are kept.  So
+    flowed integrand goes into one preallocated (S, M) array; the boundary term
+    is applied before the loop, to the first and last snapshots only.  So
     beyond the trajectory the residual holds the integrand, the kernel and one
     chunk's temporaries; the kernel is dropped before the Simpson rule, whose
     sums over the integrand hold about one stack more.
@@ -596,31 +594,29 @@ def duhamel_residual(
     else:
         names = ("bd_N", "cubic_3", "cubic_3b", "nonres_N")
     op = _operator(grid, params, names, n_angular)
+    ends = [0, -1]
+    bd = _apply(op, names[:1], _products(grid, cN[ends], cU[ends]))[names[0]]
+    b0, bt = bd / lxi if which == "U" else alpha * xi * bd
 
-    def chunk(rows: slice) -> tuple[NDArray, NDArray]:
-        """The flowed integrand of the snapshot rows, and the boundary term of their first and last rows."""
+    def chunk(rows: slice) -> NDArray:
+        """The flowed integrand of the snapshot rows."""
         factors = _products(grid, cN[rows], cU[rows])
-        nf = _apply(op, names, factors)
+        nf = _apply(op, names[1:], factors)
         if which == "U":
             rest = factors["NU"] - nf["nonres_U"]
             total = (-1j / lxi) * (alpha * nf["cubic_1"] + nf["cubic_2"] + rest)
-            bd = nf["bd_U"][[0, -1]] / lxi
         else:
             rest = factors["UU"] - nf["nonres_N"]
             # the second cubic term enters with the opposite sign: the conjugate
             # factor twists with phase exp(+i s <eta>)
             total = -1j * alpha * xi * (nf["cubic_3"] + rest) + 1j * alpha * xi * nf["cubic_3b"]
-            bd = alpha * xi * nf["bd_N"][[0, -1]]
         # each snapshot's integrand flows over the remaining time t - s
-        return flow(total, t - times[rows]), bd
+        return flow(total, t - times[rows])
 
     integrand = np.empty(cU.shape, dtype=np.complex128)
     step = max(1, _CHUNK // grid.M)
     for lo in range(0, len(times), step):
-        integrand[lo : lo + step], bd = chunk(slice(lo, lo + step))
-        if lo == 0:
-            b0 = bd[0]
-    bt = bd[-1]
+        integrand[lo : lo + step] = chunk(slice(lo, lo + step))
     del op
     free = flow(c0 + b0, t)
     rhs = free - bt + _simpson(integrand, times)
@@ -642,6 +638,7 @@ ESTIMATES = (
     "bi_HH",     # ||<D>^{-1}(NU)_{HH}||_{H1} / Besov pair
     "bi_DHH",    # ||D(U conj U)_{HH}||_2 / split-norm(U)^2
 )
+_EPS = 0.05  # the sweep's Besov offset eps: regularities 1/4 + eps, exponents q(+-eps)
 
 
 @dataclass(frozen=True)
@@ -708,7 +705,6 @@ def estimate_sweep(
     R: float = 40.0,
     n_angular: int = 64,
     seed: int = 20240801,
-    eps: float = 0.05,
 ) -> SweepReport:
     """Measure the normal-form estimate constants across grid refinements.
 
@@ -725,7 +721,7 @@ def estimate_sweep(
     sizes = tuple(sorted(sizes))
     coarse = RadialGrid(R, sizes[0])
     params = compute_params(alpha, band=coarse)
-    q_eps, q_meps = resolution_exponents(eps)
+    q_eps, q_meps = resolution_exponents(_EPS)
 
     per_size = []
     for M in sizes:
@@ -742,13 +738,13 @@ def estimate_sweep(
         n_l2 = l2_norms(grid, cN)
         u_h1 = sobolev_norms(grid, cU, 1.0)
         u_l6 = lebesgue_norms(grid, synthesize(grid, cU), 6.0)
-        besov_pair = besov_norms(grid, cN, -0.25 - eps, q_meps) * besov_norms(grid, cU, 0.25 + eps, q_eps)
+        besov_pair = besov_norms(grid, cN, -0.25 - _EPS, q_meps) * besov_norms(grid, cU, 0.25 + _EPS, q_eps)
         # the frequency-split norms: low part in L^1.2 or hom. Besov (1/4+eps, q(eps)),
         # high part in inhom. Besov (11/6, 1.2) or (2/3, q(eps))
         split_c2 = lebesgue_norms(grid, synthesize(grid, c2 * low), 1.2) + besov_norms(
             grid, c2 - c2 * low, 1.0 + 5.0 / 6.0, 1.2, homogeneous=False
         )
-        xy_U = besov_norms(grid, cU * low, 0.25 + eps, q_eps) + besov_norms(
+        xy_U = besov_norms(grid, cU * low, 0.25 + _EPS, q_eps) + besov_norms(
             grid, cU - cU * low, 2.0 / 3.0, q_eps, homogeneous=False
         )
 

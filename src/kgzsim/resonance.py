@@ -139,80 +139,44 @@ def _profile_over_r(r: NDArray, alpha: float) -> NDArray:
     return np.abs(resonant_profile(r, alpha)) / r
 
 
-_BISECT_TOL = 1e-10  # the bracket width at which a bisection stops
-
-
-def _bisect(fn, lo: float, hi: float) -> float:
-    """A root of fn in the bracket [lo, hi], halved until it is _BISECT_TOL wide or its midpoint is one
-    of its ends: adjacent doubles near 1e6 are already 1.16e-10 apart."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("bisection bracket does not straddle a root")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 _THETA = 0.25  # alpha < 1: the annulus half-width delta = theta * c
 _SAFETY = 0.9  # alpha < 1: rho is the off-annulus minimum of |f(r)|/r shrunk by this factor
 
 
 def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonanceParams:
-    """Derive the interaction-split constants for a given speed ratio.
+    """Derive the interaction-split constants for a given speed ratio, from closed forms.
 
-    alpha < 1: the annulus half-width is delta = theta * c with theta = 1/4,
-    which keeps c(1-theta) above the profile maximizer r0 = alpha/sqrt(1-alpha^2)
-    for every alpha in (0,1); rho is the minimum of |f(r)|/r off the annulus
-    over 20001 points of [0, 10 c], shrunk by a safety factor 0.9.
+    Both profiles are monotone in h(r) = r/(1 + <r>), which rises strictly from 0 to 1 on r > 0.
 
-    alpha > 1: the crossings of |g(r)| with (alpha-1) r / 2 are found by
-    bisection; delta is the larger distance of the crossings from c and
-    rho = (alpha-1)/2.
+    alpha < 1: f(r)/r = alpha - h(r) falls strictly through its root c.  The
+    annulus half-width is delta = theta * c with theta = 1/4, which keeps
+    c(1-theta) above the profile maximizer r0 = alpha/sqrt(1-alpha^2) for every
+    alpha in (0,1).  Off the annulus |f(r)|/r is smallest at an edge c -+ delta,
+    and rho is the smaller edge value shrunk by a safety factor 0.9.
+
+    alpha > 1: g(r)/r = alpha - 1/h(r) rises strictly through c, and
+    rho = (alpha-1)/2.  |g(r)| = rho r where 1/h(r) = y, for y = (3 alpha - 1)/2
+    left of c and y = (alpha + 1)/2 right of it: at r = 2y/(y^2 - 1), computed as
+    2y/e/(2 + e) with e = y - 1, which keeps its digits near alpha = 1 and does
+    not overflow.  delta is the larger distance of the two crossings from c.
 
     ``band`` (a grid) caps the dyadic separation so that the grid's band
     supports at least three separated high blocks; a warning is issued when
-    the cap binds.
+    the cap binds.  The result is re-verified by :func:`verify_profile_bound`.
     """
-    if not (np.isfinite(alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
-        raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {alpha}")
+    if not (np.isfinite(alpha * alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
+        raise ValueError(f"alpha must be positive and finite, with |alpha-1| > 1e-6 and a finite square, got {alpha}")
 
     c = 2.0 * alpha / abs(1.0 - alpha**2)
     if alpha < 1.0:
         delta = _THETA * c
-        r = np.linspace(0.0, 10.0 * c, 20001)
-        outside = (r < c - delta) | (r > c + delta)
-        ratios = _profile_over_r(np.where(r == 0.0, 1e-12, r), alpha)
-        ratios[r == 0.0] = alpha  # limit of f(r)/r at the origin
-        rho = _SAFETY * float(ratios[outside].min())
+        rho = _SAFETY * float(_profile_over_r(np.array([c - delta, c + delta]), alpha).min())
         floors = [5.0, abs(np.log2(rho)) + 5.0, abs(np.log2(1.0 - alpha)) + 5.0]
     else:
-        half_line = 0.5 * (alpha - 1.0)
-
-        def gap(r):
-            return abs(resonant_profile(r, alpha)) - half_line * r
-
-        # |g| decreases to 0 at c from the left and grows linearly beyond, so
-        # there is exactly one crossing on each side of c.
-        r_c1 = _bisect(gap, 1e-9, c)
-        hi = 2.0 * c
-        while gap(hi) <= 0:
-            hi *= 2.0
-        r_c2 = _bisect(gap, c, hi)
-        delta = max(c - r_c1, r_c2 - c)
-        rho = half_line
+        rho = 0.5 * (alpha - 1.0)
+        # the crossings at y - 1 = e = 3 rho and rho
+        r_left, r_right = (2.0 * (1.0 + e) / e / (2.0 + e) for e in (3.0 * rho, rho))
+        delta = max(c - r_left, r_right - c)
         floors = [5.0, abs(np.log2(alpha - 1.0)) + 5.0]
 
     k_sep = int(np.ceil(max(floors)))
@@ -234,12 +198,14 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
 
 
 def verify_profile_bound(params: ResonanceParams) -> tuple[bool, float]:
-    """Dense 1D re-verification of |profile(r)| >= rho * r off the annulus, at 10001 points of (0, 10 c].
+    """Dense 1D re-verification of |profile(r)| >= rho * r off the annulus, at 10001 points of c * [1e-9, 10].
 
-    Returns (ok, worst margin) where margin = min(|profile|/r - rho).
+    The points scale with c, so they fall just outside both annulus edges at
+    every alpha; they check the closed forms of :func:`compute_params`
+    independently.  Returns (ok, worst margin) where margin = min(|profile|/r - rho).
     """
     c, d = params.c_alpha, params.delta_alpha
-    r = np.linspace(1e-9, 10.0 * c, 10001)
+    r = c * np.linspace(1e-9, 10.0, 10001)
     outside = (r < c - d) | (r > c + d)
     ratios = _profile_over_r(r, params.alpha)
     margin = float((ratios[outside] - params.rho).min())

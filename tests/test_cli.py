@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgzsim import cli, export, strichartz
+from kgzsim import cli, export, resonance, strichartz
 from kgzsim.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, DEFAULTS, main, resolve_config
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
 from kgzsim.strichartz import resolution_norm
@@ -391,9 +391,9 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         ("sharpness", "sharpness_witness", ["sharp.k_min=3", "sharp.k_max=2"], "sharp.k_min=3 exceeds sharp.k_max=2"),
         ("resonance", "verify_lemma_bounds", ["resonance.alpha=1.0"], "resonance.alpha: alpha must be positive"),
         ("params", None, ["resonance.alpha=-1"], "resonance.alpha: alpha must be positive"),
-        # compute_params' own re-verification of the profile bound fails there
-        ("params", None, ["resonance.alpha=1e8"], "resonance.alpha: off-annulus profile bound failed"),
-        ("resonance", "verify_lemma_bounds", ["resonance.alpha=1e8"], "resonance.alpha: off-annulus profile bound"),
+        # alpha^2 overflows
+        ("params", None, ["resonance.alpha=1e200"], "resonance.alpha: alpha must be positive and finite"),
+        ("resonance", "verify_lemma_bounds", ["resonance.alpha=1e200"], "got 1e+200"),
         ("resonance", "verify_lemma_bounds", ["lemma.n_xi=0"], "grid counts must be >= 1"),
         # one sample time makes a trapezoid over the window zero
         ("strichartz-scan", "strichartz_scan", ["scan.samples=1"], "scan.samples: need at least 2 sample times"),
@@ -416,8 +416,8 @@ def test_scatter_diag_checks_the_snapshot_windows_before_the_run(tmp_path, monke
         "sharp-empty",
         "resonance",
         "params",
-        "params-bound",
-        "resonance-bound",
+        "params-huge",
+        "resonance-huge",
         "lemma-count",
         "scan-samples",
         "sharp-samples",
@@ -437,6 +437,21 @@ def test_bad_settings_rejected_before_any_work(tmp_path, monkeypatch, capsys, su
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand, entry", [("params", None), ("resonance", "verify_lemma_bounds")], ids=["params", "resonance"])
+def test_broken_profile_bound_rejected_before_any_work(tmp_path, monkeypatch, capsys, subcommand, entry):
+    # compute_params' own re-verification of the profile bound fails when rho is set too high
+    monkeypatch.setattr(resonance, "_SAFETY", 1.2)
+    if entry is not None:
+        monkeypatch.setattr(cli, entry, no_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", "resonance.alpha=0.5"]) == EXIT_CONFIG
+    assert "resonance.alpha: off-annulus profile bound failed (margin -1.324e-02)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_alpha_params_accepted(tmp_path):
+    assert run(["params", "--out", str(tmp_path), "--set", "resonance.alpha=1e8"]) == EXIT_OK
 
 
 def test_sharpness_checks_the_horizon_before_any_work(tmp_path, monkeypatch, capsys):

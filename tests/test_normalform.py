@@ -749,6 +749,26 @@ def test_residual_run_computes_no_energy(grid, params, monkeypatch):
         duhamel_residual(traj, params, which, n_angular=16)
 
 
+def test_residual_applies_the_boundary_term_to_two_rows(params, simplified_traj, monkeypatch):
+    # three terms on every snapshot, in two chunks of rows here, and the boundary term on the
+    # first and last snapshots only
+    applied = []
+    apply_batch = BilinearOperator.apply_batch
+
+    def counted(self, fhats, ghats, cutoff=False):
+        out = apply_batch(self, fhats, ghats, cutoff)
+        applied.append(len(out))
+        return out
+
+    monkeypatch.setattr(BilinearOperator, "apply_batch", counted)
+    S = len(simplified_traj)
+    assert S > max(1, _CHUNK // simplified_traj.config.grid.M)
+    for which in ("U", "N"):
+        applied.clear()
+        duhamel_residual(simplified_traj, params, which, n_angular=16)
+        assert sum(applied) == 3 * S + 2
+
+
 @pytest.mark.parametrize("model", ["full", "linear"])
 def test_residual_rejects_full_model(grid, params, model):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=0.1, model=model, dealias=False, snapshot_stride=1)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgzsim import resonance
 from kgzsim.cli import write_lemma_bounds
 from kgzsim.radial import RadialGrid, analyze, l2_norms, random_band_limited, synthesize
 from kgzsim.resonance import (
@@ -144,7 +146,18 @@ def test_params_alpha_two():
     rc1 = 2 * 2.5 / (2.5**2 - 1)
     rc2 = 2 * 1.5 / (1.5**2 - 1)
     delta = max(p.c_alpha - rc1, rc2 - p.c_alpha)
-    assert p.delta_alpha == pytest.approx(delta, abs=1e-8)
+    assert p.delta_alpha == pytest.approx(delta, rel=1e-15)
+    # rc2 = 12/5 binds: delta = 12/5 - 4/3 = 16/15, to one ulp
+    assert abs(p.delta_alpha - 16.0 / 15.0) <= np.spacing(16.0 / 15.0)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 0.9, 0.999])
+def test_rho_is_the_safety_factor_times_the_edge_minimum(alpha):
+    # f(r)/r = alpha - r/(1 + <r>) is monotone, so off the annulus |f|/r is smallest at an edge
+    p = compute_params(alpha)
+    c, d = p.c_alpha, p.delta_alpha
+    edges = [float(resonance._profile_over_r(np.array([r]), alpha)[0]) for r in (c - d, c + d)]
+    assert p.rho == 0.9 * min(edges)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.25, 2.0, 3.0])
@@ -154,8 +167,8 @@ def test_profile_bound_dense_sweep(alpha):
 
 
 def test_params_alpha_just_above_one():
-    # the outer crossing sits near r = 1e6, where adjacent doubles are 1.16e-10 apart, so the
-    # bisection bracket never narrows to 1e-10 and must stop when its midpoint is one of its ends
+    # the outer crossing sits near r = 1e6: its closed form takes y - 1 = (alpha - 1)/2 = 1e-6
+    # as it is, since 1 + 1e-6 squared minus 1 would keep only ten of its digits
     p = compute_params(1.000002)
     assert p.branch is Branch.ALPHA_GT_1 and p.c_alpha == pytest.approx(5e5, rel=1e-5)
     ok, margin = verify_profile_bound(p)
@@ -195,10 +208,47 @@ def test_params_validation():
         ResonanceParams(0.5, 0.3, 4, 0.05)
 
 
-def test_params_where_the_profile_bound_fails():
-    # at alpha = 1e8 the dense re-verification finds the bound broken (margin -4.5e4); at 1e7 it holds
-    with pytest.raises(ValueError, match="off-annulus profile bound failed"):
-        compute_params(1e8)
+def test_params_where_the_profile_bound_fails(monkeypatch):
+    # no safety factor of 1.2 holds: rho then exceeds |f|/r at the outer annulus edge
+    monkeypatch.setattr(resonance, "_SAFETY", 1.2)
+    with pytest.raises(ValueError, match=r"off-annulus profile bound failed \(margin -1\.324e-02\)"):
+        compute_params(0.5)
+
+
+@pytest.mark.parametrize("alpha", [1e8, 1e12])
+def test_params_at_large_alpha(alpha):
+    # the closed-form crossings scale with c = 2 alpha/(alpha^2 - 1), about 2/alpha
+    p = compute_params(alpha)
+    assert p.rho == 0.5 * (alpha - 1.0) and p.c_alpha == pytest.approx(2.0 / alpha, rel=1e-12)
+    ok, margin = verify_profile_bound(p)
+    assert ok, f"margin {margin}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.one_of(
+        st.floats(0.01, 0.999, exclude_min=True, exclude_max=True),
+        st.floats(1.00001, 1e15, exclude_min=True),
+    )
+)
+def test_params_pass_their_dense_check(alpha):
+    ok, margin = verify_profile_bound(compute_params(alpha))
+    assert ok, f"margin {margin}"
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 1e6, 1e12])
+def test_dense_check_catches_rho_one_percent_high(alpha):
+    # the check samples c * [1e-9, 10], so it meets the binding edge at every scale of c
+    p = compute_params(alpha)
+    exact = p.rho / 0.9 if alpha < 1.0 else p.rho
+    ok, margin = verify_profile_bound(ResonanceParams(alpha, p.delta_alpha, p.k_alpha, 1.01 * exact))
+    assert not ok and margin < 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.35e154, 1e200])
+def test_alpha_whose_square_overflows_rejected(alpha):
+    with pytest.raises(ValueError, match=re.escape(f"got {alpha}")):
+        compute_params(alpha)
 
 
 # ---------------------------------------------------------------------------
