@@ -259,11 +259,9 @@ def _run_resonance(cfg: dict, out: Path) -> None:
     spec = _check(", ".join(keys), LemmaGridSpec, *(cfg[k] for k in keys))
     report = verify_lemma_bounds(p, spec)
     write_lemma_bounds(out / "lemma_bounds.csv", report)
-    ok_profile, margin = verify_profile_bound(p)
     summary = report.summary()
-    summary["profile_bound_ok"] = ok_profile
-    summary["profile_bound_margin"] = margin
-    summary["passed"] = bool(summary["passed"] and ok_profile)
+    # compute_params has already rejected constants whose profile bound fails
+    summary["profile_bound_margin"] = verify_profile_bound(p)[1]
     atomic_write_text(
         out / "summary.txt",
         "\n".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n",
@@ -324,7 +322,6 @@ def _run_scan(cfg: dict, out: Path) -> None:
         seed=cfg["scan.seed"],
     )
     write_scan(out / "scan.csv", table)
-    write_csv(out / "scan_plot.csv", ["k", "log2_norm"], [(k, math.log2(n)) for k, n in zip(table.ks, table.norms)])
 
 
 def _run_sharpness(cfg: dict, out: Path) -> None:
@@ -341,7 +338,6 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
         ["k", "measured", "scale_constant", "phi_norm", "ratio"],
         [(r.k, r.measured, r.scale_constant, r.phi_norm, r.ratio) for r in reports],
     )
-    write_csv(out / "sharpness_plot.csv", ["k", "ratio"], [(r.k, r.ratio) for r in reports])
 
 
 def _run_scatter(cfg: dict, out: Path) -> None:
@@ -349,28 +345,24 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     # settle the analysis settings first: the library would reject them only after the run
     cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
     _check("scatter.checkpoints", check_samples, len(cps))
-    _check("scatter.checkpoints", checkpoint_indices, sim.snapshot_times, cps, sim.dt)
+    ts = sim.snapshot_times
+    idx = _check("scatter.checkpoints", checkpoint_indices, ts, cps, sim.dt)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
     _check("scatter.checkpoints", check_horizon, cps, sim.alpha, sim.R)
-    # the resolution-space norm over [0, t2] for each Cauchy row (t1, t2)
-    windows = [(0.0, t2) for t2 in cps[1:]]
+    # the resolution-space norm for each Cauchy row (t1, t2), from 0 to the snapshot the row reads at t2
+    windows = [(0.0, float(ts[i])) for i in idx[1:]]
     for window in windows:
-        _check("scatter.checkpoints", window_slice, sim.snapshot_times, window)
+        _check("scatter.checkpoints", window_slice, ts, window)
     traj = run_simulation(sim, _initial_data(cfg, sim.grid))
     report = scattering_profile(traj, sim.alpha, cps)
-    norms = zip(report.rows, resolution_norms(traj, cfg["scatter.eps"], windows))
+    norms = zip(windows, resolution_norms(traj, cfg["scatter.eps"], windows))
     write_cauchy(out / "cauchy.csv", report)
-    write_csv(
-        out / "cauchy_plot.csv",
-        ["t", "d_U_H1", "d_N_L2"],
-        [(r.t2, r.d_U, r.d_N) for r in report.rows],
-    )
     write_csv(
         out / "resolution_norms.csv",
         ["window", "x_linf_l2", "x_l2_besov", "y_linf_h1", "y_l2_besov", "n_linf_l2", "n_l2_besov", "total"],
         [
-            (r.t2, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
-            for r, n in norms
+            (t2, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
+            for (_, t2), n in norms
         ],
     )
     export_trajectory(traj, out, fields=False)

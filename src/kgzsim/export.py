@@ -56,11 +56,6 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def field_to_csv(path: Path | str, grid: RadialGrid, values: NDArray) -> None:
-    """CSV export (r, re, im) of (M,) physical samples."""
-    write_csv(path, ["r", "re", "im"], zip(grid.r, values.real, values.imag))
-
-
 def write_field(path, grid: RadialGrid, values: NDArray) -> None:
     """Write (M,) physical samples: header (R, M, 0, 1) + little-endian (re, im) f64 pairs."""
     payload = np.empty((grid.M, 2), dtype="<f8")
@@ -95,8 +90,6 @@ def export_trajectory(traj: Trajectory, outdir: Path | str, fields: bool = True)
             U, N = synthesize(grid, np.stack([cu, cn]))
             write_field(snapdir / f"U_{i:06d}.fld", grid, U)
             write_field(snapdir / f"N_{i:06d}.fld", grid, N)
-        field_to_csv(outdir / "final_U.csv", grid, U)
-        field_to_csv(outdir / "final_N.csv", grid, N)
     write_csv(
         outdir / "diagnostics.csv",
         ["t", "energy", "u_norm_l2", "n_norm_l2"],

@@ -322,12 +322,6 @@ def besov_norms(
 # random data
 # ---------------------------------------------------------------------------
 
-def random_band_limited(grid: RadialGrid, rng: np.random.Generator, m_band: tuple[int, int] | None = None) -> NDArray:
-    """(M,) random complex coefficients on a mode band, zero off it."""
-    lo, hi = m_band if m_band is not None else (1, grid.M)
-    if not (1 <= lo <= hi <= grid.M):
-        raise ValueError(f"mode band ({lo}, {hi}) outside 1..{grid.M}")
-    coeffs = np.zeros(grid.M, dtype=np.complex128)
-    n = hi - lo + 1
-    coeffs[lo - 1 : hi] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return coeffs
+def random_band_limited(grid: RadialGrid, rng: np.random.Generator) -> NDArray:
+    """(M,) random complex coefficients on the grid's modes: standard normal real and imaginary parts."""
+    return rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M)

@@ -99,6 +99,8 @@ class ResonanceParams:
     rho: float
 
     def __post_init__(self):
+        if not (self.alpha > 0 and self.alpha != 1.0 and np.isfinite(self.alpha * self.alpha)):
+            raise ValueError(f"alpha must be positive, not 1, with a finite square, got {self.alpha}")
         if not (0.0 < self.delta_alpha < self.c_alpha):
             raise ValueError("delta_alpha must lie in (0, c_alpha)")
         if self.k_alpha < 5:
@@ -178,6 +180,8 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
         r_left, r_right = (2.0 * (1.0 + e) / e / (2.0 + e) for e in (3.0 * rho, rho))
         delta = max(c - r_left, r_right - c)
         floors = [5.0, abs(np.log2(alpha - 1.0)) + 5.0]
+        if not delta < c:  # delta/c = 1 - O(1/alpha)
+            raise ValueError(f"alpha={alpha} is too large: the annulus half-width delta rounds up to c_alpha")
 
     k_sep = int(np.ceil(max(floors)))
     if band is not None:
@@ -351,12 +355,6 @@ class LemmaReport:
     def passed(self) -> bool:
         mins = [r.value for r in self.rows if r.quantity.startswith("min")]
         return self.sign_change and all(v > 0.0 for v in mins)
-
-    def row(self, quantity: str) -> BoundRow:
-        for r in self.rows:
-            if r.quantity == quantity:
-                return r
-        raise KeyError(quantity)
 
     def summary(self) -> dict:
         out = {

@@ -54,6 +54,15 @@ def smooth_random_field(
     return coeffs
 
 
+def band_limited(grid: RadialGrid, rng: np.random.Generator, lo: int, hi: int) -> NDArray:
+    """(M,) random complex coefficients on the modes lo..hi, zero off them: standard normal real and
+    imaginary parts, drawn as ``radial.random_band_limited`` draws them on every mode."""
+    coeffs = np.zeros(grid.M, dtype=np.complex128)
+    n = hi - lo + 1
+    coeffs[lo - 1 : hi] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return coeffs
+
+
 def gaussian_state(grid: RadialGrid, eps0: float, width: float = 1.0) -> NDArray:
     """The (4, M) complex128 samples of (u, u_t, n, n_t) for a Gaussian bump in u and n with zero
     velocities: the physical state whose first-order coefficients ``gaussian_data`` returns."""

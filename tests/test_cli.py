@@ -243,6 +243,10 @@ def test_resonance_outputs(tmp_path):
     assert (tmp_path / "lemma_bounds.csv").is_file()
     summary = (tmp_path / "summary.txt").read_text()
     assert "passed=true" in summary
+    assert [line.split("=", 1)[0] for line in summary.splitlines()] == [
+        "alpha", "c_alpha", "delta_alpha", "k_alpha", "rho", "sign_change", "resonant_index", "passed",
+        "min|w1|/|xi|", "min|w3|/<xi>", "min|w2|/<xi>", "min|w4|/<xi>", "max|w3|/scale", "profile_bound_margin",
+    ]
 
 
 def test_normalform_check_outputs(tmp_path):
@@ -284,7 +288,6 @@ def test_scatter_diag_outputs(tmp_path):
     code = run(["scatter-diag", "--out", str(tmp_path)] + SCATTER_ARGS + ["--set", "scatter.eps=0.1"])
     assert code == EXIT_OK
     assert (tmp_path / "cauchy.csv").is_file()
-    assert (tmp_path / "cauchy_plot.csv").is_file()
     assert (tmp_path / "diagnostics.csv").is_file()
     lines = (tmp_path / "resolution_norms.csv").read_text().splitlines()
     assert lines[0] == "window,x_linf_l2,x_l2_besov,y_linf_h1,y_l2_besov,n_linf_l2,n_l2_besov,total"
@@ -329,6 +332,17 @@ def test_scatter_diag_checks_the_horizon_before_the_run(tmp_path, monkeypatch, c
     assert code == EXIT_GUARD
     assert "reflection-safe horizon" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("last", ["8.002", "7.998"])
+def test_scatter_diag_windows_end_on_the_checkpoint_snapshots(tmp_path, last):
+    # snapshots every 0.05 and dt/2 = 0.0025: both checkpoints read the snapshot at t=8, and so must their windows
+    args = ["--set", "grid.R=40", "--set", "grid.M=64", "--set", "sim.T=8", "--set", "sim.dt=0.005"]
+    for name, cps in (("on", "2,4,8"), ("near", f"2,4,{last}")):
+        assert run(["scatter-diag", "--out", str(tmp_path / name)] + args + ["--set", f"scatter.checkpoints={cps}"]) == EXIT_OK
+    near = (tmp_path / "near" / "resolution_norms.csv").read_text()
+    assert near == (tmp_path / "on" / "resolution_norms.csv").read_text()
+    assert [row[0] for row in _csv_rows(tmp_path / "near" / "resolution_norms.csv")] == ["4", "8"]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +468,14 @@ def test_large_alpha_params_accepted(tmp_path):
     assert run(["params", "--out", str(tmp_path), "--set", "resonance.alpha=1e8"]) == EXIT_OK
 
 
+def test_params_where_the_annulus_fills_its_radius(capsys):
+    # delta/c = 1 - O(1/alpha) rounds to 1 at alpha = 5.9e15, and happens to stay below it at 1e16
+    assert run(["params", "--set", "resonance.alpha=5.9e15"]) == EXIT_CONFIG
+    message = "resonance.alpha: alpha=5900000000000000.0 is too large: the annulus half-width delta rounds up to c_alpha"
+    assert message in capsys.readouterr().err
+    assert run(["params", "--set", "resonance.alpha=1e16"]) == EXIT_OK
+
+
 def test_sharpness_checks_the_horizon_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "sharpness_witness", no_run)
     # sharp.R = 64 puts the horizon at 32, and the window of k = 7 ends at 2^6 = 64
@@ -496,7 +518,6 @@ def test_scan_outputs(tmp_path):
     code = run(["strichartz-scan", "--out", str(tmp_path)] + SCAN_ARGS)
     assert code == EXIT_OK
     assert (tmp_path / "scan.csv").is_file()
-    assert (tmp_path / "scan_plot.csv").is_file()
     assert (tmp_path / "manifest.txt").is_file()
 
 
@@ -562,6 +583,34 @@ def test_sharpness_with_an_overflowing_space_norm(tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+NORMALFORM_ARGS = ["grid.M=128", "sim.T=0.2", "sim.snapshot_stride=5", "quad.n_angular=16"]
+SWEEP_ARGS = ["sweep.enabled=true", "sweep.sizes=64,128", "sweep.trials=2"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, settings, files",
+    [
+        ("simulate", ["sim.T=0.05", "grid.M=64", "grid.R=10.0", "sim.dt=0.005"], ["diagnostics.csv"]),
+        ("resonance", ["lemma.n_xi=60"], ["lemma_bounds.csv", "summary.txt"]),
+        ("params", [], ["params.txt"]),
+        ("normalform-check", NORMALFORM_ARGS, ["residuals.csv"]),
+        ("normalform-check", NORMALFORM_ARGS + SWEEP_ARGS, ["residuals.csv", "estimate_sweep.csv", "estimate_stability.csv"]),
+        ("strichartz-scan", SCAN_ARGS[1::2], ["scan.csv"]),
+        ("sharpness", ["sharp.k_min=2", "sharp.k_max=3", "sharp.samples=48"], ["sharpness.csv"]),
+        ("scatter-diag", SCATTER_ARGS[1::2], ["cauchy.csv", "diagnostics.csv", "resolution_norms.csv"]),
+    ],
+    ids=["simulate", "resonance", "params", "normalform-check", "normalform-check-sweep", "strichartz-scan", "sharpness", "scatter-diag"],
+)
+def test_each_run_writes_its_file_set(tmp_path, subcommand, settings, files):
+    # no file repeats what another file of the same run holds
+    assert run([subcommand, "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == EXIT_OK
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    expected = {"manifest.txt", *files}
+    if subcommand == "simulate":  # snapshots at t = 0 and 0.05
+        expected |= {f"snapshots/{c}_{i:06d}.fld" for c in "UN" for i in range(2)}
+    assert written == expected
+
+
 def test_text_outputs_written_atomically(tmp_path, monkeypatch):
     written = set()
     atomic_write_text = export.atomic_write_text
@@ -597,4 +646,4 @@ def test_text_outputs_written_atomically(tmp_path, monkeypatch):
         assert run([name, "--out", str(tmp_path / name)] + args) == EXIT_OK
     outputs = {str(p) for p in tmp_path.rglob("*") if p.suffix in (".csv", ".txt")}
     assert sorted(outputs - written) == []
-    assert len(outputs) == 15
+    assert len(outputs) == 13

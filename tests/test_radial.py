@@ -3,7 +3,7 @@ import pytest
 from scipy.fft import dst
 from scipy.integrate import quad
 
-from kgzsim.export import field_to_csv, write_field
+from kgzsim.export import write_field
 from kgzsim import radial
 from kgzsim.radial import (
     _CHUNK,
@@ -20,7 +20,7 @@ from kgzsim.radial import (
     synthesize,
     wave_propagate,
 )
-from references import pointwise_product, read_field
+from references import band_limited, pointwise_product, read_field
 
 
 def eigenmode(grid: RadialGrid, m: int, amp: complex = 1.0):
@@ -237,7 +237,7 @@ def test_bump_profile():
 
 
 def test_partition_of_unity(grid, rng):
-    f = random_band_limited(grid, rng, (8, 200))
+    f = band_limited(grid, rng, 8, 200)
     total = np.zeros(grid.M, dtype=complex)
     for k in grid.resolved_k:
         total += f * chi_k(grid.xi, k)
@@ -304,7 +304,7 @@ def test_besov_zero_regularity_matches_l2_on_flat_blocks():
 
 
 def test_besov_homogeneity(grid, rng):
-    f = random_band_limited(grid, rng, (4, 200))
+    f = band_limited(grid, rng, 4, 200)
     one = besov_norms(grid, f, 0.5, 3.0)
     two = besov_norms(grid, 2.0 * f, 0.5, 3.0)
     assert abs(two - 2.0 * one) < 1e-12 * two
@@ -399,8 +399,8 @@ def test_besov_multiplier_skips_the_blocks_it_vanishes_on(monkeypatch):
 def test_dealiased_product_semantics(grid, rng):
     # products of radial sine series carry an algebraic spectral tail (the
     # 1/r^2 factor), so truncation removes a small but genuine remainder
-    f = synthesize(grid, random_band_limited(grid, rng, (1, 40)))
-    g = synthesize(grid, random_band_limited(grid, rng, (1, 40)))
+    f = synthesize(grid, band_limited(grid, rng, 1, 40))
+    g = synthesize(grid, band_limited(grid, rng, 1, 40))
     plain = pointwise_product(grid, f, g)
     deal = pointwise_product(grid, f, g, dealiased=True)
     cutoff = (2.0 / 3.0) * grid.xi[-1]
@@ -435,14 +435,3 @@ def test_field_file_golden_bytes(tmp_path):
         "00000000000008c0" "0000000000000000"
     )
     assert (tmp_path / "f.fld").read_bytes() == expected
-
-
-def test_field_csv_export(tmp_path, grid, rng):
-    f = synthesize(grid, random_band_limited(grid, rng))
-    field_to_csv(tmp_path / "f.csv", grid, f)
-    lines = (tmp_path / "f.csv").read_text().strip().splitlines()
-    assert lines[0] == "r,re,im"
-    assert len(lines) == grid.M + 1
-    r0, re0, im0 = (float(x) for x in lines[1].split(","))
-    assert r0 == grid.r[0]
-    assert re0 == f[0].real and im0 == f[0].imag

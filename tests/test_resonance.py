@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kgzsim import resonance
 from kgzsim.cli import write_lemma_bounds
-from kgzsim.radial import RadialGrid, analyze, l2_norms, random_band_limited, synthesize
+from kgzsim.radial import RadialGrid, analyze, l2_norms, synthesize
 from kgzsim.resonance import (
     Branch,
     InteractionTag,
@@ -25,7 +25,7 @@ from kgzsim.resonance import (
     verify_lemma_bounds,
     verify_profile_bound,
 )
-from references import dealiased_tagged_product, pointwise_product
+from references import band_limited, dealiased_tagged_product, pointwise_product
 
 #: sign s_j in the duality  w_j(xi -> eta - xi) = s_j * wt_j
 DUALITY_SIGNS = {1: -1.0, 2: 1.0, 3: -1.0, 4: 1.0}
@@ -215,9 +215,10 @@ def test_params_where_the_profile_bound_fails(monkeypatch):
         compute_params(0.5)
 
 
-@pytest.mark.parametrize("alpha", [1e8, 1e12])
+@pytest.mark.parametrize("alpha", [1e8, 1e12, 1e16])
 def test_params_at_large_alpha(alpha):
-    # the closed-form crossings scale with c = 2 alpha/(alpha^2 - 1), about 2/alpha
+    # the closed-form crossings scale with c = 2 alpha/(alpha^2 - 1), about 2/alpha; at 1e16 delta/c
+    # rounds to 1 - 2^-52, still below 1
     p = compute_params(alpha)
     assert p.rho == 0.5 * (alpha - 1.0) and p.c_alpha == pytest.approx(2.0 / alpha, rel=1e-12)
     ok, margin = verify_profile_bound(p)
@@ -248,6 +249,21 @@ def test_dense_check_catches_rho_one_percent_high(alpha):
 @pytest.mark.parametrize("alpha", [1.35e154, 1e200])
 def test_alpha_whose_square_overflows_rejected(alpha):
     with pytest.raises(ValueError, match=re.escape(f"got {alpha}")):
+        compute_params(alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1.0])
+def test_params_whose_resonant_radius_is_not_finite_rejected(alpha):
+    # c_alpha = 2 alpha/|1 - alpha^2| raised an OverflowError or a ZeroDivisionError before alpha was checked
+    with pytest.raises(ValueError, match=re.escape(f"alpha must be positive, not 1, with a finite square, got {alpha}")):
+        ResonanceParams(alpha, 1e-200, 5, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [5.9e15, 1e100])
+def test_alpha_whose_annulus_fills_its_radius_rejected(alpha):
+    # delta/c = 1 - O(1/alpha) rounds to 1
+    message = f"alpha={alpha} is too large: the annulus half-width delta rounds up to c_alpha"
+    with pytest.raises(ValueError, match=re.escape(message)):
         compute_params(alpha)
 
 
@@ -291,8 +307,8 @@ def spectral_l2(grid, values):
 
 def test_decomposition_completeness(grid, rng, params_half):
     params = compute_params(0.5, band=grid)
-    f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
-    g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+    f = synthesize(grid, band_limited(grid, rng, 1, 150))
+    g = synthesize(grid, band_limited(grid, rng, 1, 150))
     total = np.zeros(grid.M, dtype=complex)
     for tag in (InteractionTag.LH, InteractionTag.HL, InteractionTag.HH):
         total += dealiased_tagged_product(grid, f, g, tag, params)
@@ -303,8 +319,8 @@ def test_decomposition_completeness(grid, rng, params_half):
 
 def test_hl_splits_into_al_xl(grid, rng):
     params = compute_params(0.5, band=grid)
-    f = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
-    g = synthesize(grid, random_band_limited(grid, rng, (1, 150)))
+    f = synthesize(grid, band_limited(grid, rng, 1, 150))
+    g = synthesize(grid, band_limited(grid, rng, 1, 150))
     hl = dealiased_tagged_product(grid, f, g, InteractionTag.HL, params)
     al = dealiased_tagged_product(grid, f, g, InteractionTag.AL, params)
     xl = dealiased_tagged_product(grid, f, g, InteractionTag.XL, params)
@@ -314,8 +330,8 @@ def test_hl_splits_into_al_xl(grid, rng):
 
 def test_decomposition_of_a_stack_is_row_by_row(grid, rng):
     params = compute_params(0.5, band=grid)
-    f = np.stack([random_band_limited(grid, rng, (1, 150)) for _ in range(3)])
-    g = np.stack([random_band_limited(grid, rng, (1, 150)) for _ in range(3)])
+    f = np.stack([band_limited(grid, rng, 1, 150) for _ in range(3)])
+    g = np.stack([band_limited(grid, rng, 1, 150) for _ in range(3)])
     for tag in InteractionTag:
         stack = decompose_bilinear(grid, f, g, tag, params)
         rows = [decompose_bilinear(grid, fr, gr, tag, params) for fr, gr in zip(f, g)]
@@ -345,11 +361,12 @@ def test_single_pair_support():
 
 def test_lemma_bounds_alpha_half(params_half):
     rep = verify_lemma_bounds(params_half)
+    values = {r.quantity: r.value for r in rep.rows}
     assert rep.passed
     assert rep.resonant_index == 1
-    assert rep.row("min|w1|/|xi|").value > 0
-    assert rep.row("min|w3|/<xi>").value > 0
-    assert rep.row("min|w4|/<xi>").value > 1.0
+    assert values["min|w1|/|xi|"] > 0
+    assert values["min|w3|/<xi>"] > 0
+    assert values["min|w4|/<xi>"] > 1.0
     assert rep.sign_change
 
 
@@ -357,7 +374,7 @@ def test_omega2_floor_away_from_origin(params_half):
     # |w2|/<xi> degrades like alpha*|xi| at low output frequency, so the 0.2
     # floor holds on grids bounded away from zero
     rep = verify_lemma_bounds(params_half, LemmaGridSpec(xi_min=0.5))
-    assert rep.row("min|w2|/<xi>").value > 0.2
+    assert {r.quantity: r.value for r in rep.rows}["min|w2|/<xi>"] > 0.2
 
 
 @pytest.mark.parametrize(
