@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .normalform import SweepReport, check_count, check_residual_config, check_s
 from .resonance import LemmaGridSpec, LemmaReport, compute_params, verify_lemma_bounds, verify_profile_bound
 from .strichartz import (
     GuardError,
+    ResolutionNorms,
     ScanTable,
     ScatteringReport,
     beta_exponent,
@@ -174,9 +175,9 @@ def _sim_config(cfg: dict, **fixed) -> SimConfig:
     """The run's SimConfig from the grid.* and sim.* keys; ``fixed`` gives the fields that a
     subcommand sets itself instead of reading them, e.g. ``model="simplified", dealias=False``."""
     names = ("alpha", "dt", "T", "model", "dealias", "snapshot_stride")
-    fields = {name: cfg[f"sim.{name}"] for name in names if name not in fixed}
+    read = {name: cfg[f"sim.{name}"] for name in names if name not in fixed}
     try:
-        return SimConfig(R=cfg["grid.R"], M=cfg["grid.M"], **fields, **fixed)
+        return SimConfig(R=cfg["grid.R"], M=cfg["grid.M"], **read, **fixed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -243,7 +244,7 @@ def _run_simulate(cfg: dict, out: Path) -> None:
 def _run_params(cfg: dict, out: Path | None) -> None:
     alpha = cfg["resonance.alpha"]
     p = _check("resonance.alpha", compute_params, alpha)
-    items = [("alpha", alpha), ("branch", p.branch.value)]
+    items = [("alpha", alpha)]
     if alpha < 1.0:
         items.append(("r0", alpha / np.sqrt(1.0 - alpha**2)))
     items += [("c_alpha", p.c_alpha), ("delta_alpha", p.delta_alpha), ("k_alpha", p.k_alpha), ("rho", p.rho)]
@@ -253,7 +254,7 @@ def _run_params(cfg: dict, out: Path | None) -> None:
         atomic_write_text(out / "params.txt", "\n".join(lines) + "\n")
 
 
-def _run_resonance(cfg: dict, out: Path) -> None:
+def _run_resonance(cfg: dict, out: Path) -> str | None:
     p = _check("resonance.alpha", compute_params, cfg["resonance.alpha"])
     keys = [f"lemma.{field}" for field in ("xi_min", "xi_max", "n_xi", "n_eta", "n_cos")]
     spec = _check(", ".join(keys), LemmaGridSpec, *(cfg[k] for k in keys))
@@ -267,7 +268,7 @@ def _run_resonance(cfg: dict, out: Path) -> None:
         "\n".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n",
     )
     if not summary["passed"]:
-        raise GuardError("resonance lower-bound verification failed")
+        return "resonance lower-bound verification failed"
 
 
 def _run_normalform(cfg: dict, out: Path) -> None:
@@ -348,7 +349,8 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     ts = sim.snapshot_times
     idx = _check("scatter.checkpoints", checkpoint_indices, ts, cps, sim.dt)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
-    _check("scatter.checkpoints", check_horizon, cps, sim.alpha, sim.R)
+    # the profiles read the snapshots at ts[idx], so the horizon is checked at their times
+    _check("scatter.checkpoints", check_horizon, ts[idx], sim.alpha, sim.R)
     # the resolution-space norm for each Cauchy row (t1, t2), from 0 to the snapshot the row reads at t2
     windows = [(0.0, float(ts[i])) for i in idx[1:]]
     for window in windows:
@@ -359,15 +361,14 @@ def _run_scatter(cfg: dict, out: Path) -> None:
     write_cauchy(out / "cauchy.csv", report)
     write_csv(
         out / "resolution_norms.csv",
-        ["window", "x_linf_l2", "x_l2_besov", "y_linf_h1", "y_l2_besov", "n_linf_l2", "n_l2_besov", "total"],
-        [
-            (t2, n.x_linf_l2, n.x_l2_besov, n.y_linf_h1, n.y_l2_besov, n.n_linf_l2, n.n_l2_besov, n.total)
-            for (_, t2), n in norms
-        ],
+        ["window", *(f.name for f in fields(ResolutionNorms)), "total"],
+        [(t2, *astuple(n), n.total) for (_, t2), n in norms],
     )
     export_trajectory(traj, out, fields=False)
 
 
+# a runner writes its files under ``out`` and returns None, or the message of a failed
+# verdict, which exits 4 once ``main`` has written the manifest beside those files
 RUNNERS = {
     "simulate": _run_simulate,
     "resonance": _run_resonance,
@@ -401,9 +402,11 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         elif name != "params":
             raise ConfigError(f"subcommand {name!r} requires --out")
-        RUNNERS[name](cfg, out)
+        failure = RUNNERS[name](cfg, out)
         if out is not None:
             write_manifest(out / "manifest.txt", cfg)
+        if failure is not None:
+            raise GuardError(failure)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

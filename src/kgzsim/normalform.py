@@ -50,7 +50,6 @@ from numpy.typing import NDArray
 from scipy import sparse
 
 from .radial import (
-    _CHUNK,
     RadialGrid,
     analyze,
     besov_norms,
@@ -59,6 +58,7 @@ from .radial import (
     kg_propagate,
     l2_norms,
     lebesgue_norms,
+    row_chunks,
     sobolev_norms,
     synthesize,
     wave_propagate,
@@ -390,7 +390,7 @@ class BilinearOperator:
 
     def apply_batch(self, fhats: NDArray, ghats: NDArray, cutoff: bool = False) -> NDArray:
         """Apply Omega (the cutoff with ``cutoff``) to a stack of coefficient pairs, (S, M) -> (S, M),
-        _CHUNK (pair, row) products or one row at a time."""
+        over the ``radial.row_chunks`` of rows of one product per pair."""
         if cutoff and self._C is None:
             raise ValueError("this operator was built without cutoff data")
         A = self._C if cutoff else self._A
@@ -399,13 +399,12 @@ class BilinearOperator:
         if self.symbol.conjugates_second:
             ghats = np.conj(ghats)
         out = np.empty(fhats.shape, dtype=np.complex128)
-        step = max(1, _CHUNK // max(1, len(self.m_p)))
-        for lo in range(0, len(out), step):
+        for rows in row_chunks(len(out), len(self.m_p)):
             # real kernels: act on the interleaved real and imaginary parts of (M, rows) arrays
-            f = np.ascontiguousarray(fhats[lo : lo + step].T).view(np.float64)
+            f = np.ascontiguousarray(fhats[rows].T).view(np.float64)
             prod = (A @ f).view(np.complex128)
-            prod *= ghats[lo : lo + step, self.j_p].T
-            out[lo : lo + step] = (self._B @ prod.view(np.float64)).view(np.complex128).T
+            prod *= ghats[rows, self.j_p].T
+            out[rows] = (self._B @ prod.view(np.float64)).view(np.complex128).T
         return out
 
 
@@ -561,13 +560,13 @@ def duhamel_residual(
     :func:`check_residual_config`.
 
     The operator of the compared component's phase is built once, with the
-    cutoff's data, before the snapshots are walked in chunks of
-    ``max(1, _CHUNK // M)`` rows, the rule of ``apply_batch``.  Each chunk's
-    flowed integrand goes into one preallocated (S, M) array; the boundary term
-    is applied before the loop, to the first and last snapshots only.  So
-    beyond the trajectory the residual holds the integrand, the kernel and one
-    chunk's temporaries; the kernel is dropped before the Simpson rule, whose
-    sums over the integrand hold about one stack more.
+    cutoff's data, before the snapshots are walked in the ``radial.row_chunks``
+    of M-element rows.  Each chunk's flowed integrand goes into one
+    preallocated (S, M) array; the boundary term is applied before the loop,
+    to the first and last snapshots only.  So beyond the trajectory the
+    residual holds the integrand, the kernel and one chunk's temporaries; the
+    kernel is dropped before the Simpson rule, whose sums over the integrand
+    hold about one stack more.
     """
     if which not in ("U", "N"):
         raise ValueError("which must be 'U' or 'N'")
@@ -614,9 +613,8 @@ def duhamel_residual(
         return flow(total, t - times[rows])
 
     integrand = np.empty(cU.shape, dtype=np.complex128)
-    step = max(1, _CHUNK // grid.M)
-    for lo in range(0, len(times), step):
-        integrand[lo : lo + step] = chunk(slice(lo, lo + step))
+    for rows in row_chunks(len(times), grid.M):
+        integrand[rows] = chunk(rows)
     del op
     free = flow(c0 + b0, t)
     rhs = free - bt + _simpson(integrand, times)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -254,19 +254,24 @@ def dealias_mask(grid: RadialGrid) -> NDArray[np.float64]:
 _CHUNK = 2**13  # elements per row chunk of an array-level computation (128 KB of complex)
 
 
-def map_rows(fn: Callable[..., NDArray], row_elements: int, *arrays: NDArray) -> NDArray:
-    """One value per row: ``fn`` over chunks of rows of (..., M) arrays of one shape.
+def row_chunks(n_rows: int, row_elements: int) -> Iterator[slice]:
+    """Slices over ``n_rows`` rows of ``row_elements`` elements each, at most
+    _CHUNK / row_elements rows a slice (at least one), so the temporaries of a
+    computation over one slice stay small whatever the stack."""
+    step = max(1, _CHUNK // max(1, row_elements))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
-    A chunk holds at most _CHUNK / row_elements rows (at least one), so the
-    temporaries of ``fn`` stay small whatever the stack.  Returns the leading
-    shape, a scalar for a single row.
+
+def map_rows(fn: Callable[..., NDArray], row_elements: int, *arrays: NDArray) -> NDArray:
+    """One value per row: ``fn`` over the :func:`row_chunks` of (..., M) arrays of one shape.
+
+    Returns the leading shape, a scalar for a single row.
     """
     shape = arrays[0].shape
     rows = [a.reshape(-1, shape[-1]) for a in arrays]
-    step = max(1, _CHUNK // row_elements)
     out = np.empty(len(rows[0]))
-    for lo in range(0, len(out), step):
-        out[lo : lo + step] = fn(*(r[lo : lo + step] for r in rows))
+    for sl in row_chunks(len(out), row_elements):
+        out[sl] = fn(*(r[sl] for r in rows))
     return out.reshape(shape[:-1])[()]
 
 

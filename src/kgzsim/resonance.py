@@ -79,11 +79,6 @@ def omega_tilde(j: int, xi, eta, cos_theta, alpha: float):
 # constants realizing the off-annulus lower bound
 # ---------------------------------------------------------------------------
 
-class Branch(str, enum.Enum):
-    ALPHA_LT_1 = "alpha_lt_1"
-    ALPHA_GT_1 = "alpha_gt_1"
-
-
 @dataclass(frozen=True)
 class ResonanceParams:
     """Constants (alpha, delta, k_sep, rho) of the interaction split.
@@ -112,10 +107,6 @@ class ResonanceParams:
     def c_alpha(self) -> float:
         """The resonant radius 2 alpha/|1 - alpha^2|."""
         return 2.0 * self.alpha / abs(1.0 - self.alpha**2)
-
-    @property
-    def branch(self) -> Branch:
-        return Branch.ALPHA_LT_1 if self.alpha < 1.0 else Branch.ALPHA_GT_1
 
 
 def resonant_index(alpha: float) -> int:
@@ -347,11 +338,6 @@ class LemmaReport:
     sign_change: bool
 
     @property
-    def resonant_index(self) -> int:
-        """The index j of the resonant phase w_j at the report's alpha."""
-        return resonant_index(self.params.alpha)
-
-    @property
     def passed(self) -> bool:
         mins = [r.value for r in self.rows if r.quantity.startswith("min")]
         return self.sign_change and all(v > 0.0 for v in mins)
@@ -364,7 +350,7 @@ class LemmaReport:
             "k_alpha": self.params.k_alpha,
             "rho": self.params.rho,
             "sign_change": self.sign_change,
-            "resonant_index": self.resonant_index,
+            "resonant_index": resonant_index(self.params.alpha),
             "passed": self.passed,
         }
         for r in self.rows:

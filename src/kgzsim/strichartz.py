@@ -14,7 +14,7 @@ resolution-space norm of a trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -344,18 +344,19 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
     V(t) = K(-t) U(t) measured in H^1 and W(t) = W_alpha(-t) N(t) in L^2;
     convergence of these sequences as the checkpoint doubles is the
     finite-time manifestation of scattering.  ``alpha`` must be the run's own.
+    Each checkpoint reads the snapshot of :func:`checkpoint_indices`, and that
+    snapshot's time is the one the rows report and the horizon guard checks.
     """
     if alpha != traj.config.alpha:
         raise ValueError(f"alpha={alpha} is not the trajectory's alpha={traj.config.alpha}")
-    cps = tuple(float(t) for t in checkpoints)
-    ts = traj.times
     grid = traj.config.grid
-    check_horizon(cps, alpha, grid.R)
-    idx = checkpoint_indices(ts, cps, traj.config.dt)
-    profs_U, profs_N = kg_propagate(grid, traj.cU[idx], -ts[idx]), wave_propagate(grid, traj.cN[idx], -ts[idx], alpha)
+    idx = checkpoint_indices(traj.times, checkpoints, traj.config.dt)
+    ts = traj.times[idx]
+    check_horizon(ts, alpha, grid.R)
+    profs_U, profs_N = kg_propagate(grid, traj.cU[idx], -ts), wave_propagate(grid, traj.cN[idx], -ts, alpha)
     rows = [
-        CauchyRow(t1, t2, float(sobolev_norms(grid, v2 - v1, 1.0)), float(l2_norms(grid, w2 - w1)))
-        for t1, t2, v1, v2, w1, w2 in zip(cps, cps[1:], profs_U, profs_U[1:], profs_N, profs_N[1:])
+        CauchyRow(float(t1), float(t2), float(sobolev_norms(grid, v2 - v1, 1.0)), float(l2_norms(grid, w2 - w1)))
+        for t1, t2, v1, v2, w1, w2 in zip(ts, ts[1:], profs_U, profs_U[1:], profs_N, profs_N[1:])
     ]
     return ScatteringReport(tuple(rows), profs_U, profs_N)
 
@@ -384,14 +385,7 @@ class ResolutionNorms:
 
     @property
     def total(self) -> float:
-        return (
-            self.x_linf_l2
-            + self.x_l2_besov
-            + self.y_linf_h1
-            + self.y_l2_besov
-            + self.n_linf_l2
-            + self.n_l2_besov
-        )
+        return sum(astuple(self))
 
 
 def resolution_exponents(eps: float) -> tuple[float, float]:

@@ -52,7 +52,8 @@ def test_params_prints_constants(capsys):
     assert "c_alpha     = 1.3333333333333333" in out
     assert "delta_alpha = 0.33333333333333331" in out
     assert "r0          = 0.57735" in out
-    assert "rho" in out and "k_alpha" in out
+    # the alpha line says which branch applies: no line restates it
+    assert [line.split()[0] for line in out.splitlines()] == ["alpha", "r0", "c_alpha", "delta_alpha", "k_alpha", "rho"]
 
 
 def test_simulate_zero_horizon(tmp_path):
@@ -228,13 +229,32 @@ def test_missing_out_rejected():
 
 
 def test_manifest_echoes_every_key(tmp_path):
-    assert (
-        run(["simulate", "--out", str(tmp_path), "--set", "sim.T=0.0", "--set", "grid.M=64", "--set", "grid.R=10.0"])
-        == EXIT_OK
-    )
+    settings = ["sim.T=0.0", "grid.M=64", "grid.R=10.0", "sim.dealias=false"]
+    assert run(["simulate", "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == EXIT_OK
     manifest = (tmp_path / "manifest.txt").read_text()
     for key in DEFAULTS["simulate"]:
         assert key in manifest
+    assert "sim.dealias=false" in manifest.splitlines()
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, overrides, message",
+    [
+        ("normalform-check", None, ["sweep.enabled=maybe"], "cannot parse value for key 'sweep.enabled': 'maybe'"),
+        ("simulate", "grid.M 64\n", [], "malformed line 1 in"),
+        ("simulate", None, ["grid.M"], "malformed --set 'grid.M', expected key=value"),
+    ],
+    ids=["bool-value", "config-line", "set-item"],
+)
+def test_unreadable_settings_create_no_out_directory(tmp_path, capsys, subcommand, config, overrides, message):
+    args = [subcommand, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert run(args + [a for s in overrides for a in ("--set", s)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_resonance_outputs(tmp_path):
@@ -247,6 +267,16 @@ def test_resonance_outputs(tmp_path):
         "alpha", "c_alpha", "delta_alpha", "k_alpha", "rho", "sign_change", "resonant_index", "passed",
         "min|w1|/|xi|", "min|w3|/<xi>", "min|w2|/<xi>", "min|w4|/<xi>", "max|w3|/scale", "profile_bound_margin",
     ]
+
+
+def test_failed_resonance_verdict_leaves_its_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(resonance.LemmaReport, "passed", property(lambda self: False))
+    code = run(["resonance", "--out", str(tmp_path), "--set", "lemma.n_xi=60"])
+    assert code == EXIT_GUARD
+    assert "resonance lower-bound verification failed" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"lemma_bounds.csv", "summary.txt", "manifest.txt"}
+    assert "passed=false" in (tmp_path / "summary.txt").read_text().splitlines()
+    assert "lemma.n_xi=60" in (tmp_path / "manifest.txt").read_text().splitlines()
 
 
 def test_normalform_check_outputs(tmp_path):
@@ -340,9 +370,21 @@ def test_scatter_diag_windows_end_on_the_checkpoint_snapshots(tmp_path, last):
     args = ["--set", "grid.R=40", "--set", "grid.M=64", "--set", "sim.T=8", "--set", "sim.dt=0.005"]
     for name, cps in (("on", "2,4,8"), ("near", f"2,4,{last}")):
         assert run(["scatter-diag", "--out", str(tmp_path / name)] + args + ["--set", f"scatter.checkpoints={cps}"]) == EXIT_OK
-    near = (tmp_path / "near" / "resolution_norms.csv").read_text()
-    assert near == (tmp_path / "on" / "resolution_norms.csv").read_text()
+    for name in ("resolution_norms.csv", "cauchy.csv"):
+        assert (tmp_path / "near" / name).read_text() == (tmp_path / "on" / name).read_text()
     assert [row[0] for row in _csv_rows(tmp_path / "near" / "resolution_norms.csv")] == ["4", "8"]
+    assert [row[:2] for row in _csv_rows(tmp_path / "near" / "cauchy.csv")] == [["2", "4"], ["4", "8"]]
+
+
+def test_scatter_diag_checks_the_horizon_at_the_snapshot_times(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    # alpha = 0.5 and R = 3.9992 put the horizon at 1.9996: the checkpoint 1.9996 lies on it, but
+    # reads the snapshot at 2, which lies past it
+    args = ["--set", "grid.R=3.9992", "--set", "grid.M=64", "--set", "sim.T=2"]
+    code = run(["scatter-diag", "--out", str(tmp_path)] + args + ["--set", "scatter.checkpoints=1,1.9996"])
+    assert code == EXIT_GUARD
+    assert "time 2.0 is beyond the reflection-safe horizon" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -601,9 +643,19 @@ SWEEP_ARGS = ["sweep.enabled=true", "sweep.sizes=64,128", "sweep.trials=2"]
     ],
     ids=["simulate", "resonance", "params", "normalform-check", "normalform-check-sweep", "strichartz-scan", "sharpness", "scatter-diag"],
 )
-def test_each_run_writes_its_file_set(tmp_path, subcommand, settings, files):
+def test_each_run_writes_its_file_set(tmp_path, monkeypatch, subcommand, settings, files):
+    read = set()
+
+    class Recorded(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(cli, "resolve_config", lambda *args: Recorded(resolve_config(*args)))
     # no file repeats what another file of the same run holds
     assert run([subcommand, "--out", str(tmp_path)] + [a for s in settings for a in ("--set", s)]) == EXIT_OK
+    # and no config key goes unread
+    assert read == set(DEFAULTS[subcommand])
     written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
     expected = {"manifest.txt", *files}
     if subcommand == "simulate":  # snapshots at t = 0 and 0.05

@@ -10,7 +10,6 @@ from kgzsim import resonance
 from kgzsim.cli import write_lemma_bounds
 from kgzsim.radial import RadialGrid, analyze, l2_norms, synthesize
 from kgzsim.resonance import (
-    Branch,
     InteractionTag,
     LemmaGridSpec,
     ResonanceParams,
@@ -127,7 +126,7 @@ def test_duality_identity_wide_range(xi, eta, cos, alpha):
 
 def test_params_alpha_half(params_half):
     p = params_half
-    assert p.branch is Branch.ALPHA_LT_1
+    assert resonant_index(p.alpha) == 1
     assert p.c_alpha == pytest.approx(4.0 / 3.0, abs=1e-14)
     assert p.delta_alpha == pytest.approx(1.0 / 3.0, abs=1e-14)
     # the annulus edge sits above the profile maximizer r0 = 1/sqrt(3)
@@ -138,7 +137,7 @@ def test_params_alpha_half(params_half):
 
 def test_params_alpha_two():
     p = compute_params(2.0)
-    assert p.branch is Branch.ALPHA_GT_1
+    assert resonant_index(p.alpha) == 3
     assert p.c_alpha == pytest.approx(4.0 / 3.0, abs=1e-14)
     assert p.rho == pytest.approx(0.5)
     assert p.k_alpha == 5
@@ -170,7 +169,7 @@ def test_params_alpha_just_above_one():
     # the outer crossing sits near r = 1e6: its closed form takes y - 1 = (alpha - 1)/2 = 1e-6
     # as it is, since 1 + 1e-6 squared minus 1 would keep only ten of its digits
     p = compute_params(1.000002)
-    assert p.branch is Branch.ALPHA_GT_1 and p.c_alpha == pytest.approx(5e5, rel=1e-5)
+    assert resonant_index(p.alpha) == 3 and p.c_alpha == pytest.approx(5e5, rel=1e-5)
     ok, margin = verify_profile_bound(p)
     assert ok, f"margin {margin}"
 
@@ -363,7 +362,7 @@ def test_lemma_bounds_alpha_half(params_half):
     rep = verify_lemma_bounds(params_half)
     values = {r.quantity: r.value for r in rep.rows}
     assert rep.passed
-    assert rep.resonant_index == 1
+    assert rep.summary()["resonant_index"] == 1
     assert values["min|w1|/|xi|"] > 0
     assert values["min|w3|/<xi>"] > 0
     assert values["min|w4|/<xi>"] > 1.0

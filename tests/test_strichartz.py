@@ -188,7 +188,7 @@ def _witness_on(R):
 
 
 def _profile_until(end):
-    cfg = SimConfig(2.0, 8.0, 32, dt=0.01, T=2.0, model="linear", snapshot_stride=10)
+    cfg = SimConfig(2.0, 8.0, 32, dt=0.01, T=2.1, model="linear", snapshot_stride=10)
     return scattering_profile(run_simulation(cfg, gaussian_data(cfg.grid, 0.01)), 2.0, [1.0, end])
 
 
@@ -196,12 +196,13 @@ def _profile_until(end):
     "analysis, edge, past",
     [
         # on R = 8 the faster of the Klein-Gordon flow (speed 1) and the wave (speed alpha) reaches R/2 = 4
-        (_scan_until("wave", 0.5), 4.0, np.inf),
-        (_scan_until("schrodinger", 2.0), 4.0, np.inf),
+        (_scan_until("wave", 0.5), 4.0, np.nextafter(4.0, np.inf)),
+        (_scan_until("schrodinger", 2.0), 4.0, np.nextafter(4.0, np.inf)),
         # the witness window of k = 2 ends at 2, which is R/2 on R = 4 and past it on a smaller R
-        (_witness_on, 4.0, 0.0),
-        # a run at alpha = 2 on R = 8 reaches its horizon at t = 2
-        (_profile_until, 2.0, np.inf),
+        (_witness_on, 4.0, np.nextafter(4.0, 0.0)),
+        # a run at alpha = 2 on R = 8 reaches its horizon at t = 2; the profile reads snapshots, so
+        # the first checkpoint past the edge is the next snapshot's, at t = 2.1
+        (_profile_until, 2.0, 2.1),
     ],
     ids=["scan-wave-alpha0.5", "scan-kg-alpha2", "witness", "profile"],
 )
@@ -214,7 +215,7 @@ def test_analyses_share_the_horizon_edge(monkeypatch, analysis, edge, past):
     with pytest.raises(FlowReached):
         analysis(edge)
     with pytest.raises(GuardError, match="reflection-safe horizon"):
-        analysis(np.nextafter(edge, past))
+        analysis(past)
 
 
 @pytest.mark.parametrize("window", [(0.0, np.nan), (np.nan, 2.0), (0.0, np.inf)], ids=["end-nan", "start-nan", "end-inf"])
@@ -314,11 +315,13 @@ def test_zero_data_profiles(grid):
     assert np.all(l2_norms(grid, rep.profiles_U) == 0.0)
 
 
-def test_profile_horizon_guard(grid):
-    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, snapshot_stride=10)
-    traj = run_simulation(cfg, gaussian_data(grid, 0.01))
-    with pytest.raises(GuardError, match="horizon"):
-        scattering_profile(traj, ALPHA, [30.0])
+def test_profile_horizon_guard():
+    # R = 1.996 puts the horizon R/2 at 0.998: the checkpoint 0.998 lies on it, but reads the
+    # snapshot at 1.0 (within dt/2), which lies past it
+    cfg = SimConfig(ALPHA, 1.996, 32, dt=1e-2, T=1.0, snapshot_stride=10)
+    traj = run_simulation(cfg, gaussian_data(cfg.grid, 0.01))
+    with pytest.raises(GuardError, match="time 1.0 is beyond the reflection-safe horizon"):
+        scattering_profile(traj, ALPHA, [0.5, 0.998])
 
 
 def test_profile_missing_checkpoint(grid):
