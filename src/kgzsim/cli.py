@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .strichartz import (
     ScatteringReport,
     beta_exponent,
     check_blocks,
-    check_horizon,
     check_samples,
     check_window,
     checkpoint_indices,
@@ -63,14 +62,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "data.eps0": 0.01,
         "data.width": 1.0,
     },
-    "resonance": {
-        "resonance.alpha": 0.5,
-        "lemma.xi_min": 0.05,
-        "lemma.xi_max": 64.0,
-        "lemma.n_xi": 200,
-        "lemma.n_eta": 50,
-        "lemma.n_cos": 21,
-    },
+    "resonance": {"resonance.alpha": 0.5, **{f"lemma.{k}": v for k, v in asdict(LemmaGridSpec()).items()}},
     "params": {"resonance.alpha": 0.5},
     "normalform-check": {
         "grid.R": 40.0,
@@ -256,7 +248,7 @@ def _run_params(cfg: dict, out: Path | None) -> None:
 
 def _run_resonance(cfg: dict, out: Path) -> str | None:
     p = _check("resonance.alpha", compute_params, cfg["resonance.alpha"])
-    keys = [f"lemma.{field}" for field in ("xi_min", "xi_max", "n_xi", "n_eta", "n_cos")]
+    keys = [f"lemma.{f.name}" for f in fields(LemmaGridSpec)]
     spec = _check(", ".join(keys), LemmaGridSpec, *(cfg[k] for k in keys))
     report = verify_lemma_bounds(p, spec)
     write_lemma_bounds(out / "lemma_bounds.csv", report)
@@ -299,12 +291,8 @@ def _run_normalform(cfg: dict, out: Path) -> None:
 
 def _run_scan(cfg: dict, out: Path) -> None:
     grid = _check("grid.R, grid.M", RadialGrid, cfg["grid.R"], cfg["grid.M"])
-    ks, resolved = _k_range(cfg, "scan"), grid.resolved_k
-    _check("scan.k_min, scan.k_max", check_blocks, ks)
-    if ks[0] not in resolved or ks[-1] not in resolved:
-        raise ConfigError(
-            f"scan.k_min..k_max = {ks[0]}..{ks[-1]} leaves the grid's resolved blocks {resolved[0]}..{resolved[-1]}"
-        )
+    ks = _k_range(cfg, "scan")
+    _check("scan.k_min, scan.k_max", check_blocks, ks, grid)
     q, r, flavor = cfg["scan.q"], cfg["scan.r"], cfg["scan.flavor"]
     _check("scan.q, scan.r, scan.flavor", beta_exponent, q, r, flavor)
     _check("scan.samples", check_samples, cfg["scan.samples"])
@@ -343,14 +331,11 @@ def _run_sharpness(cfg: dict, out: Path) -> None:
 
 def _run_scatter(cfg: dict, out: Path) -> None:
     sim = _sim_config(cfg)
-    # settle the analysis settings first: the library would reject them only after the run
-    cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
-    _check("scatter.checkpoints", check_samples, len(cps))
-    ts = sim.snapshot_times
-    idx = _check("scatter.checkpoints", checkpoint_indices, ts, cps, sim.dt)
+    # settle the analysis settings before the run, eps ahead of the checkpoints' horizon guard (exit 4)
     _check("scatter.eps", resolution_exponents, cfg["scatter.eps"])
-    # the profiles read the snapshots at ts[idx], so the horizon is checked at their times
-    _check("scatter.checkpoints", check_horizon, ts[idx], sim.alpha, sim.R)
+    cps = _check("scatter.checkpoints", lambda: [float(x) for x in str(cfg["scatter.checkpoints"]).split(",")])
+    idx = _check("scatter.checkpoints", checkpoint_indices, sim, cps)
+    ts = sim.snapshot_times
     # the resolution-space norm for each Cauchy row (t1, t2), from 0 to the snapshot the row reads at t2
     windows = [(0.0, float(ts[i])) for i in idx[1:]]
     for window in windows:

@@ -56,11 +56,18 @@ class BlowupError(RuntimeError):
 # A run's state, from its initial data to every snapshot, is the (2, M)
 # complex128 array of the sine coefficients of (U, N).
 
+def check_alpha(alpha: float) -> None:
+    """ValueError unless the speed ratio alpha is positive, with a finite square, and |alpha-1| > 1e-6:
+    the energy, the free flows and the resonant radius 2 alpha/|1 - alpha^2| all need it so."""
+    if not (math.isfinite(alpha * alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
+        raise ValueError(f"alpha must be positive and finite, with |alpha-1| > 1e-6 and a finite square, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters.
 
-    alpha is the ion sound speed (positive, bounded away from 1); R, M fix the
+    alpha is the ion sound speed (see :func:`check_alpha`); R, M fix the
     grid; dt and T the time stepping; snapshots are recorded every
     ``snapshot_stride`` steps.
     """
@@ -75,8 +82,7 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0) or abs(self.alpha - 1.0) <= 1e-6:
-            raise ValueError(f"alpha must be positive and finite with |alpha-1| > 1e-6, got {self.alpha}")
+        check_alpha(self.alpha)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.T) and self.T >= 0):

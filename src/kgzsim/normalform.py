@@ -66,6 +66,7 @@ from .radial import (
 from .resonance import (
     InteractionTag,
     ResonanceParams,
+    compute_params,
     decompose_bilinear,
     in_support,
     interaction_distance,
@@ -637,6 +638,7 @@ ESTIMATES = (
     "bi_DHH",    # ||D(U conj U)_{HH}||_2 / split-norm(U)^2
 )
 _EPS = 0.05  # the sweep's Besov offset eps: regularities 1/4 + eps, exponents q(+-eps)
+STABILITY_FACTOR = 2.0  # C7's gate: a sweep passes when no estimate's constant grows by more over the sizes
 
 
 @dataclass(frozen=True)
@@ -663,8 +665,8 @@ class SweepReport:
             ratios[est] = hi / lo if lo > 0.0 else (math.inf if hi > 0.0 else math.nan)
         return ratios
 
-    def passed(self, factor: float = 2.0) -> bool:
-        return all(r <= factor for r in self.stability_ratios().values())
+    def passed(self) -> bool:
+        return all(r <= STABILITY_FACTOR for r in self.stability_ratios().values())
 
 
 def sweep_trial_field(grid: RadialGrid, rng: np.random.Generator) -> NDArray:
@@ -712,8 +714,6 @@ def estimate_sweep(
     its constants are nonzero and stable (bd_U reads 5.254e-6 at M = 128, 256
     and 512, one trial), but they are not those of the certified separation.
     """
-    from .resonance import compute_params
-
     check_count("trials", trials)
     check_sizes(sizes)
     sizes = tuple(sorted(sizes))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .kgz import check_alpha
 from .radial import RadialGrid, analyze, chi_k, chi_le, synthesize
 
 
@@ -94,8 +95,7 @@ class ResonanceParams:
     rho: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.alpha != 1.0 and np.isfinite(self.alpha * self.alpha)):
-            raise ValueError(f"alpha must be positive, not 1, with a finite square, got {self.alpha}")
+        check_alpha(self.alpha)
         if not (0.0 < self.delta_alpha < self.c_alpha):
             raise ValueError("delta_alpha must lie in (0, c_alpha)")
         if self.k_alpha < 5:
@@ -157,9 +157,7 @@ def compute_params(alpha: float, band: RadialGrid | None = None) -> ResonancePar
     supports at least three separated high blocks; a warning is issued when
     the cap binds.  The result is re-verified by :func:`verify_profile_bound`.
     """
-    if not (np.isfinite(alpha * alpha) and alpha > 0) or abs(alpha - 1.0) <= 1e-6:
-        raise ValueError(f"alpha must be positive and finite, with |alpha-1| > 1e-6 and a finite square, got {alpha}")
-
+    check_alpha(alpha)
     c = 2.0 * alpha / abs(1.0 - alpha**2)
     if alpha < 1.0:
         delta = _THETA * c

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .kgz import Trajectory
+from .kgz import SimConfig, Trajectory
 from .radial import (
     RadialGrid,
     besov_norms,
@@ -165,31 +165,27 @@ def strichartz_scan(
     alpha: float = 1.0,
     n_samples: int = 128,
     seed: int = 7,
-    profile: NDArray | None = None,
 ) -> ScanTable:
-    """Fit log2 ||free flow of P_k phi||_{L^q_t L^r_x} against k.
+    """Fit log2 ||free flow of P_k phi||_{L^q_t L^r_x} against k, over blocks ``ks`` that the grid resolves.
 
-    phi is a fixed random radial L^2 profile (white coefficients, fixed seed)
-    unless its (M,) coefficients are given; each block P_k phi is normalized
-    to unit L^2 before evolving.  GuardError, before any flow is computed, if
-    the window ends past the reflection-safe horizon of the scanned flow,
-    whose speed is 1 for Klein-Gordon and alpha for the wave.
+    phi is a fixed random radial L^2 profile (white coefficients, fixed seed);
+    each block P_k phi is normalized to unit L^2 before evolving.  GuardError,
+    before any flow is computed, if the window ends past the reflection-safe
+    horizon of the scanned flow, whose speed is 1 for Klein-Gordon and alpha
+    for the wave.
     """
-    check_blocks(ks)
+    check_blocks(ks, grid)
     kg = flavor == "schrodinger"
     beta_exponent(q, r, flavor)
     check_samples(n_samples)
     check_window(window)
     check_horizon([window[1]], 1.0 if kg else alpha, grid.R)
-    if profile is None:
-        profile = random_band_limited(grid, np.random.default_rng(seed))
+    profile = random_band_limited(grid, np.random.default_rng(seed))
     ts = np.linspace(*window, n_samples)
     norms = []
     for k in ks:
         block = profile * chi_k(grid.xi, k)
         nb = l2_norms(grid, block)
-        if nb == 0.0:
-            raise ValueError(f"profile has no content in dyadic block {k}")
         flow = kg_propagate(grid, block / nb, ts) if kg else wave_propagate(grid, block / nb, ts, alpha)
         norms.append(measure_spacetime_norm(grid, flow, ts, q, r))
     return ScanTable(flavor, q, r, tuple(int(k) for k in ks), tuple(float(n) for n in norms))
@@ -224,16 +220,19 @@ class WitnessReport:
 
 
 def check_samples(n: int) -> None:
-    """ValueError unless there are at least two sample times: a one-point trapezoid is zero,
-    and one checkpoint has no Cauchy difference."""
+    """ValueError unless there are at least two sample times: a one-point trapezoid is zero."""
     if n < 2:
         raise ValueError(f"need at least 2 sample times, got {n}")
 
 
-def check_blocks(ks: Sequence[int]) -> None:
-    """ValueError unless a scan has at least two distinct dyadic blocks: a slope needs two points."""
+def check_blocks(ks: Sequence[int], grid: RadialGrid) -> None:
+    """ValueError unless a scan has at least two distinct dyadic blocks, a slope's two points,
+    and each is one of the grid's resolved blocks, where the random profile has content."""
     if len(set(ks)) < 2:
         raise ValueError(f"a slope needs at least two distinct blocks, got {tuple(ks)}")
+    resolved = grid.resolved_k
+    if any(k not in resolved for k in ks):
+        raise ValueError(f"blocks {tuple(ks)} leave the grid's resolved blocks {resolved[0]}..{resolved[-1]}")
 
 
 def check_window(window: tuple[float, float]) -> None:
@@ -323,18 +322,26 @@ class ScatteringReport:
     profiles_N: NDArray
 
 
-def checkpoint_indices(times: NDArray, checkpoints: Sequence[float], dt: float) -> list[int]:
-    """Index of the snapshot at each checkpoint; ValueError if none lies within dt/2 (or it is not finite),
-    or if the indices do not increase: a Cauchy row between one snapshot and itself, or back in time,
-    compares nothing."""
+def checkpoint_indices(config: SimConfig, checkpoints: Sequence[float]) -> list[int]:
+    """Index in ``config.snapshot_times`` of the snapshot that each checkpoint reads, checked before any run.
+
+    ValueError for fewer than two checkpoints (one has no Cauchy row), for one
+    with no snapshot within dt/2 (or not finite), or if the indices do not
+    increase: a row between one snapshot and itself, or back in time, compares
+    nothing.  GuardError if a matched time lies past the reflection-safe horizon.
+    """
+    if len(checkpoints) < 2:
+        raise ValueError(f"a Cauchy row needs at least 2 checkpoints, got {len(checkpoints)}")
+    times = config.snapshot_times
     out = []
     for cp in checkpoints:
         i = int(np.argmin(np.abs(times - cp)))
-        if not abs(times[i] - cp) <= 0.5 * dt + 1e-12:
+        if not abs(times[i] - cp) <= 0.5 * config.dt + 1e-12:
             raise ValueError(f"no snapshot near checkpoint t={cp} (closest {times[i]})")
         if out and i <= out[-1]:
             raise ValueError(f"checkpoints must fall on increasing snapshots, got t={cp} at or before its predecessor")
         out.append(i)
+    check_horizon(times[out], config.alpha, config.R)
     return out
 
 
@@ -350,9 +357,8 @@ def scattering_profile(traj: Trajectory, alpha: float, checkpoints: Sequence[flo
     if alpha != traj.config.alpha:
         raise ValueError(f"alpha={alpha} is not the trajectory's alpha={traj.config.alpha}")
     grid = traj.config.grid
-    idx = checkpoint_indices(traj.times, checkpoints, traj.config.dt)
+    idx = checkpoint_indices(traj.config, checkpoints)
     ts = traj.times[idx]
-    check_horizon(ts, alpha, grid.R)
     profs_U, profs_N = kg_propagate(grid, traj.cU[idx], -ts), wave_propagate(grid, traj.cN[idx], -ts, alpha)
     rows = [
         CauchyRow(float(t1), float(t2), float(sobolev_norms(grid, v2 - v1, 1.0)), float(l2_norms(grid, w2 - w1)))

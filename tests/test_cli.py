@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 from kgzsim import cli, export, resonance, strichartz
 from kgzsim.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, DEFAULTS, main, resolve_config
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
-from kgzsim.strichartz import resolution_norm
+from kgzsim.normalform import duhamel_residual, estimate_sweep
+from kgzsim.strichartz import resolution_norm, sharpness_witness, strichartz_scan
 
 SCATTER_ARGS = [
     "--set",
@@ -131,6 +133,53 @@ def test_non_finite_settings_rejected_before_any_work(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, settings",
+    [
+        ("simulate", ["--set", "grid.M=64", "--set", "sim.T=0"]),
+        ("simulate", ["--set", "grid.M=64", "--set", "sim.T=0.01", "--set", "sim.dt=0.01"]),
+        ("scatter-diag", SCATTER_ARGS),
+    ],
+    ids=["simulate-T0", "simulate", "scatter-diag"],
+)
+def test_alpha_whose_square_overflows_rejected_before_any_work(tmp_path, capsys, subcommand, settings):
+    # the run itself is not stubbed: past this check, the energy's alpha**2 overflowed, the
+    # blow-up guard fired on the first step, or the horizon R/(2 alpha) shrank to 5e-199
+    assert run([subcommand, "--out", str(tmp_path), "--set", "sim.alpha=1e200"] + settings) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha must be positive and finite") and "got 1e+200" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
+# each default that the CLI restates, beside the library's own
+LIBRARY_DEFAULTS = [
+    ("quad.n_angular", _default(duhamel_residual, "n_angular")),
+    ("quad.n_angular", _default(estimate_sweep, "n_angular")),
+    ("sweep.trials", _default(estimate_sweep, "trials")),
+    ("sweep.sizes", ",".join(map(str, _default(estimate_sweep, "sizes")))),
+    ("scan.samples", _default(strichartz_scan, "n_samples")),
+    ("scan.seed", _default(strichartz_scan, "seed")),
+    ("scan.alpha", _default(strichartz_scan, "alpha")),
+    ("sharp.R", _default(sharpness_witness, "R")),
+    ("sharp.samples", _default(sharpness_witness, "n_samples")),
+    ("scatter.eps", _default(resolution_norm, "eps")),
+    ("data.width", _default(gaussian_data, "width")),
+    ("sim.model", _default(SimConfig, "model")),
+    ("sim.dealias", _default(SimConfig, "dealias")),
+]
+
+
+@pytest.mark.parametrize("key, library", LIBRARY_DEFAULTS, ids=[key for key, _ in LIBRARY_DEFAULTS])
+def test_cli_defaults_match_the_library(key, library):
+    # a default's type is the key's schema, so the type must agree as well as the value
+    found = {name: d[key] for name, d in DEFAULTS.items() if key in d}
+    assert found and all(v == library and type(v) is type(library) for v in found.values()), (library, found)
 
 
 def test_computation_modules_do_not_import_export():
@@ -338,7 +387,7 @@ def test_scatter_diag_outputs(tmp_path):
         ("scatter.checkpoints=2,4.003,8", "no snapshot near checkpoint t=4.003"),
         ("scatter.checkpoints=2,x", "could not convert"),
         # one checkpoint gives no Cauchy row and so no resolution-norm window
-        ("scatter.checkpoints=8", "scatter.checkpoints: need at least 2 sample times, got 1"),
+        ("scatter.checkpoints=8", "scatter.checkpoints: a Cauchy row needs at least 2 checkpoints, got 1"),
         # a repeated or backward checkpoint, or two within dt/2 of one snapshot, give a row that compares nothing
         ("scatter.checkpoints=2,2,8", "checkpoints must fall on increasing snapshots, got t=2.0"),
         ("scatter.checkpoints=4,2", "checkpoints must fall on increasing snapshots, got t=2.0"),

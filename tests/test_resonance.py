@@ -251,10 +251,12 @@ def test_alpha_whose_square_overflows_rejected(alpha):
         compute_params(alpha)
 
 
-@pytest.mark.parametrize("alpha", [1e200, 1.0])
+@pytest.mark.parametrize("alpha", [1e200, 1.0, 1.0 + 1e-7])
 def test_params_whose_resonant_radius_is_not_finite_rejected(alpha):
-    # c_alpha = 2 alpha/|1 - alpha^2| raised an OverflowError or a ZeroDivisionError before alpha was checked
-    with pytest.raises(ValueError, match=re.escape(f"alpha must be positive, not 1, with a finite square, got {alpha}")):
+    # c_alpha = 2 alpha/|1 - alpha^2| raised an OverflowError or a ZeroDivisionError before alpha was checked;
+    # within 1e-6 of 1 it is finite, but every other constructor of a run refuses that alpha
+    message = f"alpha must be positive and finite, with |alpha-1| > 1e-6 and a finite square, got {alpha}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         ResonanceParams(alpha, 1e-200, 5, 1.0)
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from kgzsim.cli import write_cauchy, write_scan
 from kgzsim.kgz import SimConfig, gaussian_data, run_simulation
-from kgzsim.radial import RadialGrid, kg_propagate, l2_norms, random_band_limited
+from kgzsim.radial import RadialGrid, kg_propagate, l2_norms
 from kgzsim import strichartz
 from kgzsim.strichartz import (
     GuardError,
@@ -144,11 +145,12 @@ def test_trajectory_window_guards(grid):
 # dyadic scans
 # ---------------------------------------------------------------------------
 
-def test_scan_linearity(rng):
+def test_scan_linearity(monkeypatch):
     grid = RadialGrid(16.0, 512)
-    phi = random_band_limited(grid, np.random.default_rng(3))
-    a = strichartz_scan(grid, [2, 3], 2.0, 5.0, "wave", (0.0, 2.0), profile=phi, n_samples=64)
-    b = strichartz_scan(grid, [2, 3], 2.0, 5.0, "wave", (0.0, 2.0), profile=10.0 * phi, n_samples=64)
+    a = strichartz_scan(grid, [2, 3], 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64, seed=3)
+    seeded = strichartz.random_band_limited
+    monkeypatch.setattr(strichartz, "random_band_limited", lambda *args: 10.0 * seeded(*args))
+    b = strichartz_scan(grid, [2, 3], 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64, seed=3)
     # blocks are unit-normalized before evolving, so the table is scale-free
     assert a.norms == b.norms
 
@@ -232,28 +234,43 @@ def test_scan_rejects_an_empty_or_reversed_window(window):
         strichartz_scan(grid, [1, 2], 2.0, 5.0, "wave", window, n_samples=8)
 
 
+CHECKPOINT_RUN = SimConfig(ALPHA, 40.0, 64, dt=0.01, T=2.0)  # snapshots every 0.01 up to 2
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_horizon_and_checkpoints_reject_non_finite_times(t):
     # NaN compares false with every bound, so it must be caught before the comparison
     with pytest.raises(ValueError, match="not finite"):
         check_horizon([0.5, t, 2.0], ALPHA, 40.0)
     with pytest.raises(ValueError, match="no snapshot near checkpoint"):
-        checkpoint_indices(np.linspace(0.0, 2.0, 201), [0.5, t, 2.0], 0.01)
+        checkpoint_indices(CHECKPOINT_RUN, [0.5, t, 2.0])
 
 
 @pytest.mark.parametrize("checkpoints", [[1.0, 1.0, 2.0], [2.0, 1.0], [1.5, 1.0, 2.0], [1.0, 1.004, 2.0]])
 def test_checkpoints_must_fall_on_increasing_snapshots(checkpoints):
     # two checkpoints within dt/2 of one snapshot, or out of order, give a Cauchy row that compares nothing
     with pytest.raises(ValueError, match="increasing snapshots"):
-        checkpoint_indices(np.linspace(0.0, 2.0, 201), checkpoints, 0.01)
+        checkpoint_indices(CHECKPOINT_RUN, checkpoints)
 
 
-@pytest.mark.parametrize("ks", [[3], [3, 3], []], ids=["one", "repeated", "none"])
-def test_scan_needs_two_distinct_blocks(ks, monkeypatch):
-    monkeypatch.setattr(strichartz, "measure_spacetime_norm", lambda *args: pytest.fail("scanned"))
-    grid = RadialGrid(16.0, 512)
-    with pytest.raises(ValueError, match="at least two distinct blocks"):
-        strichartz_scan(grid, ks, 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64)
+@pytest.mark.parametrize(
+    "M, ks, message",
+    [
+        (512, [3], "at least two distinct blocks"),
+        (512, [3, 3], "at least two distinct blocks"),
+        (512, [], "at least two distinct blocks"),
+        # R = 16 and M = 1024 resolve the blocks -3..8: block 9 holds no mode, after two blocks that do
+        (1024, [1, 2, 9], "blocks (1, 2, 9) leave the grid's resolved blocks -3..8"),
+    ],
+    ids=["one", "repeated", "none", "unresolved"],
+)
+def test_scan_needs_two_distinct_blocks(M, ks, message, monkeypatch):
+    # each block rule is checked before the first space-time norm
+    calls = []
+    monkeypatch.setattr(strichartz, "measure_spacetime_norm", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strichartz_scan(RadialGrid(16.0, M), ks, 2.0, 5.0, "wave", (0.0, 2.0), n_samples=64)
+    assert calls == []
 
 
 def test_scan_needs_two_sample_times():
@@ -328,7 +345,16 @@ def test_profile_missing_checkpoint(grid):
     cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, snapshot_stride=50)
     traj = run_simulation(cfg, gaussian_data(grid, 0.01))
     with pytest.raises(ValueError, match="no snapshot"):
-        scattering_profile(traj, ALPHA, [0.77])
+        scattering_profile(traj, ALPHA, [0.5, 0.77])
+
+
+@pytest.mark.parametrize("checkpoints", [[], [0.5]], ids=["none", "one"])
+def test_profile_needs_two_checkpoints(grid, checkpoints):
+    # one checkpoint has no Cauchy row: the report would be empty
+    cfg = SimConfig(ALPHA, grid.R, grid.M, dt=1e-2, T=1.0, snapshot_stride=50)
+    traj = run_simulation(cfg, gaussian_data(grid, 0.01))
+    with pytest.raises(ValueError, match=f"a Cauchy row needs at least 2 checkpoints, got {len(checkpoints)}"):
+        scattering_profile(traj, ALPHA, checkpoints)
 
 
 def test_profile_needs_the_runs_alpha(grid):
